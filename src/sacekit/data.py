@@ -14,6 +14,7 @@ import csv
 import enum
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,92 +234,175 @@ class Dataset:
         )
 
 
+# np.loadtxt settings for the data rows. Latin-1 maps every byte to one
+# character, so text in columns that are not read never fails to decode.
+_LOADTXT = dict(
+    delimiter=",", comments=None, quotechar='"', skiprows=1, ndmin=2, encoding="latin1"
+)
+# Rows formatted per ``writerows`` call in :func:`save_dataset`; bounds the
+# number of field strings alive at once.
+_SAVE_BLOCK_ROWS = 8192
+
+
+class _Layout(NamedTuple):
+    """Where a CSV file keeps each column, resolved from its header."""
+
+    width: int
+    text: tuple  # positions of z, s, a, y
+    x: list
+    x_names: list
+
+
 def load_dataset(path, schema=None):
     """Read a dataset from CSV.
 
     Column positions come from the header via ``schema`` (default column
     names: z, s, y, a; all remaining columns are covariates). Malformed
     rows raise :class:`DataError` with the 1-based row number.
+
+    The data rows are read column by column (z, s, a and y as byte strings,
+    the covariates as floats) and checked as whole columns. Numeric fields
+    must be ASCII, and covariates must not use digit-group underscores. A
+    quoted field may hold a delimiter or a line break; a quote character
+    inside an unquoted field is not supported.
     """
     schema = schema or Schema()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for name in (schema.z, schema.s, schema.y, schema.a):
-            if name not in header:
-                raise DataError(f"{path}: missing column {name!r}")
-        zi, si, yi, ai = (
-            header.index(schema.z),
-            header.index(schema.s),
-            header.index(schema.y),
-            header.index(schema.a),
-        )
-        if schema.covariates is None:
-            xcols = [
-                (j, name)
-                for j, name in enumerate(header)
-                if j not in (zi, si, yi, ai)
-            ]
-        else:
-            for name in schema.covariates:
-                if name not in header:
-                    raise DataError(f"{path}: missing covariate column {name!r}")
-            xcols = [(header.index(name), name) for name in schema.covariates]
-
-        z, s, a, x, y = [], [], [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {rownum}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                zv = _parse_binary(row[zi], schema.z)
-                sv = _parse_binary(row[si], schema.s)
-                av = _parse_code(row[ai], schema.a)
-                xv = [_parse_float(row[j], name) for j, name in xcols]
-            except ValueError as exc:
-                raise DataError(f"{path}: row {rownum}: {exc}") from None
-            yfield = row[yi].strip()
-            if sv == 1:
-                if yfield == "":
-                    raise DataError(
-                        f"{path}: row {rownum}: survivor without an outcome"
-                    )
-                try:
-                    yv = float(yfield)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {rownum}: bad outcome value {yfield!r}"
-                    ) from None
-                if not np.isfinite(yv):
-                    raise DataError(f"{path}: row {rownum}: non-finite outcome")
-            else:
-                if yfield != "":
-                    raise DataError(
-                        f"{path}: row {rownum}: outcome present for a truncated unit"
-                    )
-                yv = np.nan
-            z.append(zv)
-            s.append(sv)
-            a.append(av)
-            x.append(xv)
-            y.append(yv)
-
-    if not z:
+    layout = _read_layout(path, schema)
+    counts = _record_field_counts(path)
+    if counts.size < 2:
         raise DataError(f"{path}: no data rows")
+    miscounted = np.flatnonzero(counts[1:] != layout.width)
+    if miscounted.size:
+        raise _row_error(path, layout, schema, stop=int(miscounted[0]) + 2)
+    try:
+        text = np.loadtxt(path, dtype=bytes, usecols=layout.text, **_LOADTXT)
+        x = np.loadtxt(path, dtype=float, usecols=layout.x, **_LOADTXT)
+        z, s, y = (np.char.strip(text[:, k]) for k in (0, 1, 3))
+        surv = s == b"1"
+        a = text[:, 2].astype(np.int64)
+        y_surv = y[surv].astype(float)
+    except (ValueError, OverflowError) as exc:
+        raise _row_error(path, layout, schema, reason=str(exc)) from None
+    bad = (
+        ((z != b"0") & (z != b"1"))
+        | ((s != b"0") & (s != b"1"))
+        | (a < 0)
+        | ~np.isfinite(x).all(axis=1)
+        | (~surv & (y != b""))
+    )
+    bad[surv] |= ~np.isfinite(y_surv)
+    if bad.any():
+        raise _row_error(path, layout, schema, stop=int(np.argmax(bad)) + 2)
+    y_full = np.full(len(z), np.nan)
+    y_full[surv] = y_surv
     return Dataset.from_arrays(
-        np.array(z),
-        np.array(x, dtype=float).reshape(len(z), len(xcols)),
-        np.array(a),
-        np.array(s),
-        np.array(y),
-        covariate_names=[name for _, name in xcols],
+        (z == b"1").astype(np.int64),
+        x,
+        a,
+        surv.astype(np.int64),
+        y_full,
+        covariate_names=layout.x_names,
         a_labels=schema.a_labels,
     )
+
+
+def _read_layout(path, schema):
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    header = [h.strip() for h in header]
+    for name in (schema.z, schema.s, schema.y, schema.a):
+        if name not in header:
+            raise DataError(f"{path}: missing column {name!r}")
+    text = tuple(header.index(name) for name in (schema.z, schema.s, schema.a, schema.y))
+    if schema.covariates is None:
+        x = [j for j in range(len(header)) if j not in text]
+    else:
+        for name in schema.covariates:
+            if name not in header:
+                raise DataError(f"{path}: missing covariate column {name!r}")
+        x = [header.index(name) for name in schema.covariates]
+    return _Layout(len(header), text, x, [header[j] for j in x])
+
+
+def _record_field_counts(path):
+    """Fields per record of a CSV file, the header included.
+
+    Records end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in
+    :func:`csv.reader`, and an empty record has no fields. A delimiter or
+    line break after an odd number of quote characters is inside a quoted
+    field and does not count.
+    """
+    buf = np.fromfile(path, dtype=np.uint8)
+    quotes = np.flatnonzero(buf == ord('"'))
+
+    def unquoted(pos):
+        return pos[np.searchsorted(quotes, pos) % 2 == 0]
+
+    lf = np.flatnonzero(buf == ord("\n"))
+    cr = np.flatnonzero(buf == ord("\r"))
+    crlf = buf[np.minimum(cr + 1, buf.size - 1)] == ord("\n")
+    ends = unquoted(np.sort(np.concatenate((lf, cr[~crlf]))))
+    # Where each terminator starts: one byte earlier for "\r\n".
+    term_starts = ends - (
+        (ends > 0) & (buf[ends] == ord("\n")) & (buf[ends - 1] == ord("\r"))
+    )
+    if buf.size and (ends.size == 0 or ends[-1] != buf.size - 1):
+        ends = np.append(ends, buf.size)
+        term_starts = np.append(term_starts, buf.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = unquoted(np.flatnonzero(buf == ord(",")))
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+    return np.where(term_starts > starts, fields, 0)
+
+
+def _row_error(path, layout, schema, stop=None, reason="unsupported field syntax"):
+    """The :class:`DataError` for the first bad row, found with the per-field parsers.
+
+    Used only after the column reader has found a fault; ``stop`` is the row
+    it flagged, if it knows one, and ``reason`` describes that fault in case
+    the parsers accept every row up to it.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for rownum, row in enumerate(reader, start=2):
+                problem = _row_problem(row, layout, schema)
+                if problem or rownum == stop:
+                    return DataError(f"{path}: row {rownum}: {problem or reason}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return DataError(f"{path}: {exc}")
+    return DataError(f"{path}: {reason}")
+
+
+def _row_problem(row, layout, schema):
+    """What the per-field parsers reject in one CSV row, or None."""
+    if len(row) != layout.width:
+        return f"expected {layout.width} fields, got {len(row)}"
+    zi, si, ai, yi = layout.text
+    try:
+        _parse_binary(row[zi], schema.z)
+        survivor = _parse_binary(row[si], schema.s) == 1
+        _parse_code(row[ai], schema.a)
+        for j, name in zip(layout.x, layout.x_names):
+            _parse_float(row[j], name)
+    except ValueError as exc:
+        return str(exc)
+    yfield = row[yi].strip()
+    if not survivor:
+        return "outcome present for a truncated unit" if yfield else None
+    if yfield == "":
+        return "survivor without an outcome"
+    try:
+        yv = float(yfield)
+    except ValueError:
+        return f"bad outcome value {yfield!r}"
+    return None if np.isfinite(yv) else "non-finite outcome"
 
 
 def save_dataset(data, path, schema=None):
@@ -333,11 +417,15 @@ def save_dataset(data, path, schema=None):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for u in data:
-            yfield = "" if u.y is None else repr(u.y)
-            writer.writerow(
-                [u.z, u.s, yfield, u.a] + [repr(float(v)) for v in u.x]
-            )
+        for start in range(0, len(data), _SAVE_BLOCK_ROWS):
+            rows = slice(start, start + _SAVE_BLOCK_ROWS)
+            s = data.s[rows]
+            surv = np.flatnonzero(s == 1)
+            y = np.full(s.shape[0], "", dtype=object)
+            y[surv] = list(map(repr, data.outcomes_at(surv + start).tolist()))
+            columns = [data.z[rows].tolist(), s.tolist(), y, data.a[rows].tolist()]
+            columns += [map(repr, col.tolist()) for col in data.x[rows].T]
+            writer.writerows(zip(*columns))
 
 
 def _parse_binary(text, name):
@@ -350,16 +438,22 @@ def _parse_binary(text, name):
 def _parse_code(text, name):
     v = text.strip()
     try:
+        if not v.isascii():
+            raise ValueError
         code = int(v)
     except ValueError:
         raise ValueError(f"{name} must be an integer level code, got {text!r}") from None
     if code < 0:
         raise ValueError(f"{name} must be non-negative, got {code}")
+    if code > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be below 2**63, got {code}")
     return code
 
 
 def _parse_float(text, name):
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         v = float(text)
     except ValueError:
         raise ValueError(f"{name} must be numeric, got {text!r}") from None

@@ -86,8 +86,10 @@ def _fmt(v):
 def quantile_binner(x, bins):
     """Per-covariate quantile binning; discrete columns keep their levels.
 
-    Returns a function mapping one covariate row to a tuple of bin indices,
-    for use as the ``x_transform`` of :class:`CellTable`.
+    Returns a transform for use as the ``x_transform`` of
+    :meth:`CellTable.from_dataset`. It maps the whole (n, d) covariate
+    matrix to an (n, d) integer array of bin indices, or one covariate row
+    to a tuple of bin indices.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -96,19 +98,17 @@ def quantile_binner(x, bins):
     for j in range(x.shape[1]):
         uniq = np.unique(x[:, j])
         if uniq.size <= bins:
-            rules.append(("levels", uniq))
+            rules.append(("left", uniq))
         else:
             qs = np.quantile(x[:, j], [k / bins for k in range(1, bins)])
-            rules.append(("edges", np.unique(qs)))
+            rules.append(("right", np.unique(qs)))
 
-    def transform(row):
-        key = []
-        for j, (kind, arr) in enumerate(rules):
-            if kind == "levels":
-                key.append(int(np.searchsorted(arr, row[j])))
-            else:
-                key.append(int(np.searchsorted(arr, row[j], side="right")))
-        return tuple(key)
+    def transform(rows):
+        rows = np.asarray(rows, dtype=float)
+        keys = np.empty(rows.shape, dtype=np.int64)
+        for j, (side, arr) in enumerate(rules):
+            keys[..., j] = np.searchsorted(arr, rows[..., j], side=side)
+        return keys if keys.ndim == 2 else tuple(int(k) for k in keys)
 
     return transform
 

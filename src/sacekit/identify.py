@@ -107,8 +107,12 @@ class CellTable:
 
         ``use_x=False`` collapses all covariates into a single group (the
         substitution variable alone defines the cells). ``x_transform``
-        optionally maps each covariate row to a hashable key, e.g. a
-        quantile-bin assignment for continuous covariates.
+        optionally maps the whole (n, d) covariate matrix to an (n, k) array
+        of cell keys, one row per unit, e.g. quantile-bin assignments for
+        continuous covariates (:func:`~sacekit.diagnostics.quantile_binner`).
+        Without it the raw covariate values are the keys, and values that
+        compare equal (``-0.0`` and ``0.0``) share a cell. Cells come in
+        ascending (key, level) order, and each is keyed by its first row.
         """
         z, s, a, x = data.z, data.s, data.a, data.x
         n = len(data)
@@ -118,19 +122,25 @@ class CellTable:
         mask = data.survivor_mask()
         y[mask] = data.outcomes_at(mask)
 
-        rows = {}
-        for i in range(n):
-            if not use_x:
-                xkey = ()
-            elif x_transform is not None:
-                xkey = tuple(x_transform(x[i]))
-            else:
-                xkey = tuple(x[i])
-            rows.setdefault((xkey, int(a[i])), []).append(i)
+        if not use_x:
+            keys = np.empty((n, 0))
+        elif x_transform is not None:
+            keys = np.asarray(x_transform(x))
+            if keys.ndim != 2 or keys.shape[0] != n:
+                raise ValueError(
+                    "x_transform must map the (n, d) covariate matrix to an (n, k) array"
+                )
+        else:
+            keys = x
+        _, cell_of_row = np.unique(_row_codes([*keys.T, a], n), return_inverse=True)
+        # A stable sort keeps each cell's rows in ascending order.
+        order = np.argsort(cell_of_row, kind="stable")
+        sizes = np.bincount(cell_of_row)
+        stops = np.cumsum(sizes)
 
         cells = {}
-        for key in sorted(rows):
-            idx = np.array(rows[key])
+        for start, stop in zip(stops - sizes, stops):
+            idx = order[start:stop]
             stats = {}
             for arm, tag in ((1, "treated"), (0, "control")):
                 sel = idx[z[idx] == arm]
@@ -142,6 +152,7 @@ class CellTable:
                 surv = sel[s[sel] == 1]
                 stats[f"n_surv_{tag}"] = len(surv)
                 stats[f"mean_{tag}"] = float(np.mean(y[surv])) if len(surv) else None
+            key = (tuple(keys[idx[0]]), int(a[idx[0]]))
             cells[key] = CellStats(mass=float(len(idx)), **stats)
         names = data.covariate_names if use_x else ()
         return cls(cells, mode="sample", covariate_names=names)
@@ -214,6 +225,25 @@ class CellTable:
             },
             indent=indent,
         )
+
+
+def _row_codes(columns, n):
+    """One int64 code per row, ordered as the rows' tuples of column values.
+
+    Rows whose values compare equal share a code. Each column is ranked by
+    ``np.unique`` and the ranks are combined in mixed radix; the running
+    code is re-ranked first whenever the next column would overflow int64.
+    """
+    code = np.zeros(n, dtype=np.int64)
+    size = 1
+    for col in columns:
+        levels, rank = np.unique(col, return_inverse=True)
+        if size > np.iinfo(np.int64).max // levels.size:
+            distinct, code = np.unique(code, return_inverse=True)
+            size = distinct.size
+        code = code * levels.size + rank
+        size *= levels.size
+    return code
 
 
 def _opt_float(v):

@@ -140,6 +140,18 @@ def test_fit_usage_and_error_codes(tmp_path, capsys):
     assert code == 3 and "data error" in err
 
 
+def test_fit_malformed_covariate_deep_in_file_is_a_data_error(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=60_000)
+    lines = data.read_text().splitlines()
+    fields = lines[50_001].split(",")  # row 50002, counting the header as row 1
+    fields[4] = "oops"
+    lines[50_001] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "fit", "--data", str(data), "--method", "prop-er")
+    assert code == 3
+    assert "row 50002" in err and "x1 must be numeric, got 'oops'" in err
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # single substitution level: the covariate-free baseline cannot run
     p = tmp_path / "flat.csv"

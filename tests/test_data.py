@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sacekit.data import (
@@ -133,6 +135,141 @@ def test_load_errors_carry_row_numbers(tmp_path):
         "z,s,y,a\n1,0,2.0,0\n"
     )
     assert "row 2" in attempt("z,s,y,a\n1,1,2.0\n")  # short row
+
+
+# Valid rows ahead of the bad one push it past the first save block and the
+# first parse chunk (numpy's loadtxt reads 50000 rows at a time).
+PREFIX_ROWS = 50_010
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("1,1,,0,0.5", "survivor without an outcome"),
+        ("1,1,oops,0,0.5", "bad outcome value 'oops'"),
+        ("1,1,inf,0,0.5", "non-finite outcome"),
+        ("1,0,2.0,0,0.5", "outcome present for a truncated unit"),
+        ("1,0,nan,0,0.5", "outcome present for a truncated unit"),
+        ("1,1,2.0,0", "expected 5 fields, got 4"),
+        ("1,1,2.0,0,0.5,7", "expected 5 fields, got 6"),
+        ("", "expected 5 fields, got 0"),
+        ("2,1,2.0,0,0.5", "z must be 0 or 1, got '2'"),
+        ("1,1.0,2.0,0,0.5", "s must be 0 or 1, got '1.0'"),
+        ("1,1,2.0,-1,0.5", "a must be non-negative, got -1"),
+        ("1,1,2.0,1.5,0.5", "a must be an integer level code, got '1.5'"),
+        ("1,1,2.0,99999999999999999999,0.5", "a must be below 2**63"),
+        ("1,1,2.0,0,abc", "x1 must be numeric, got 'abc'"),
+        ("1,1,2.0,0,1_0", "x1 must be numeric, got '1_0'"),
+        ("1,1,2.0,0,nan", "x1 must be finite, got 'nan'"),
+        ("1,1,2.0,0,-inf", "x1 must be finite, got '-inf'"),
+    ],
+)
+def test_load_errors_name_rows_past_the_first_block(tmp_path, bad_row, message):
+    p = tmp_path / "late.csv"
+    lines = ["z,s,y,a,x1"] + ["1,1,0.5,0,1.5"] * PREFIX_ROWS + [bad_row, "0,0,,1,2.5"]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        load_dataset(p)
+    assert f"row {PREFIX_ROWS + 2}: {message}" in str(err.value)
+
+
+def test_load_accepts_quoting_crlf_and_padding(tmp_path):
+    # Every field below loads exactly as the csv module reads it.
+    p = tmp_path / "dialect.csv"
+    p.write_bytes(
+        b'"z","s",y,a,x1\r\n'
+        b'" 1 ",1 ,"2.5", 0,"-0.0"\r\n'
+        b"0, 0,,\"3\",1e-3\r\n"
+        b"\t1,\"1\", -7.25 ,+2, 4.5 \r\n"
+    )
+    data = load_dataset(p)
+    expected = Dataset.from_arrays(
+        [1, 0, 1],
+        [[-0.0], [0.001], [4.5]],
+        [0, 3, 2],
+        [1, 0, 1],
+        [2.5, np.nan, -7.25],
+        covariate_names=("x1",),
+    )
+    assert data == expected
+    assert np.signbit(data.x[0, 0])
+
+
+def test_load_counts_fields_outside_quotes(tmp_path):
+    # A quoted delimiter or line break in a column that is not read is data.
+    p = tmp_path / "names.csv"
+    p.write_text('z,s,y,a,name,age\n1,1,2.0,0,"Doe, J",44\n0,0,,1,"line\nbreak",51\n')
+    data = load_dataset(p, schema=Schema(covariates=("age",)))
+    assert data.covariate_names == ("age",)
+    assert data.x[:, 0].tolist() == [44.0, 51.0]
+    assert data.z.tolist() == [1, 0]
+    bad = tmp_path / "bad.csv"
+    bad.write_text('z,s,y,a,name\n1,1,2.0,0,"Doe, J",extra\n')
+    with pytest.raises(DataError, match="row 2: expected 5 fields, got 6"):
+        load_dataset(bad)
+
+
+def test_load_reports_undecodable_files_as_data_errors(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"z,s,y,a,x1\n1,1,2.0,0,\xff\n")
+    with pytest.raises(DataError):
+        load_dataset(p)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308])
+values = st.one_of(finite, edge_floats)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, 3))
+    z = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    s = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    a = draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n))
+    x = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n))
+    y = [draw(values) if si else np.nan for si in s]
+    return Dataset.from_arrays(
+        np.array(z), np.array(x, dtype=float).reshape(n, d), np.array(a), np.array(s),
+        np.array(y, dtype=float),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=datasets())
+def test_save_load_roundtrip_property(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("roundtrip")
+    first, second = folder / "a.csv", folder / "b.csv"
+    save_dataset(data, first)
+    back = load_dataset(first)
+    assert back == data
+    assert np.array_equal(np.signbit(back.x), np.signbit(data.x))
+    save_dataset(back, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_save_load_roundtrip_across_blocks(tmp_path):
+    rng = rng_stream(5)
+    n = 20_000
+    s = rng.integers(0, 2, size=n)
+    data = Dataset.from_arrays(
+        rng.integers(0, 2, size=n),
+        rng.normal(size=(n, 2)),
+        rng.integers(0, 4, size=n),
+        s,
+        np.where(s == 1, rng.normal(size=n), np.nan),
+    )
+    p = tmp_path / "big.csv"
+    save_dataset(data, p)
+    lines = p.read_bytes().split(b"\r\n")
+    assert lines[0] == b"z,s,y,a,x1,x2" and lines[-1] == b""
+    for i in (0, 8191, 8192, n - 1):
+        u = data.unit(i)
+        y = "" if u.y is None else repr(u.y)
+        fields = [str(u.z), str(u.s), y, str(u.a)] + [repr(float(v)) for v in u.x]
+        assert lines[i + 1] == ",".join(fields).encode()
+    assert load_dataset(p) == data
 
 
 def test_validate_clean_dataset():

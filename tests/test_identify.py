@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sacekit.data import Dataset
+from sacekit.diagnostics import quantile_binner
 from sacekit.errors import (
     DataError,
     EstimationError,
@@ -284,6 +286,90 @@ def test_from_dataset_counts(exact_count_dataset):
     assert_allclose(c1.p_surv_control, 0.6)
     assert_allclose(c1.mean_treated, 1.5)
     assert_allclose(c1.mean_control, 1.0)
+
+
+def reference_tabulation(data, use_x=True, x_transform=None):
+    """Per-row grouping: the reference ``from_dataset`` must reproduce exactly."""
+    z, s, a, x = data.z, data.s, data.a, data.x
+    y = np.full(len(data), np.nan)
+    y[data.survivor_mask()] = data.outcomes_at(data.survivor_mask())
+    rows = {}
+    for i in range(len(data)):
+        if not use_x:
+            xkey = ()
+        elif x_transform is not None:
+            xkey = tuple(x_transform(x[i]))
+        else:
+            xkey = tuple(x[i])
+        rows.setdefault((xkey, int(a[i])), []).append(i)
+    cells = {}
+    for key in sorted(rows):
+        idx = np.array(rows[key])
+        stats = {}
+        for arm, tag in ((1, "treated"), (0, "control")):
+            sel = idx[z[idx] == arm]
+            stats[f"n_{tag}"] = len(sel)
+            stats[f"p_surv_{tag}"] = float(np.mean(s[sel])) if len(sel) else None
+            surv = sel[s[sel] == 1]
+            stats[f"n_surv_{tag}"] = len(surv)
+            stats[f"mean_{tag}"] = float(np.mean(y[surv])) if len(surv) else None
+        cells[key] = CellStats(mass=float(len(idx)), **stats)
+    return CellTable(cells, mode="sample", covariate_names=data.covariate_names if use_x else ())
+
+
+def assert_same_table(got, want):
+    assert list(got.cells) == list(want.cells)
+    for key, stats in want.cells.items():
+        assert got.cells[key] == stats
+    # -0.0 and 0.0 compare equal; the cell key keeps the first row's sign
+    signs = [np.signbit(k[0]).tolist() for k in got.cells]
+    assert signs == [np.signbit(k[0]).tolist() for k in want.cells]
+    assert got.covariate_names == want.covariate_names
+
+
+def random_dataset(rng, n, x):
+    s = rng.integers(0, 2, size=n)
+    return Dataset.from_arrays(
+        rng.integers(0, 2, size=n),
+        x,
+        rng.choice([0, 2, 5, 2**40], size=n),
+        s,
+        np.where(s == 1, rng.normal(size=n), np.nan),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_dataset_matches_per_row_tabulation(seed):
+    rng = rng_stream(90, seed)
+    n = int(rng.integers(1, 600))
+    discrete = rng.choice([-0.0, 0.0, 1.5, -2.0], size=(n, 2))
+    data = random_dataset(rng, n, np.column_stack([discrete, rng.normal(size=n)]))
+    assert_same_table(
+        CellTable.from_dataset(data, use_x=False),
+        reference_tabulation(data, use_x=False),
+    )
+    binner = quantile_binner(data.x, bins=3)
+    assert_same_table(
+        CellTable.from_dataset(data, x_transform=binner),
+        reference_tabulation(data, x_transform=binner),
+    )
+    raw = random_dataset(rng, n, discrete)
+    assert_same_table(CellTable.from_dataset(raw), reference_tabulation(raw))
+    assert sum(c.mass for c in CellTable.from_dataset(raw).cells.values()) == n
+
+
+def test_from_dataset_raw_keys_past_int64_radix():
+    # six continuous columns: the mixed-radix code must be re-ranked
+    rng = rng_stream(91)
+    data = random_dataset(rng, 2000, rng.normal(size=(2000, 6)))
+    assert_same_table(CellTable.from_dataset(data), reference_tabulation(data))
+
+
+def test_from_dataset_rejects_per_row_transforms():
+    rng = rng_stream(92)
+    data = random_dataset(rng, 50, rng.normal(size=(50, 2)))
+    with pytest.raises(ValueError, match="x_transform"):
+        CellTable.from_dataset(data, x_transform=lambda row: (row[0] > 0,))
 
 
 def test_sample_mode_exact_on_exact_counts(exact_count_dataset):
