@@ -415,17 +415,20 @@ def save_dataset(data, path, schema=None):
     names = list(schema.covariates) if schema.covariates else list(data.covariate_names)
     header = [schema.z, schema.s, schema.y, schema.a] + names
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        # Names may need quoting; data fields never do (numbers and empty
+        # outcomes), so data rows are joined directly with the writer's
+        # default "\r\n" terminator.
+        csv.writer(fh).writerow(header)
         for start in range(0, len(data), _SAVE_BLOCK_ROWS):
             rows = slice(start, start + _SAVE_BLOCK_ROWS)
             s = data.s[rows]
             surv = np.flatnonzero(s == 1)
             y = np.full(s.shape[0], "", dtype=object)
             y[surv] = list(map(repr, data.outcomes_at(surv + start).tolist()))
-            columns = [data.z[rows].tolist(), s.tolist(), y, data.a[rows].tolist()]
+            columns = [map(str, data.z[rows].tolist()), map(str, s.tolist()), y]
+            columns.append(map(str, data.a[rows].tolist()))
             columns += [map(repr, col.tolist()) for col in data.x[rows].T]
-            writer.writerows(zip(*columns))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _parse_binary(text, name):

@@ -281,12 +281,13 @@ def _linear_mean(coef, x, tail):
     return np.column_stack(cols) @ coef
 
 
-def _check_share_regressor(share, what, weak_threshold):
+def _check_share_regressor(share, what, weak_threshold, stacklevel=3):
     """Classify a fitted-share regressor: usable, pure, or degenerate.
 
     Returns True when the column is usable, False when the arm is a pure
     always-survivor sample (share constant at 1). Constant anywhere else is
-    unidentifiable and raises.
+    unidentifiable and raises. ``stacklevel`` places the weak-share warning
+    at the caller of the public fit that runs this check.
     """
     spread = float(np.ptp(share)) if share.size else 0.0
     if spread < CONSTANT_EPS:
@@ -303,7 +304,7 @@ def _check_share_regressor(share, what, weak_threshold):
             f"{what}: always-share spread {spread:.3g} is weak; "
             "coefficients are noise-amplified",
             IdentificationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return True
 
@@ -396,58 +397,93 @@ class SmFit:
     warnings: list = field(default_factory=list)
 
 
-def fit_sm(data, rho, assume_er=True, survival=None, weak_threshold=WEAK_THRESHOLD):
-    """Stochastic-monotonicity pipeline at sensitivity level ``rho``.
+class _SmStage:
+    """The part of the stochastic-monotonicity pipeline that no ``rho`` changes.
 
-    Stage one (reusable across ``rho`` via the ``survival`` argument) fits
-    the two arm-wise survival models. The coupling at ``rho`` turns them
-    into a per-unit always-survivor share. Stage two either fits each arm's
-    survivor mean on (1, X, arm share) and plugs in (``assume_er=True``),
-    or fits the pooled regression on (1, X, A, Z*share1, Z, (1-Z)*share0)
-    whose coefficient combination gives the effect (``assume_er=False``).
-
-    An arm whose share regressor is constant at 1 is a pure
-    always-survivor sample (this happens at ``rho = 1`` when fitted control
-    survival never exceeds treated survival); the share column is then
-    dropped and its coefficient recorded as 0, which leaves every formula
-    valid.
+    Built once per :func:`sensitivity_sweep` (and once per stand-alone
+    :func:`fit_sm` call) for one outcome variant. It holds the two fitted
+    survival surfaces over all units, the survivors' outcomes, the divisors
+    that turn the always-survivor probability into a share, and each
+    outcome design as a Fortran-ordered buffer whose intercept, covariate,
+    ``a`` and ``z`` columns are filled here; evaluating at a ``rho``
+    overwrites only the share columns. A data condition that rules out the
+    outcome stage is stored as its message and raised at evaluation, in the
+    order a single fit meets it, so in a sweep each grid point fails alone.
     """
-    if survival is None:
-        survival = fit_survival_sm(data)
-    th1 = survival.theta_treated(data.x, data.a)
-    th0 = survival.theta_control(data.x, data.a)
-    always = stochastic_always_share(th1, th0, rho)
-    always_mass = float(np.mean(always)) if len(data) else 0.0
-    harmed_mass = float(np.mean(th0 - always)) if len(data) else 0.0
-    if always_mass <= 1e-12:
-        raise EstimationError(
-            "fitted always-survivor mass is zero; the effect is undefined"
-        )
-    notes = []
-    tiny = 1e-300
 
-    if assume_er:
+    def __init__(self, data, survival, assume_er):
+        self.survival = survival
+        self.covariate_names = tuple(data.covariate_names)
+        self.x = data.x
+        self.th1 = survival.theta_treated(data.x, data.a)
+        self.th0 = survival.theta_control(data.x, data.a)
+        tiny = 1e-300
+        d = data.n_covariates
+        if assume_er:
+            self.names = _design_names(self.covariate_names, ("always_share",))
+            self.arms = []
+            for arm, tag, th_arm in ((1, "treated_mix", self.th1), (0, "control_mix", self.th0)):
+                mask = data.survivor_mask(arm)
+                ys = data.outcomes_at(mask)
+                problem = None
+                if not mask.any():
+                    problem = f"arm {arm} has no survivors"
+                elif ys.size < len(self.names):
+                    problem = (
+                        f"arm {arm} has {ys.size} survivors, fewer than the "
+                        f"{len(self.names)} outcome coefficients"
+                    )
+                design = np.empty((ys.size, d + 2), order="F")
+                design[:, 0] = 1.0
+                design[:, 1:-1] = data.x[mask]
+                floor = np.maximum(th_arm[mask], tiny)
+                self.arms.append((arm, tag, problem, mask, ys, floor, design))
+        else:
+            mask = data.survivor_mask()
+            zs = data.z[mask]
+            self.mask = mask
+            self.ys = data.outcomes_at(mask)
+            self.treated = zs == 1
+            self.problem = None
+            if not self.treated.any() or not (zs == 0).any():
+                self.problem = "survivors are required in both arms"
+            self.z = zs
+            self.cz = 1 - zs
+            self.floor1 = np.maximum(self.th1[mask], tiny)
+            self.floor0 = np.maximum(self.th0[mask], tiny)
+            # (1, X, A, Z*share1, Z, (1-Z)*share0); the share columns are per rho
+            self.pooled_names = _design_names(
+                self.covariate_names, ("a", "z_x_treated_share", "z", "cz_x_control_share")
+            )
+            design = np.empty((self.ys.size, d + 5), order="F")
+            design[:, 0] = 1.0
+            design[:, 1 : d + 1] = data.x[mask]
+            design[:, d + 1] = data.a[mask]
+            design[:, d + 3] = zs
+            self.design = design
+
+    def coupling(self, rho):
+        """(always, always_mass, harmed_mass) at ``rho``."""
+        always = stochastic_always_share(self.th1, self.th0, float(rho))
+        n = always.size
+        always_mass = float(np.mean(always)) if n else 0.0
+        harmed_mass = float(np.mean(self.th0 - always)) if n else 0.0
+        return always, always_mass, harmed_mass
+
+    def fit_arms(self, always, weak_threshold):
+        """Arm-wise outcome fits on (1, X, arm share), and their notes."""
         coefs = {}
-        for arm, tag in ((1, "treated_mix"), (0, "control_mix")):
-            mask = data.survivor_mask(arm)
-            if not mask.any():
-                raise EstimationError(f"arm {arm} has no survivors")
-            xs = data.x[mask]
-            ys = data.outcomes_at(mask)
-            th_arm = th1 if arm == 1 else th0
-            share = always[mask] / np.maximum(th_arm[mask], tiny)
-            names = _design_names(data.covariate_names, ("always_share",))
-            if ys.size < len(names):
-                raise EstimationError(
-                    f"arm {arm} has {ys.size} survivors, fewer than the "
-                    f"{len(names)} outcome coefficients"
-                )
-            if _check_share_regressor(share, f"the arm-{arm} outcome fit", weak_threshold):
-                design = np.column_stack([np.ones(ys.size), xs, share])
-                coefs[tag] = fit_ols(design, ys, column_names=names)
+        notes = []
+        for arm, tag, problem, mask, ys, floor, design in self.arms:
+            if problem is not None:
+                raise EstimationError(problem)
+            share = np.divide(always[mask], floor, out=design[:, -1])
+            if _check_share_regressor(
+                share, f"the arm-{arm} outcome fit", weak_threshold, stacklevel=4
+            ):
+                coefs[tag] = fit_ols(design, ys, column_names=self.names)
             else:
-                design = np.column_stack([np.ones(ys.size), xs])
-                reduced = fit_ols(design, ys, column_names=names[:-1])
+                reduced = fit_ols(design[:, :-1], ys, column_names=self.names[:-1])
                 coefs[tag] = np.concatenate([reduced, [0.0]])
                 notes.append(
                     f"arm {arm} survivors fitted as a pure always-survivor sample"
@@ -455,84 +491,107 @@ def fit_sm(data, rho, assume_er=True, survival=None, weak_threshold=WEAK_THRESHO
         outcome = OutcomeParams(
             treated_mix=coefs["treated_mix"],
             control_mix=coefs["control_mix"],
-            names={
-                "treated_mix": _design_names(data.covariate_names, ("always_share",)),
-                "control_mix": _design_names(data.covariate_names, ("always_share",)),
-            },
+            names={"treated_mix": self.names, "control_mix": self.names},
         )
-        mu1 = _linear_mean(outcome.treated_mix, data.x, (1.0,))
-        mu0 = _linear_mean(outcome.control_mix, data.x, (1.0,))
-        effect = float(np.sum(always * (mu1 - mu0)) / np.sum(always))
-    else:
-        mask = data.survivor_mask()
-        xs = data.x[mask]
-        as_ = data.a[mask]
-        zs = data.z[mask]
-        ys = data.outcomes_at(mask)
-        if not (zs == 1).any() or not (zs == 0).any():
-            raise EstimationError("survivors are required in both arms")
-        share1 = always[mask] / np.maximum(th1[mask], tiny)
-        share0 = always[mask] / np.maximum(th0[mask], tiny)
-        treated = zs == 1
+        # (1, X, 1) @ (treated - control): the survivor-mean gap of each unit
+        gap_coef = outcome.treated_mix - outcome.control_mix
+        gap = self.x @ gap_coef[1:-1] + (gap_coef[0] + gap_coef[-1])
+        effect = float(np.sum(always * gap) / np.sum(always))
+        return outcome, effect, notes
+
+    def fit_pooled(self, always, weak_threshold):
+        """Pooled fit on (1, X, A, Z*share1, Z, (1-Z)*share0), and its notes."""
+        if self.problem is not None:
+            raise EstimationError(self.problem)
+        surv_always = always[self.mask]
+        share1 = surv_always / self.floor1
+        share0 = surv_always / self.floor0
         use1 = _check_share_regressor(
-            share1[treated], "the pooled fit (treated share column)", weak_threshold
+            share1[self.treated],
+            "the pooled fit (treated share column)",
+            weak_threshold,
+            stacklevel=4,
         )
         use0 = _check_share_regressor(
-            share0[~treated], "the pooled fit (control share column)", weak_threshold
+            share0[~self.treated],
+            "the pooled fit (control share column)",
+            weak_threshold,
+            stacklevel=4,
         )
-        cols = [np.ones(ys.size), xs, as_]
-        names = ["intercept", *data.covariate_names, "a"]
-        if use1:
-            cols.append(zs * share1)
-            names.append("z_x_treated_share")
-        if use0:
-            cols.append(zs)
-            names.append("z")
-            cols.append((1 - zs) * share0)
-            names.append("cz_x_control_share")
-        else:
-            cols.append(zs)
-            names.append("z")
-            notes.append(
-                "control-arm survivors fitted as a pure always-survivor sample"
-            )
+        d = len(self.covariate_names)
+        design = self.design
+        np.multiply(self.z, share1, out=design[:, d + 2])
+        np.multiply(self.cz, share0, out=design[:, d + 4])
+        notes = []
+        if not use0:
+            notes.append("control-arm survivors fitted as a pure always-survivor sample")
         if not use1:
-            notes.append(
-                "treated-arm survivors fitted as a pure always-survivor sample"
-            )
-        design = np.column_stack(cols)
-        if ys.size < design.shape[1]:
+            notes.append("treated-arm survivors fitted as a pure always-survivor sample")
+        cols = [j for j in range(d + 5) if (use1 or j != d + 2) and (use0 or j != d + 4)]
+        if len(cols) < design.shape[1]:
+            design = design[:, cols]
+        if self.ys.size < design.shape[1]:
             raise EstimationError(
-                f"{ys.size} survivors, fewer than the {design.shape[1]} "
+                f"{self.ys.size} survivors, fewer than the {design.shape[1]} "
                 "outcome coefficients"
             )
-        raw = fit_ols(design, ys, column_names=names)
-        lookup = dict(zip(names, raw))
-        coef_zshare = lookup.get("z_x_treated_share", 0.0)
-        coef_z = lookup["z"]
-        coef_czshare = lookup.get("cz_x_control_share", 0.0)
-        d = len(data.covariate_names)
+        # a dropped share column keeps coefficient 0 in the canonical layout
         canonical = np.zeros(d + 5)
-        canonical[0] = lookup["intercept"]
-        for j, name in enumerate(data.covariate_names):
-            canonical[1 + j] = lookup[name]
-        canonical[d + 1] = lookup["a"]
-        canonical[d + 2] = coef_zshare
-        canonical[d + 3] = coef_z
-        canonical[d + 4] = coef_czshare
-        outcome = OutcomeParams(
-            pooled_relaxed=canonical,
-            names={
-                "pooled_relaxed": _design_names(
-                    data.covariate_names,
-                    ("z_x_treated_share", "z", "cz_x_control_share"),
-                )
-            },
+        canonical[cols] = fit_ols(
+            design, self.ys, column_names=[self.pooled_names[j] for j in cols]
         )
-        effect = float(coef_zshare + coef_z - coef_czshare)
+        outcome = OutcomeParams(
+            pooled_relaxed=canonical, names={"pooled_relaxed": self.pooled_names}
+        )
+        return outcome, float(canonical[d + 2] + canonical[d + 3] - canonical[d + 4]), notes
 
+
+def fit_sm(
+    data,
+    rho,
+    assume_er=True,
+    survival=None,
+    weak_threshold=WEAK_THRESHOLD,
+    tol=1e-8,
+    *,
+    _stage=None,
+):
+    """Stochastic-monotonicity pipeline at sensitivity level ``rho``.
+
+    Stage one (reusable across ``rho`` via the ``survival`` argument, and
+    fitted with tolerance ``tol`` when not given) fits the two arm-wise
+    survival models. The coupling at ``rho`` turns them into a per-unit
+    always-survivor share. Stage two either fits each arm's survivor mean on
+    (1, X, arm share) and plugs in (``assume_er=True``), or fits the pooled
+    regression on (1, X, A, Z*share1, Z, (1-Z)*share0) whose coefficient
+    combination gives the effect (``assume_er=False``).
+
+    An arm whose share regressor is constant at 1 is a pure
+    always-survivor sample (this happens at ``rho = 1`` when fitted control
+    survival never exceeds treated survival); the share column is then
+    dropped and its coefficient recorded as 0, which leaves every formula
+    valid.
+
+    Everything that does not depend on ``rho`` (the survival surfaces over
+    all units, the survivor selections and the fixed design columns) is
+    built first as one stage; :func:`sensitivity_sweep` builds it once and
+    evaluates every grid point through this function.
+    """
+    if _stage is None:
+        if survival is None:
+            survival = fit_survival_sm(data, tol=tol)
+        _stage = _SmStage(data, survival, assume_er)
+    always, always_mass, harmed_mass = _stage.coupling(rho)
+    if always_mass <= 1e-12:
+        raise EstimationError(
+            "fitted always-survivor mass is zero; the effect is undefined"
+        )
+    if assume_er:
+        outcome, effect, notes = _stage.fit_arms(always, weak_threshold)
+    else:
+        outcome, effect, notes = _stage.fit_pooled(always, weak_threshold)
     return SmFit(
-        survival=survival,
+        survival=_stage.survival,
         rho=float(rho),
         assume_er=assume_er,
         outcome=outcome,
@@ -608,6 +667,9 @@ def estimate_sace(
         SurvivalParamsSM for the stochastic ones) to reuse across calls.
     weak_threshold : float
         Spread below which the share regressor triggers a warning.
+    tol : float
+        Convergence tolerance of the stage-one survival fit, when it is
+        fitted here.
 
     Returns
     -------
@@ -661,6 +723,7 @@ def estimate_sace(
                 assume_er=(method == "prop-sm"),
                 survival=survival,
                 weak_threshold=weak_threshold,
+                tol=tol,
             )
             survival = fit.survival
             converged = survival.converged
@@ -813,7 +876,13 @@ def sensitivity_sweep(
     """Sweep the stochastic-monotonicity estimate over a grid of ``rho``.
 
     The arm-wise survival models are fitted once and reused at every grid
-    point; only the coupling and the outcome stage are recomputed. The
+    point. Everything else that does not depend on ``rho`` is computed once
+    per sweep too: the fitted survival surfaces over all units, the
+    survivor selections and outcomes, and the fixed columns of the outcome
+    designs. Each grid point computes the coupling (always-survivor share
+    and harmed mass), overwrites the share columns and runs the outcome
+    fits through :func:`fit_sm`; a failing point computes the coupling
+    again to record its harmed mass. The
     harmed-stratum mass falls as ``rho`` rises (stronger positive coupling
     leaves less room for units harmed by treatment), which gives the rho
     axis its interpretation. A grid point whose outcome stage fails is
@@ -827,35 +896,30 @@ def sensitivity_sweep(
     grid = np.sort(grid)
     if survival is None:
         survival = fit_survival_sm(data)
-    th1 = survival.theta_treated(data.x, data.a)
-    th0 = survival.theta_control(data.x, data.a)
+    stage = _SmStage(data, survival, assume_er)
     rows = []
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", IdentificationWarning)
-        for rho in grid:
-            always = stochastic_always_share(th1, th0, float(rho))
-            harmed = float(np.mean(th0 - always))
+        for rho in grid.tolist():
             try:
                 fit = fit_sm(
                     data,
-                    float(rho),
+                    rho,
                     assume_er=assume_er,
-                    survival=survival,
                     weak_threshold=weak_threshold,
+                    _stage=stage,
                 )
             except EstimationError as exc:
                 rows.append(
                     SensitivityRow(
-                        rho=float(rho),
-                        harmed_mass=harmed,
+                        rho=rho,
+                        harmed_mass=stage.coupling(rho)[2],
                         effect=float("nan"),
                         message=str(exc),
                     )
                 )
                 continue
             rows.append(
-                SensitivityRow(
-                    rho=float(rho), harmed_mass=fit.harmed_mass, effect=fit.effect
-                )
+                SensitivityRow(rho=rho, harmed_mass=fit.harmed_mass, effect=fit.effect)
             )
     return SensitivityCurve(assume_er=assume_er, rows=rows)

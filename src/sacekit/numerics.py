@@ -68,6 +68,15 @@ def fit_ols(design, response, column_names=None):
         If the design is numerically rank deficient. The error names the
         columns that a pivoted QR factorization leaves without a pivot,
         i.e. the ones expressible through the others.
+    ValueError
+        On mismatched shapes, fewer rows than columns, or a non-finite
+        entry in ``design`` or ``response``.
+
+    Notes
+    -----
+    The design is factored once, by a column-pivoted QR that applies the
+    reflectors to the response instead of forming Q. The same R serves the
+    rank test and the triangular solve, whose solution is then un-pivoted.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -76,10 +85,14 @@ def fit_ols(design, response, column_names=None):
     n, p = design.shape
     if n < p:
         raise ValueError(f"need at least {p} rows to fit {p} coefficients, got {n}")
+    if p == 0:
+        return np.zeros(0)
 
-    _, r, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    qty, r, piv = scipy.linalg.qr_multiply(
+        design, response[None, :], mode="right", pivoting=True
+    )
     diag = np.abs(np.diag(r))
-    tol = (diag[0] if diag.size else 0.0) * max(n, p) * np.finfo(float).eps
+    tol = diag[0] * max(n, p) * np.finfo(float).eps
     rank = int(np.sum(diag > tol))
     if rank < p:
         if column_names is None:
@@ -87,7 +100,8 @@ def fit_ols(design, response, column_names=None):
         offending = [str(column_names[j]) for j in sorted(piv[rank:])]
         raise CollinearityError(offending)
 
-    coef, _, _, _ = np.linalg.lstsq(design, response, rcond=None)
+    coef = np.empty(p)
+    coef[piv] = scipy.linalg.solve_triangular(r, qty[0], check_finite=False)
     return coef
 
 

@@ -16,6 +16,7 @@ from sacekit.models import (
     ALL_METHODS,
     PROP_METHODS,
     SurvivalParamsER,
+    SurvivalParamsSM,
     bootstrap,
     estimate_sace,
     fit_ni,
@@ -189,8 +190,9 @@ def test_fit_sm_relaxed_variant_runs():
     fit = fit_sm(data, 0.5, assume_er=False, survival=survival)
     assert np.isfinite(fit.effect)
     names = fit.outcome.names["pooled_relaxed"]
-    assert names[-3:] == ("z_x_treated_share", "z", "cz_x_control_share")
+    assert names[-4:] == ("a", "z_x_treated_share", "z", "cz_x_control_share")
     coef = fit.outcome.pooled_relaxed
+    assert len(names) == coef.size
     assert_allclose(fit.effect, coef[-3] + coef[-2] - coef[-1], rtol=1e-12)
 
 
@@ -264,6 +266,100 @@ def test_sensitivity_sweep_grid_and_reuse():
         sensitivity_sweep(data, [])
     with pytest.raises(ValueError):
         sensitivity_sweep(data, [0.5, 1.2])
+
+
+def _sweep_matches_point_fits(data, survival, grid, assume_er):
+    """Compare every sweep row with a stand-alone fit_sm at its rho, bit for bit."""
+    import warnings
+
+    from sacekit.identify import IdentificationWarning
+
+    curve = sensitivity_sweep(data, grid, assume_er=assume_er, survival=survival)
+    th1 = survival.theta_treated(data.x, data.a)
+    th0 = survival.theta_control(data.x, data.a)
+    notes = {}
+    for row in curve.rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentificationWarning)
+            try:
+                fit = fit_sm(data, row.rho, assume_er=assume_er, survival=survival)
+            except EstimationError as exc:
+                assert row.message == str(exc)
+                assert np.isnan(row.effect)
+                harmed = np.mean(th0 - stochastic_always_share(th1, th0, row.rho))
+                assert row.harmed_mass == float(harmed)
+                notes[row.rho] = None
+                continue
+        assert row.message == ""
+        assert row.effect == fit.effect
+        assert row.harmed_mass == fit.harmed_mass
+        notes[row.rho] = fit.warnings
+    return notes
+
+
+@pytest.mark.parametrize("assume_er", [True, False])
+def test_sensitivity_sweep_equals_point_fits(assume_er):
+    data, _ = gen_dataset(SimulationSetting(n=3000, delta1=1, delta2=1, seed=57))
+    survival = fit_survival_sm(data)
+    notes = _sweep_matches_point_fits(data, survival, [0.0, 0.3, 0.65, 1.0], assume_er)
+    # at full coupling fitted control survival never exceeds treated survival
+    # here, so the control arm is a pure always-survivor sample and its
+    # share column is dropped
+    assert any("pure always-survivor" in w for w in notes[1.0])
+    assert not any(notes[0.3])
+
+
+@pytest.mark.parametrize("assume_er", [True, False])
+def test_sensitivity_sweep_failing_point_matches_point_fit(assume_er):
+    data, _ = gen_dataset(SimulationSetting(n=3000, delta1=1, delta2=1, seed=58))
+    fitted = fit_survival_sm(data)
+    # control survival constant over units: at rho = 0 the treated-arm share
+    # equals it, so that grid point alone is unidentifiable
+    flat = np.zeros_like(fitted.beta_control)
+    flat[0] = fitted.beta_control[0]
+    survival = SurvivalParamsSM(
+        beta_treated=fitted.beta_treated,
+        beta_control=flat,
+        opt_treated=fitted.opt_treated,
+        opt_control=fitted.opt_control,
+        column_names=fitted.column_names,
+    )
+    notes = _sweep_matches_point_fits(data, survival, [0.0, 0.5, 1.0], assume_er)
+    assert notes[0.0] is None
+    assert notes[0.5] is not None
+
+
+def test_tol_reaches_the_survival_fits(monkeypatch):
+    import sacekit.models as models
+
+    seen = []
+    original = models.fit_logistic
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("tol"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models, "fit_logistic", spy)
+    data, _ = gen_dataset(SimulationSetting(n=1500, delta1=1, delta2=1, seed=59))
+    estimate_sace(data, "prop-sm", rho=0.5, tol=1e-5)
+    assert seen == [1e-5, 1e-5]
+
+
+@pytest.mark.parametrize("assume_er", [True, False])
+def test_fit_sm_weak_share_warning_points_at_the_caller(assume_er):
+    import warnings
+
+    from sacekit.identify import IdentificationWarning
+
+    data, _ = gen_dataset(SimulationSetting(n=1500, delta1=1, delta2=1, seed=60))
+    survival = fit_survival_sm(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IdentificationWarning)
+        # absurdly high threshold forces the weak-spread path
+        fit_sm(data, 0.5, assume_er=assume_er, survival=survival, weak_threshold=0.999)
+    weak = [w for w in caught if issubclass(w.category, IdentificationWarning)]
+    assert weak
+    assert all(w.filename == __file__ for w in weak)
 
 
 def test_sensitivity_curve_csv_format(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from sacekit.errors import CollinearityError
@@ -59,11 +60,79 @@ def test_fit_ols_names_collinear_columns():
     assert "xsum" in str(err.value) or "x1" in str(err.value)
 
 
+def _lstsq(design, response):
+    return np.linalg.lstsq(design, response, rcond=None)[0]
+
+
+def _tall_case(seed, n, scales):
+    rng = rng_stream(seed)
+    p = len(scales)
+    design = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    design = design * np.asarray(scales, dtype=float)
+    beta = rng.uniform(0.5, 2.0, size=p) * rng.choice([-1.0, 1.0], size=p)
+    beta = beta / np.asarray(scales, dtype=float)
+    return design, design @ beta + rng.normal(size=n)
+
+
+@pytest.mark.parametrize(
+    "seed, n, scales",
+    [
+        (21, 500, [1.0, 1.0, 1.0]),
+        (22, 20_000, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+        (23, 3_000, [1.0, 1e-2, 1e2, 10.0]),
+        (24, 7, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+    ],
+    ids=["tall", "wide-tall", "badly-scaled", "square"],
+)
+def test_fit_ols_matches_lstsq(seed, n, scales):
+    design, response = _tall_case(seed, n, scales)
+    assert_allclose(fit_ols(design, response), _lstsq(design, response), rtol=1e-10)
+
+
+def test_fit_ols_is_column_scale_invariant():
+    # Columns 1e12 apart: the SVD solver truncates near its rcond cut-off and
+    # loses digits, while the pivoted QR matches the solve of the
+    # equilibrated design, whose columns have unit scale.
+    scales = np.array([1.0, 1e-6, 1e6, 1e3])
+    design, response = _tall_case(23, 3_000, scales)
+    reference = _lstsq(design / scales, response) / scales
+    assert_allclose(fit_ols(design, response), reference, rtol=1e-10)
+
+
+def test_fit_ols_undoes_the_column_pivoting():
+    # the largest column comes last, so the pivoted QR reorders the columns
+    design, response = _tall_case(25, 400, [1.0, 1.0, 1e2, 1e4])
+    _, _, piv = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    assert list(piv) != list(range(design.shape[1]))
+    assert_allclose(fit_ols(design, response), _lstsq(design, response), rtol=1e-10)
+
+
+def test_fit_ols_collinearity_columns():
+    rng = rng_stream(13)
+    base = rng.normal(size=(30, 2))
+    ones = np.ones(30)
+    cases = [
+        ([ones, base[:, 0], base[:, 1], base[:, 0] + base[:, 1]], ["c0", "x1", "x2", "xsum"], ("x1",)),
+        ([ones, base[:, 0], base[:, 1], base[:, 0]], ["c0", "x1", "x2", "x1copy"], ("x1copy",)),
+        ([ones, np.zeros(30), base[:, 1]], ["c0", "zero", "x2"], ("zero",)),
+        ([ones, base[:, 0], 3.0 * ones], ["c0", "x1", "three"], ("c0",)),
+        ([base[:, 0], base[:, 1], base[:, 0] - base[:, 1]], None, ("column 1",)),
+    ]
+    response = rng_stream(14).normal(size=30)
+    for cols, names, expected in cases:
+        with pytest.raises(CollinearityError) as err:
+            fit_ols(np.column_stack(cols), response, column_names=names)
+        assert err.value.columns == expected
+
+
 def test_fit_ols_shape_checks():
     with pytest.raises(ValueError):
         fit_ols(np.ones(5), np.ones(5))
     with pytest.raises(ValueError):
         fit_ols(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(ValueError):
+        fit_ols(np.eye(3), np.array([1.0, np.nan, 0.0]))
+    assert fit_ols(np.ones((4, 0)), np.ones(4)).shape == (0,)
 
 
 def test_maximize_loglik_quadratic():
