@@ -24,6 +24,7 @@ from .diagnostics import run_diagnostics
 from .errors import DataError, EstimationError
 from .models import (
     ALL_METHODS,
+    SaceEstimate,
     bootstrap,
     estimate_sace,
     fit_survival_sm,
@@ -293,18 +294,7 @@ def cmd_fit(args):
         result = estimate.to_dict()
     elif args.method in ("naive", "dgyz"):
         fn = naive_estimator if args.method == "naive" else dgyz_estimator
-        result = {
-            "method": args.method,
-            "point": fn(data),
-            "se": None,
-            "q025": None,
-            "q50": None,
-            "q975": None,
-            "n_boot": 0,
-            "n_failed": 0,
-            "converged": True,
-            "warnings": [],
-        }
+        result = SaceEstimate(method=args.method, point=fn(data)).to_dict()
     else:
         result = estimate_sace(data, args.method, rho=args.rho).to_dict()
     _emit(_envelope(args, result, args.seed, started), args.out)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import CollinearityError
 
@@ -25,14 +26,10 @@ def expit(t):
     """Numerically stable logistic function, elementwise.
 
     Saturates to exactly 0.0 / 1.0 for large negative / positive inputs
-    instead of overflowing.
+    instead of overflowing, and propagates NaN. A 0-d input gives a Python
+    ``float``.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
+    out = scipy.special.expit(np.asarray(t, dtype=float))
     if out.ndim == 0:
         return float(out)
     return out

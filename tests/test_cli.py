@@ -91,6 +91,9 @@ def test_fit_point_estimate_fields(tmp_path, capsys):
     assert r["method"] == "naive"
     assert np.isfinite(r["point"])
     assert r["se"] is None and r["n_boot"] == 0 and r["converged"] is True
+    assert r["failed_by_reason"] == {
+        "estimation_error": 0, "non_finite": 0, "not_converged": 0
+    }
 
 
 def test_fit_model_methods_and_bootstrap(tmp_path, capsys):
@@ -113,6 +116,7 @@ def test_fit_model_methods_and_bootstrap(tmp_path, capsys):
     assert r["n_boot"] == 25
     assert r["se"] is not None and r["se"] > 0
     assert r["q025"] <= r["q50"] <= r["q975"]
+    assert sum(r["failed_by_reason"].values()) == r["n_failed"]
     # bootstrap reruns reproduce exactly
     code, stdout2, _ = run_cli(
         capsys,

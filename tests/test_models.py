@@ -14,6 +14,7 @@ from sacekit.errors import EstimationError
 from sacekit.identify import strata_probs_stochastic
 from sacekit.models import (
     ALL_METHODS,
+    FAILURE_REASONS,
     PROP_METHODS,
     SurvivalParamsER,
     SurvivalParamsSM,
@@ -29,7 +30,7 @@ from sacekit.models import (
     stochastic_always_share,
     survival_design,
 )
-from sacekit.numerics import OptimizerResult, check_gradient, rng_stream
+from sacekit.numerics import OptimizerResult, check_gradient, expit, rng_stream
 from sacekit.simulate import SimulationSetting, gen_dataset
 
 TRUE_U = np.array([0.5, 0.5, 0.5])
@@ -71,6 +72,85 @@ def test_joint_objective_gradient_is_analytic():
     for _ in range(5):
         point = rng.uniform(-0.8, 0.8, size=2 * v.shape[1])
         assert check_gradient(objective, point) < 1e-6
+
+
+def _reference_joint_objective(design_treated, s_treated, design_control, s_control):
+    """The joint survival kernel as first written: every row through np.where."""
+    v1 = np.asarray(design_treated, dtype=float)
+    s1 = np.asarray(s_treated, dtype=float)
+    v0 = np.asarray(design_control, dtype=float)
+    s0 = np.asarray(s_control, dtype=float)
+    p = v1.shape[1]
+
+    def softplus(t):
+        return np.logaddexp(0.0, t)
+
+    def objective(theta):
+        b, g = theta[:p], theta[p:]
+        t1 = v1 @ b
+        th1 = expit(t1)
+        ll = float(np.sum(np.where(s1 == 1, -softplus(-t1), -softplus(t1))))
+        grad_b = v1.T @ (s1 - th1)
+        grad_g = np.zeros(p)
+        w1 = th1 * (1.0 - th1)
+        h_bb = -(v1.T * w1) @ v1
+        h_bg = np.zeros((p, p))
+        h_gg = np.zeros((p, p))
+
+        t0 = v0 @ b
+        u0 = v0 @ g
+        tht = expit(t0)
+        thu = expit(u0)
+        q = tht * thu
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            logq = -(softplus(-t0) + softplus(-u0))
+            log1mq = np.log1p(-q)
+            ll += float(np.sum(np.where(s0 == 1, logq, log1mq)))
+            ratio = q / (1.0 - q)
+            curv = q / (1.0 - q) ** 2
+            c = np.where(s0 == 1, 1.0, -ratio)
+            curv = np.where(s0 == 1, 0.0, curv)
+            one_t = 1.0 - tht
+            one_u = 1.0 - thu
+            grad_b += v0.T @ (one_t * c)
+            grad_g += v0.T @ (one_u * c)
+            h_bb += -(v0.T * (tht * one_t * c + one_t**2 * curv)) @ v0
+            h_bg += -(v0.T * (one_t * one_u * curv)) @ v0
+            h_gg += -(v0.T * (thu * one_u * c + one_u**2 * curv)) @ v0
+
+        grad = np.concatenate([grad_b, grad_g])
+        hess = np.block([[h_bb, h_bg], [h_bg.T, h_gg]])
+        return ll, grad, hess
+
+    return objective
+
+
+def test_joint_objective_matches_the_reference_kernel():
+    data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=1, seed=62))
+    v = survival_design(data.x, data.a)
+    z, s = data.z, data.s
+    arms = (v[z == 1], s[z == 1], v[z == 0], s[z == 0])
+    objective = joint_survival_objective(*arms)
+    reference = _reference_joint_objective(*arms)
+    p = v.shape[1]
+    # control deaths with q = expit(12)^2, within 1.3e-5 of 1
+    edge = np.zeros(2 * p)
+    edge[0] = edge[p] = 12.0
+    points = {
+        "fitted": fit_survival_er(data).optimizer.params,
+        "zero": np.zeros(2 * p),
+        "boundary": edge,
+    }
+    for name, theta in points.items():
+        got, want = objective(theta), reference(theta)
+        # relative to the larger of 1 and the reference's largest entry: the
+        # gradient at the fitted point is itself rounding noise
+        for part, a, b in zip(("value", "gradient", "hessian"), got, want):
+            err = np.max(np.abs(np.subtract(a, b))) / max(1.0, np.max(np.abs(b)))
+            assert err <= 1e-12, (name, part, err)
+    # central differences of log(1 - q) lose their digits at the boundary
+    for name in ("fitted", "zero"):
+        assert check_gradient(objective, points[name]) < 1e-6, name
 
 
 def test_fit_survival_er_recovers_truth():
@@ -247,6 +327,122 @@ def test_bootstrap_counts_dropped_replicates():
     assert any("dropped" in w for w in est.warnings)
     if est.n_failed > 4:
         assert any("unreliable" in w for w in est.warnings)
+    # the missing control arm is an estimation error, never a bad value
+    assert est.failed_by_reason == {
+        "estimation_error": 16,
+        "non_finite": 0,
+        "not_converged": 0,
+    }
+    assert est.n_failed == sum(est.failed_by_reason.values())
+    d = est.to_dict()
+    assert d["failed_by_reason"] == est.failed_by_reason
+    assert d["n_failed"] == 16
+
+
+def _replicate_outcome(sample, method, rho, survival=None):
+    """(point, None) for a kept replicate, (None, reason) for a dropped one."""
+    try:
+        est = estimate_sace(sample, method, rho=rho, survival=survival)
+    except EstimationError:
+        return None, "estimation_error"
+    if not np.isfinite(est.point):
+        return None, "non_finite"
+    if not est.converged:
+        return None, "not_converged"
+    return est.point, None
+
+
+# the last case is a criterion-7 dataset whose ratio coefficients are weakly
+# identified: from the full-data optimum, replicate 5's Newton fit crawls
+# through an indefinite region and is redone from the cold start
+SEEDED_2000 = (SimulationSetting(n=2000, delta1=1, delta2=1, seed=0), (63,))
+WEAK_RATIO = (SimulationSetting(n=1000, delta1=0, delta2=1, seed=0), (808, 11))
+
+
+@pytest.mark.parametrize(
+    "method, rho, source, seed, n_boot, warm_fails",
+    [
+        ("prop-er", None, SEEDED_2000, 4, 12, False),
+        ("prop-ni", None, SEEDED_2000, 4, 12, False),
+        ("prop-sm", 0.5, SEEDED_2000, 4, 12, False),
+        ("prop-ni", None, WEAK_RATIO, 11, 6, True),
+    ],
+)
+def test_bootstrap_warm_start_matches_cold_refits(
+    method, rho, source, seed, n_boot, warm_fails
+):
+    setting, key = source
+    data, _ = gen_dataset(setting, rng=rng_stream(*key))
+    n = len(data)
+    est = bootstrap(data, method, n_boot=n_boot, seed=seed, rho=rho)
+    assert est.point == estimate_sace(data, method, rho=rho).point
+
+    full = fit_survival_sm(data) if method == "prop-sm" else fit_survival_er(data)
+    kept = []
+    failed = dict.fromkeys(FAILURE_REASONS, 0)
+    crawled = 0
+    for b in range(n_boot):
+        sample = data.subset(rng_stream(seed, b).integers(0, n, size=n))
+        if method == "prop-sm":
+            warm = fit_survival_sm(sample, _init=(full.beta_treated, full.beta_control))
+            warm_converged = warm.converged
+        else:
+            warm = fit_survival_er(sample, init=full.optimizer.params)
+            warm_converged = warm.optimizer.converged
+        cold_point, cold_reason = _replicate_outcome(sample, method, rho)
+        if warm_converged:
+            warm_point, warm_reason = _replicate_outcome(sample, method, rho, warm)
+            assert warm_reason == cold_reason
+            if cold_reason is None:
+                assert_allclose(warm_point, cold_point, rtol=1e-9, atol=0)
+        else:
+            crawled += 1
+        if cold_reason is None:
+            kept.append(cold_point)
+        else:
+            failed[cold_reason] += 1
+    assert (crawled > 0) == warm_fails
+    # warm starts, with the cold refit behind them, drop exactly what cold starts drop
+    assert est.failed_by_reason == failed
+    assert_allclose(est.se, np.std(kept, ddof=1), rtol=1e-9)
+    assert_allclose(
+        [est.q025, est.q50, est.q975], np.quantile(kept, [0.025, 0.5, 0.975]), rtol=1e-9
+    )
+
+
+def test_bootstrap_replicates_start_from_a_converged_full_fit(monkeypatch):
+    import sacekit.models as models
+
+    from sacekit.data import Dataset
+
+    inits = []
+    original = models.fit_survival_er
+
+    def spy(data, init=None, **kwargs):
+        inits.append(init)
+        return original(data, init=init, **kwargs)
+
+    monkeypatch.setattr(models, "fit_survival_er", spy)
+    data, _ = gen_dataset(SimulationSetting(n=1000, delta1=1, delta2=1, seed=64))
+    bootstrap(data, "prop-er", n_boot=3, seed=1)
+    full = original(data).optimizer.params
+    assert inits[0] is None
+    assert all(np.array_equal(init, full) for init in inits[1:]) and len(inits) == 4
+
+    # every control unit with a=1 survives but only half the treated ones:
+    # the ratio surface saturates, the full fit does not converge, and the
+    # replicates start cold instead of from its drifting parameters
+    rng = rng_stream(64)
+    n = 600
+    z = rng.integers(0, 2, size=n)
+    a = rng.integers(0, 2, size=n)
+    s = np.where((z == 0) & (a == 1), 1, rng.integers(0, 2, size=n))
+    y = np.where(s == 1, rng.normal(size=n), np.nan)
+    saturated = Dataset.from_arrays(z, rng.normal(size=(n, 1)), a, s, y)
+    inits.clear()
+    with pytest.raises(EstimationError, match="every bootstrap replicate failed"):
+        bootstrap(saturated, "prop-er", n_boot=3, seed=1)
+    assert inits == [None] * 4
 
 
 def test_sensitivity_sweep_grid_and_reuse():

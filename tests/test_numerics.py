@@ -27,6 +27,33 @@ def test_expit_known_values():
     assert expit(-800.0) == 0.0
 
 
+def _two_branch_expit(t):
+    """The earlier formula: 1/(1+exp(-t)) for t >= 0, exp(t)/(1+exp(t)) below."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def test_expit_saturation_nan_and_scalar_type():
+    assert_allclose(expit(np.array([-800.0, 800.0])), [0.0, 1.0], rtol=0, atol=0)
+    assert expit(np.float64(-800.0)) == 0.0 and expit(800) == 1.0
+    assert np.isnan(expit(float("nan")))
+    out = expit(np.array([0.0, np.nan, 1.0]))
+    assert np.isnan(out[1]) and np.isfinite(out[[0, 2]]).all()
+    for scalar in (0.25, np.float64(0.25), np.array(0.25), 3):
+        assert type(expit(scalar)) is float
+    assert expit(np.ones((2, 3))).shape == (2, 3)
+
+
+def test_expit_matches_the_two_branch_formula():
+    t = np.linspace(-40.0, 40.0, 100_001)
+    assert_allclose(expit(t), _two_branch_expit(t), rtol=1e-15, atol=0)
+
+
 def test_logit_inverts_expit():
     p = np.array([0.01, 0.3, 0.5, 0.77, 0.999])
     assert_allclose(expit(logit(p)), p, rtol=1e-12)
