@@ -145,11 +145,13 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
     v0 = np.asarray(design_control, dtype=float)
     s0 = np.asarray(s_control, dtype=float)
     p = v1.shape[1]
-    lived = s0 == 1
-    # columns: treated units, control survivors, control deaths; transposed
-    # so that every product below runs over contiguous rows
-    vt = np.concatenate([v1, v0[lived], v0[~lived]]).T.copy()
     n1 = v1.shape[0]
+    lived = s0 == 1
+    # columns: treated units, control survivors, control deaths; stored as
+    # one C-ordered (p, n) array so that every product below runs over
+    # contiguous rows
+    vt = np.empty((p, n1 + v0.shape[0]))
+    np.concatenate([v1.T, v0[lived].T, v0[~lived].T], axis=1, out=vt)
     m = int(np.count_nonzero(lived))
     nb = n1 + m
     vg, vd = vt[:, n1:], vt[:, nb:]
@@ -688,6 +690,34 @@ def _require_rho(method, rho):
         raise ValueError(f"rho does not apply to method {method!r}")
 
 
+def _fit_stage_one(data, method, start=None, tol=1e-8):
+    """Stage-one survival fit of a model-based method; None for the baselines.
+
+    ``start`` is an earlier, converged stage-one fit of the same kind, used
+    as the starting point. The joint likelihood is not concave everywhere:
+    where the ratio coefficients are weakly identified, the Hessian of a
+    resample can be indefinite at the full-data optimum, and Newton's
+    gradient fallback then crawls for all ``max_iter`` steps. A started fit
+    that does not converge is therefore redone from the cold start, so a
+    start drops no replicate that the cold start keeps.
+    """
+    if method in ("prop-er", "prop-ni"):
+        if start is not None:
+            fit = fit_survival_er(data, init=start.optimizer.params, tol=tol)
+            if fit.optimizer.converged:
+                return fit
+        return fit_survival_er(data, tol=tol)
+    if method in ("prop-sm", "prop-sm-ni"):
+        if start is not None:
+            fit = fit_survival_sm(
+                data, tol=tol, _init=(start.beta_treated, start.beta_control)
+            )
+            if fit.converged:
+                return fit
+        return fit_survival_sm(data, tol=tol)
+    return None
+
+
 def estimate_sace(
     data,
     method,
@@ -729,9 +759,9 @@ def estimate_sace(
     collected = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
+        if survival is None:
+            survival = _fit_stage_one(data, method, tol=tol)
         if method in ("prop-er", "prop-ni"):
-            if survival is None:
-                survival = fit_survival_er(data, tol=tol)
             if not isinstance(survival, SurvivalParamsER):
                 raise TypeError(f"{method} needs a SurvivalParamsER survival fit")
             converged = survival.optimizer.converged
@@ -758,7 +788,7 @@ def estimate_sace(
                 outcome = fit_ni(data, survival, weak_threshold)
                 point = float(outcome.pooled[-1])
         else:
-            if survival is not None and not isinstance(survival, SurvivalParamsSM):
+            if not isinstance(survival, SurvivalParamsSM):
                 raise TypeError(f"{method} needs a SurvivalParamsSM survival fit")
             fit = fit_sm(
                 data,
@@ -785,32 +815,6 @@ def estimate_sace(
     return SaceEstimate(
         method=method, point=point, converged=converged, warnings=collected
     )
-
-
-def _fit_stage_one(data, method, start=None):
-    """Stage-one survival fit of a model-based method; None for the baselines.
-
-    ``start`` is an earlier, converged stage-one fit of the same kind, used
-    as the starting point. The joint likelihood is not concave everywhere:
-    where the ratio coefficients are weakly identified, the Hessian of a
-    resample can be indefinite at the full-data optimum, and Newton's
-    gradient fallback then crawls for all ``max_iter`` steps. A started fit
-    that does not converge is therefore redone from the cold start, so a
-    start drops no replicate that the cold start keeps.
-    """
-    if method in ("prop-er", "prop-ni"):
-        if start is not None:
-            fit = fit_survival_er(data, init=start.optimizer.params)
-            if fit.optimizer.converged:
-                return fit
-        return fit_survival_er(data)
-    if method in ("prop-sm", "prop-sm-ni"):
-        if start is not None:
-            fit = fit_survival_sm(data, _init=(start.beta_treated, start.beta_control))
-            if fit.converged:
-                return fit
-        return fit_survival_sm(data)
-    return None
 
 
 def _point_estimate(data, method, rho, weak_threshold, survival=None):
