@@ -113,7 +113,6 @@ def build_parser():
                    help="start:stop:step (inclusive) or comma-separated values")
     p.add_argument("--assume-er", choices=("true", "false", "both"), default="true",
                    help="outcome-stage variant(s); 'both' writes two curves")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="curve CSV path")
     p.set_defaults(func=cmd_sensitivity)
 
@@ -328,7 +327,7 @@ def cmd_sensitivity(args):
         result["curves"][
             "assume_er" if variant == "true" else "no_interaction"
         ] = {"file": paths[variant], "failed_points": failed}
-    print(json.dumps(_envelope(args, result, args.seed, started), indent=2))
+    print(json.dumps(_envelope(args, result, None, started), indent=2))
     return 0
 
 
@@ -343,7 +342,7 @@ def cmd_diagnose(args):
     result = report.to_dict()
     if args.validate:
         result["validation"] = validate(data).to_dict()
-    envelope = _envelope(args, result, getattr(args, "seed", None), started)
+    envelope = _envelope(args, result, None, started)
     if args.out:
         _emit(envelope, args.out)
         print(report.format_text())

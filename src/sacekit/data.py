@@ -237,7 +237,7 @@ class Dataset:
 # np.loadtxt settings for the data rows. Latin-1 maps every byte to one
 # character, so text in columns that are not read never fails to decode.
 _LOADTXT = dict(
-    delimiter=",", comments=None, quotechar='"', skiprows=1, ndmin=2, encoding="latin1"
+    delimiter=",", comments=None, quotechar='"', skiprows=1, ndmin=1, encoding="latin1"
 )
 # Rows formatted per ``writerows`` call in :func:`save_dataset`; bounds the
 # number of field strings alive at once.
@@ -253,6 +253,15 @@ class _Layout(NamedTuple):
     x_names: list
 
 
+class _Records(NamedTuple):
+    """Byte offsets of a CSV file's records and unquoted delimiters."""
+
+    fields: np.ndarray  # fields per record, the header included
+    starts: np.ndarray  # first byte of each record
+    term_starts: np.ndarray  # first byte of each record's terminator
+    commas: np.ndarray  # unquoted delimiters, ascending
+
+
 def load_dataset(path, schema=None):
     """Read a dataset from CSV.
 
@@ -260,29 +269,42 @@ def load_dataset(path, schema=None):
     names: z, s, y, a; all remaining columns are covariates). Malformed
     rows raise :class:`DataError` with the 1-based row number.
 
-    The data rows are read column by column (z, s, a and y as byte strings,
-    the covariates as floats) and checked as whole columns. Numeric fields
-    must be ASCII, and covariates must not use digit-group underscores. A
-    quoted field may hold a delimiter or a line break; a quote character
-    inside an unquoted field is not supported.
+    The data rows are read in one pass (z, s, a and y as byte strings, the
+    covariates as floats) and checked as whole columns. Numeric fields must
+    be ASCII, and covariates must not use digit-group underscores. A quoted
+    field may hold a delimiter or a line break; a quote character inside an
+    unquoted field is not supported.
     """
     schema = schema or Schema()
     layout = _read_layout(path, schema)
-    counts = _record_field_counts(path)
-    if counts.size < 2:
+    records = _scan_records(path)
+    if records.fields.size < 2:
         raise DataError(f"{path}: no data rows")
-    miscounted = np.flatnonzero(counts[1:] != layout.width)
+    miscounted = np.flatnonzero(records.fields[1:] != layout.width)
     if miscounted.size:
         raise _row_error(path, layout, schema, stop=int(miscounted[0]) + 2)
+    widths = _text_widths(records, layout)
+    # loadtxt silently truncates a field longer than its "S" width, so the
+    # widths must bound every field: they come from the byte scan.
+    dtype = np.dtype(
+        [(name, f"S{w}") for name, w in zip("zsay", widths)]
+        + [("x", float, (len(layout.x),))]
+    )
     try:
-        text = np.loadtxt(path, dtype=bytes, usecols=layout.text, **_LOADTXT)
-        x = np.loadtxt(path, dtype=float, usecols=layout.x, **_LOADTXT)
-        z, s, y = (np.char.strip(text[:, k]) for k in (0, 1, 3))
+        rows = np.loadtxt(
+            path, dtype=dtype, usecols=layout.text + tuple(layout.x), **_LOADTXT
+        )
+        z, s = (
+            rows[name] if w == 1 else np.char.strip(rows[name])
+            for name, w in zip("zs", widths)
+        )
+        y = np.char.strip(rows["y"])
         surv = s == b"1"
-        a = text[:, 2].astype(np.int64)
+        a = rows["a"].astype(np.int64)
         y_surv = y[surv].astype(float)
     except (ValueError, OverflowError) as exc:
         raise _row_error(path, layout, schema, reason=str(exc)) from None
+    x = np.ascontiguousarray(rows["x"])
     bad = (
         ((z != b"0") & (z != b"1"))
         | ((s != b"0") & (s != b"1"))
@@ -293,16 +315,15 @@ def load_dataset(path, schema=None):
     bad[surv] |= ~np.isfinite(y_surv)
     if bad.any():
         raise _row_error(path, layout, schema, stop=int(np.argmax(bad)) + 2)
-    y_full = np.full(len(z), np.nan)
-    y_full[surv] = y_surv
-    return Dataset.from_arrays(
+    # Every check of Dataset.from_arrays has passed above.
+    return Dataset(
         (z == b"1").astype(np.int64),
         x,
         a,
         surv.astype(np.int64),
-        y_full,
-        covariate_names=layout.x_names,
-        a_labels=schema.a_labels,
+        y_surv,
+        layout.x_names,
+        schema.a_labels,
     )
 
 
@@ -329,8 +350,8 @@ def _read_layout(path, schema):
     return _Layout(len(header), text, x, [header[j] for j in x])
 
 
-def _record_field_counts(path):
-    """Fields per record of a CSV file, the header included.
+def _scan_records(path):
+    """Record and delimiter offsets of a CSV file, the header included.
 
     Records end at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as in
     :func:`csv.reader`, and an empty record has no fields. A delimiter or
@@ -357,7 +378,24 @@ def _record_field_counts(path):
     starts = np.concatenate(([0], ends[:-1] + 1))
     commas = unquoted(np.flatnonzero(buf == ord(",")))
     fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
-    return np.where(term_starts > starts, fields, 0)
+    return _Records(np.where(term_starts > starts, fields, 0), starts, term_starts, commas)
+
+
+def _text_widths(records, layout):
+    """Widest raw z, s, a and y field over the data rows, at least 1.
+
+    Every data record has ``layout.width`` fields. A raw field spans its
+    quotes too, so its length bounds the decoded field's from above.
+    """
+    rows = records.fields.size - 1
+    first = np.searchsorted(records.commas, records.starts[1])
+    bounds = records.commas[first:].reshape(rows, layout.width - 1)
+    widths = []
+    for j in layout.text:
+        lo = records.starts[1:] if j == 0 else bounds[:, j - 1] + 1
+        hi = bounds[:, j] if j < layout.width - 1 else records.term_starts[1:]
+        widths.append(max(int((hi - lo).max()), 1))
+    return widths
 
 
 def _row_error(path, layout, schema, stop=None, reason="unsupported field syntax"):

@@ -122,13 +122,15 @@ def _aggregate(cells):
     return "vacuous"
 
 
-def check_monotone(source, z_threshold=2.0):
+def check_monotone(source, z_threshold=2.0, *, x=None, a=None):
     """Screen: control-arm survival must not exceed treated-arm survival.
 
     ``source`` is either a :class:`CellTable` (sample mode: one-sided
-    two-proportion z comparison per cell) or a fitted survival model
-    evaluated pointwise (model mode). The ratio-parameterized joint fit
-    satisfies the restriction by construction and is reported vacuous-pass.
+    two-proportion z comparison per cell) or a fitted survival model (model
+    mode). An arm-wise :class:`SurvivalParamsSM` fit is evaluated pointwise
+    at covariates ``x`` and level codes ``a``, which it requires. The
+    ratio-parameterized joint fit satisfies the restriction by construction
+    and is reported vacuous-pass.
     """
     if isinstance(source, SurvivalParamsER):
         return {
@@ -136,11 +138,11 @@ def check_monotone(source, z_threshold=2.0):
             "cells": [],
             "note": "holds by construction of the ratio parameterization",
         }
-    if isinstance(source, tuple) and len(source) == 3:
-        # (SurvivalParamsSM, x, a): pointwise model check
-        model, x, a = source
-        th1 = model.theta_treated(x, a)
-        th0 = model.theta_control(x, a)
+    if isinstance(source, SurvivalParamsSM):
+        if x is None or a is None:
+            raise TypeError("an arm-wise survival model needs x= and a=")
+        th1 = source.theta_treated(x, a)
+        th0 = source.theta_control(x, a)
         bad = th0 > th1 + 1e-12
         frac = float(np.mean(bad)) if len(np.atleast_1d(bad)) else 0.0
         status = "fail" if frac > 0 else "pass"
@@ -376,7 +378,7 @@ def run_diagnostics(
 
     if survival is not None:
         if isinstance(survival, SurvivalParamsSM):
-            monotone = check_monotone((survival, data.x, data.a))
+            monotone = check_monotone(survival, x=data.x, a=data.a)
         elif isinstance(survival, SurvivalParamsER):
             monotone = check_monotone(survival)
         else:

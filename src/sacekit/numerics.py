@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 from .errors import CollinearityError
 
@@ -29,7 +28,14 @@ def expit(t):
     instead of overflowing, and propagates NaN. A 0-d input gives a Python
     ``float``.
     """
-    out = scipy.special.expit(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    # In place, so one buffer serves every step. ``out=`` is passed from the
+    # start because a 0-d ``np.negative`` would return a numpy scalar.
+    out = np.negative(t, out=np.empty_like(t))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
     if out.ndim == 0:
         return float(out)
     return out

@@ -240,6 +240,22 @@ def test_sensitivity_grid_errors(tmp_path, capsys):
     assert code == 2 and "outside [0, 1]" in err
 
 
+def test_sensitivity_takes_no_seed(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=300)
+    out = str(tmp_path / "c.csv")
+    code, stdout, _ = run_cli(
+        capsys, "sensitivity", "--data", str(data), "--rho-grid", "0,1", "--out", out
+    )
+    assert code == 0
+    assert json.loads(stdout)["seed"] is None
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("seed = 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sensitivity", "--config", str(cfg), "--data", str(data), "--out", out])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_parse_rho_grid():
     assert parse_rho_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert parse_rho_grid("0.3,0.1") == [0.3, 0.1]

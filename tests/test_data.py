@@ -1,5 +1,7 @@
 """Tests for the dataset container, CSV round trip and structural checks."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from sacekit.data import (
     Dataset,
     Schema,
     StratumLabel,
+    _read_layout,
+    _row_problem,
     load_dataset,
     save_dataset,
     validate,
@@ -216,6 +220,113 @@ def test_load_reports_undecodable_files_as_data_errors(tmp_path):
         load_dataset(p)
 
 
+def reference_load(path, schema=None):
+    """Per-row reference loader: ``csv.reader`` plus the per-field parsers."""
+    schema = schema or Schema()
+    layout = _read_layout(path, schema)
+    zi, si, ai, yi = layout.text
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for rownum, row in enumerate(reader, start=2):
+            problem = _row_problem(row, layout, schema)
+            if problem:
+                raise DataError(f"{path}: row {rownum}: {problem}")
+            rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    s = np.array([int(row[si].strip()) for row in rows])
+    x = [[float(row[j]) for j in layout.x] for row in rows]
+    return Dataset.from_arrays(
+        np.array([int(row[zi].strip()) for row in rows]),
+        np.array(x, dtype=float).reshape(len(rows), len(layout.x)),
+        np.array([int(row[ai].strip()) for row in rows]),
+        s,
+        np.array([float(row[yi]) if alive else np.nan for row, alive in zip(rows, s)]),
+        covariate_names=layout.x_names,
+        a_labels=schema.a_labels,
+    )
+
+
+def assert_loads_like_reference(path, schema=None):
+    """``load_dataset`` gives the reference's dataset, or its error message."""
+    try:
+        expected = reference_load(path, schema)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_dataset(path, schema)
+        assert str(err.value) == str(exc)
+        return None
+    data = load_dataset(path, schema)
+    assert data == expected
+    y, y_ref = (d.outcomes_at(d.survivor_mask()) for d in (data, expected))
+    assert np.array_equal(np.signbit(data.x), np.signbit(expected.x))
+    assert np.array_equal(np.signbit(y), np.signbit(y_ref))
+    return data
+
+
+def write_late_row(path, row, prefix_rows=PREFIX_ROWS):
+    """``prefix_rows`` narrow valid rows, then ``row``, then one more valid row."""
+    lines = ["z,s,y,a,x1"] + ["1,1,0.5,0,1.5"] * prefix_rows + [row, "0,0,,1,2.5"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "wide_row",
+    [
+        f"1,1,0.5,{2**63 - 1},1.5",
+        "1,1,   -0.125   ,0,1.5",
+        '" 1",1,0.5,0,1.5',
+        '1,"    1  ",0.5,0,1.5',
+        '"  1  ","0 ",,"  7  ",1.5',
+    ],
+)
+def test_load_reads_the_widest_field_after_the_first_chunk(tmp_path, wide_row):
+    # Every earlier field of the widened column is narrower, so a width taken
+    # from the first rows would cut this one short.
+    p = tmp_path / "wide.csv"
+    write_late_row(p, wide_row)
+    data = assert_loads_like_reference(p)
+    assert len(data) == PREFIX_ROWS + 2
+
+
+def test_load_rejects_a_code_of_2_63_past_the_first_chunk(tmp_path):
+    p = tmp_path / "overflow.csv"
+    write_late_row(p, f"1,1,0.5,{2**63},1.5", prefix_rows=50_003)
+    with pytest.raises(DataError) as err:
+        load_dataset(p)
+    assert f"row 50005: a must be below 2**63, got {2**63}" in str(err.value)
+    assert_loads_like_reference(p)
+
+
+def test_load_without_survivors(tmp_path):
+    p = tmp_path / "dead.csv"
+    p.write_text("z,s,y,a,x1\n1,0,,0,0.5\n0,0,,2,1.5\n")
+    data = assert_loads_like_reference(p)
+    assert data.survivor_mask().sum() == 0
+    assert data.outcomes_at(data.survivor_mask()).shape == (0,)
+
+
+def test_load_text_fields_that_quote_delimiters(tmp_path):
+    # Quoted delimiters and line breaks move every later field of the record.
+    good = tmp_path / "good.csv"
+    good.write_text(
+        'z,s,name,y,a,x1\n'
+        '"1","1","Doe, J\nJr.",0.5,"3",1.5\n'
+        '0,0,",,,",,"12",2.5\n'
+    )
+    data = assert_loads_like_reference(good, Schema(covariates=("x1",)))
+    assert data.a.tolist() == [3, 12]
+    for bad_y in ('"1,5"', '"1\n5"'):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f'z,s,y,a,x1\n1,1,0.5,0,1.5\n1,1,{bad_y},0,1.5\n')
+        assert_loads_like_reference(bad)
+    bad = tmp_path / "bad_a.csv"
+    bad.write_text('z,s,y,a,x1\n1,1,0.5,"1,2",1.5\n')
+    assert_loads_like_reference(bad)
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308])
 values = st.one_of(finite, edge_floats)
@@ -309,3 +420,32 @@ def test_validate_flags_arm_without_survivors():
         Dataset.from_arrays(z, np.zeros((4, 1)), [0, 1, 0, 1], s, y)
     )
     assert "arm 0 has no survivors" in report.flags
+
+
+@st.composite
+def rendered_csv(draw):
+    """A small dataset as CSV bytes, with random padding, quoting and line ends."""
+    data = draw(datasets())
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+    def render(text):
+        pad = st.text(alphabet=" \t", max_size=2)
+        text = draw(pad) + text + draw(pad)
+        return f'"{text}"' if draw(st.booleans()) else text
+
+    lines = [",".join(["z", "s", "y", "a"] + list(data.covariate_names))]
+    for u in data:
+        y = "" if u.y is None else repr(u.y)
+        fields = [str(u.z), str(u.s), y, str(u.a)] + [repr(float(v)) for v in u.x]
+        lines.append(",".join(map(render, fields)))
+    body = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return data, body.encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=rendered_csv())
+def test_load_matches_the_reference_on_rendered_files(tmp_path_factory, case):
+    data, body = case
+    path = tmp_path_factory.mktemp("dialect") / "d.csv"
+    path.write_bytes(body)
+    assert assert_loads_like_reference(path) == data

@@ -76,11 +76,19 @@ def test_check_monotone_model_modes():
     assert "by construction" in out["note"]
 
     arms = fit_survival_sm(data)
-    out = check_monotone((arms, data.x, data.a))
+    out = check_monotone(arms, x=data.x, a=data.a)
     assert out["status"] in ("pass", "fail")
     assert "pointwise" in out["note"]
     with pytest.raises(TypeError):
         check_monotone(42)
+
+
+def test_check_monotone_arm_model_needs_covariates_and_levels():
+    data, _ = gen_dataset(SimulationSetting(n=400, delta1=0, delta2=1, seed=83))
+    arms = fit_survival_sm(data)
+    for kwargs in ({}, {"x": data.x}, {"a": data.a}):
+        with pytest.raises(TypeError, match="needs x= and a="):
+            check_monotone(arms, **kwargs)
 
 
 def test_check_relevance_population_examples():
