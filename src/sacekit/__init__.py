@@ -54,12 +54,14 @@ from .models import (
     SurvivalParamsER,
     SurvivalParamsSM,
     bootstrap,
+    dgyz_estimator,
     estimate_sace,
     fit_ni,
     fit_outcome_er,
     fit_sm,
     fit_survival_er,
     fit_survival_sm,
+    naive_estimator,
     sensitivity_sweep,
 )
 from .numerics import (
@@ -76,9 +78,7 @@ from .simulate import (
     BenchReport,
     OracleTable,
     SimulationSetting,
-    dgyz_estimator,
     gen_dataset,
-    naive_estimator,
     run_benchmark,
     true_sace,
 )

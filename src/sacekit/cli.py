@@ -6,7 +6,8 @@ can be traced back to the exact invocation. Row-shaped outputs (datasets,
 sensitivity curves) are CSV; everything else is JSON.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical or
-convergence failure.
+convergence failure (an ``EstimationError`` or a ``LinAlgError``). Any other
+exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -22,21 +23,17 @@ from . import __version__
 from .data import Schema, load_dataset, save_dataset, validate
 from .diagnostics import run_diagnostics
 from .errors import DataError, EstimationError
+from .identify import check_rho
 from .models import (
     ALL_METHODS,
-    SaceEstimate,
     bootstrap,
+    check_method,
     estimate_sace,
     fit_survival_sm,
+    method_rhos,
     sensitivity_sweep,
 )
-from .simulate import (
-    SimulationSetting,
-    dgyz_estimator,
-    gen_dataset,
-    naive_estimator,
-    run_benchmark,
-)
+from .simulate import SimulationSetting, gen_dataset, run_benchmark
 
 # Boolean store_true flags per subcommand, for config-file translation.
 _BOOL_FLAGS = {
@@ -50,6 +47,14 @@ _BOOL_FLAGS = {
 
 class UsageError(Exception):
     pass
+
+
+def _usage(check, *args):
+    """Run a library input check, reporting its ValueError as a usage error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def build_parser():
@@ -246,21 +251,17 @@ def parse_rho_grid(spec):
     if not grid:
         raise UsageError("rho grid is empty")
     for v in grid:
-        if not 0.0 <= v <= 1.0:
-            raise UsageError(f"rho grid value {v} outside [0, 1]")
+        try:
+            check_rho(v)
+        except ValueError:
+            raise UsageError(f"rho grid value {v} outside [0, 1]") from None
     return grid
 
 
 def cmd_simulate(args):
     started = time.monotonic()
-    if args.n < 0:
-        raise UsageError("--n must be non-negative")
-    setting = SimulationSetting(
-        n=args.n,
-        delta1=args.delta1,
-        delta2=args.delta2,
-        er_violation=args.er_violation,
-        seed=args.seed,
+    setting = _usage(
+        SimulationSetting, args.n, args.delta1, args.delta2, args.er_violation, args.seed
     )
     data, oracle = gen_dataset(setting)
     save_dataset(data, args.out)
@@ -275,28 +276,18 @@ def cmd_simulate(args):
 
 def cmd_fit(args):
     started = time.monotonic()
-    if args.method in ("prop-sm", "prop-sm-ni"):
-        if args.rho is None:
-            raise UsageError(f"--rho is required for method {args.method}")
-        if not 0.0 <= args.rho <= 1.0:
-            raise UsageError(f"--rho must lie in [0, 1], got {args.rho}")
-    elif args.rho is not None:
-        raise UsageError(f"--rho does not apply to method {args.method}")
-    if args.bootstrap < 0:
-        raise UsageError("--bootstrap must be non-negative")
+    _usage(check_method, args.method, args.rho)
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise UsageError("--bootstrap must be 0 or at least 2")
 
     data = load_dataset(args.data, schema=_schema_from_args(args))
     if args.bootstrap:
         estimate = bootstrap(
             data, args.method, n_boot=args.bootstrap, seed=args.seed, rho=args.rho
         )
-        result = estimate.to_dict()
-    elif args.method in ("naive", "dgyz"):
-        fn = naive_estimator if args.method == "naive" else dgyz_estimator
-        result = SaceEstimate(method=args.method, point=fn(data)).to_dict()
     else:
-        result = estimate_sace(data, args.method, rho=args.rho).to_dict()
-    _emit(_envelope(args, result, args.seed, started), args.out)
+        estimate = estimate_sace(data, args.method, rho=args.rho)
+    _emit(_envelope(args, estimate.to_dict(), args.seed, started), args.out)
     return 0
 
 
@@ -335,8 +326,8 @@ def cmd_diagnose(args):
     started = time.monotonic()
     if args.bins < 1:
         raise UsageError("--bins must be at least 1")
-    if args.rho is not None and not 0.0 <= args.rho <= 1.0:
-        raise UsageError(f"--rho must lie in [0, 1], got {args.rho}")
+    if args.rho is not None:
+        _usage(check_rho, args.rho)
     data = load_dataset(args.data, schema=_schema_from_args(args))
     report = run_diagnostics(data, bins=args.bins, rho=args.rho)
     result = report.to_dict()
@@ -370,6 +361,7 @@ def _parse_settings(args):
         except ValueError:
             raise UsageError(f"bad settings entry {part!r}") from None
         er = len(fields) == 3 and fields[2].lower() in ("er", "true", "1", "yes")
+        _usage(SimulationSetting, 0, d1, d2)
         settings.append((d1, d2, er))
     if not settings:
         raise UsageError("no settings parsed")
@@ -388,14 +380,7 @@ def cmd_bench(args):
     if not sizes or any(n < 1 for n in sizes):
         raise UsageError("--sizes must be positive integers")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise UsageError(f"unknown method {m!r}")
-    if any(m in ("prop-sm", "prop-sm-ni") for m in methods):
-        if args.rho is None:
-            raise UsageError("--rho is required for stochastic methods")
-        if not 0.0 <= args.rho <= 1.0:
-            raise UsageError(f"--rho must lie in [0, 1], got {args.rho}")
+    _usage(method_rhos, methods, args.rho)
 
     report = run_benchmark(
         settings, sizes, methods, reps=args.reps, seed=args.seed, rho=args.rho
@@ -424,17 +409,11 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except EstimationError as exc:
+    except (EstimationError, np.linalg.LinAlgError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 4
 
 

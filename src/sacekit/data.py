@@ -236,9 +236,7 @@ class Dataset:
 
 # np.loadtxt settings for the data rows. Latin-1 maps every byte to one
 # character, so text in columns that are not read never fails to decode.
-_LOADTXT = dict(
-    delimiter=",", comments=None, quotechar='"', skiprows=1, ndmin=1, encoding="latin1"
-)
+_LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="latin1")
 # Rows formatted per ``writerows`` call in :func:`save_dataset`; bounds the
 # number of field strings alive at once.
 _SAVE_BLOCK_ROWS = 8192
@@ -290,9 +288,17 @@ def load_dataset(path, schema=None):
         [(name, f"S{w}") for name, w in zip("zsay", widths)]
         + [("x", float, (len(layout.x),))]
     )
+    # loadtxt skips physical lines, and a quoted header name may hold line
+    # breaks, so the header's lines are counted up to its record's end.
+    head = np.fromfile(path, dtype=np.uint8, count=int(records.starts[1])).tobytes()
+    skip = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
     try:
         rows = np.loadtxt(
-            path, dtype=dtype, usecols=layout.text + tuple(layout.x), **_LOADTXT
+            path,
+            dtype=dtype,
+            usecols=layout.text + tuple(layout.x),
+            skiprows=skip,
+            **_LOADTXT,
         )
         z, s = (
             rows[name] if w == 1 else np.char.strip(rows[name])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2
 
-from .identify import CellTable, gmm_overidentified
+from .identify import CellTable, gmm_overidentified, strata_probs_stochastic
 from .errors import RelevanceError
 from .models import SurvivalParamsER, SurvivalParamsSM
 
@@ -253,8 +253,6 @@ def _j_test_cells(table, which, j_level, rho=None):
     covariate group; with two the structure is exactly identified and the
     restriction has no observable content (vacuous).
     """
-    from .identify import strata_probs_stochastic
-
     cells = []
     for xkey, group in table.x_groups().items():
         entry = {"x": list(xkey)}
@@ -377,12 +375,9 @@ def run_diagnostics(
     )
 
     if survival is not None:
-        if isinstance(survival, SurvivalParamsSM):
-            monotone = check_monotone(survival, x=data.x, a=data.a)
-        elif isinstance(survival, SurvivalParamsER):
-            monotone = check_monotone(survival)
-        else:
+        if not isinstance(survival, (SurvivalParamsER, SurvivalParamsSM)):
             raise TypeError("survival must be a fitted survival model")
+        monotone = check_monotone(survival, x=data.x, a=data.a)
     else:
         monotone = check_monotone(table, z_threshold=z_threshold)
 

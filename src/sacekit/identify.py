@@ -272,6 +272,14 @@ def strata_probs_monotone(p_surv_treated, p_surv_control):
     return p0, p1 - p0, 1.0 - p1
 
 
+def check_rho(rho):
+    """``rho`` as a float, checked to lie in [0, 1]; NaN does not."""
+    rho = float(rho)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    return rho
+
+
 def strata_probs_stochastic(p_surv_treated, p_surv_control, rho):
     """Stratum shares under stochastic monotonicity of degree ``rho``.
 
@@ -283,12 +291,10 @@ def strata_probs_stochastic(p_surv_treated, p_surv_control, rho):
     vector for every ``rho`` in [0, 1].
     """
     p1, p0 = float(p_surv_treated), float(p_surv_control)
-    rho = float(rho)
     for p in (p1, p0):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"survival probability {p} outside [0, 1]")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    rho = check_rho(rho)
     if p0 <= 0.0:
         always = 0.0
     else:

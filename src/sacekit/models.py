@@ -21,18 +21,29 @@ Method tags used throughout (and by the CLI):
   exclusion restriction in the outcome stage.
 - ``prop-sm-ni``: as prop-sm but with the pooled no-interaction outcome
   stage.
+- ``naive`` and ``dgyz``: the comparison baselines, which fit no stage one.
+
+:data:`METHODS` holds one row per tag, and :func:`estimate_sace` runs any
+of them.
 """
 
 from __future__ import annotations
 
 import json
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import CollinearityError, EstimationError
-from .identify import WEAK_THRESHOLD, IdentificationWarning
+from .identify import (
+    WEAK_THRESHOLD,
+    IdentificationWarning,
+    check_rho,
+    solve_two_point_mixture,
+)
 from .numerics import (
     OptimizerResult,
     bernoulli_objective,
@@ -43,7 +54,6 @@ from .numerics import (
     rng_stream,
 )
 
-PROP_METHODS = ("prop-er", "prop-ni", "prop-sm", "prop-sm-ni")
 # Below this spread a fitted regressor is numerically constant.
 CONSTANT_EPS = 1e-10
 
@@ -98,6 +108,14 @@ class SurvivalParamsER:
     def always_share(self, x, a):
         """Fitted always-survivor probability, which equals control survival."""
         return self.theta_control(x, a)
+
+    @property
+    def converged(self):
+        return self.optimizer.converged
+
+    @property
+    def boundary_flag(self):
+        return self.optimizer.boundary_flag
 
 
 @dataclass
@@ -267,8 +285,7 @@ def stochastic_always_share(theta_treated, theta_control, rho):
     """Vectorized always-survivor share under stochastic monotonicity."""
     th1 = np.asarray(theta_treated, dtype=float)
     th0 = np.asarray(theta_control, dtype=float)
-    if not 0.0 <= float(rho) <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    rho = check_rho(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = th1 + rho * (np.minimum(1.0, th1 / th0) - th1)
     return np.where(th0 > 0.0, th0 * np.where(th0 > 0.0, cond, 0.0), 0.0)
@@ -657,41 +674,162 @@ class SaceEstimate:
     q975: float | None = None
     n_boot: int = 0
     n_failed: int = 0
+    failed_by_reason: dict = field(default_factory=lambda: dict.fromkeys(FAILURE_REASONS, 0))
     converged: bool = True
     warnings: list = field(default_factory=list)
-    failed_by_reason: dict = field(default_factory=lambda: dict.fromkeys(FAILURE_REASONS, 0))
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "point": self.point,
-            "se": self.se,
-            "q025": self.q025,
-            "q50": self.q50,
-            "q975": self.q975,
-            "n_boot": self.n_boot,
-            "n_failed": self.n_failed,
-            "failed_by_reason": dict(self.failed_by_reason),
-            "converged": self.converged,
-            "warnings": list(self.warnings),
-        }
+        # the field order is the order of the JSON report
+        return asdict(self)
 
     def to_json(self, indent=2):
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _require_rho(method, rho):
-    if method in ("prop-sm", "prop-sm-ni"):
-        if rho is None:
-            raise ValueError(f"{method} requires rho")
-        if not 0.0 <= float(rho) <= 1.0:
-            raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    elif rho is not None:
-        raise ValueError(f"rho does not apply to method {method!r}")
+def naive_estimator(data):
+    """Survivor-only regression that ignores the truncation problem.
+
+    OLS of the outcome on (1, X, A, Z) among survivors; returns the Z
+    coefficient. Biased whenever treatment changes the composition of the
+    surviving population.
+    """
+    mask = data.survivor_mask()
+    zs = data.z[mask]
+    if not (zs == 1).any() or not (zs == 0).any():
+        raise EstimationError("survivors are required in both arms")
+    ys = data.outcomes_at(mask)
+    design = np.column_stack([np.ones(ys.size), data.x[mask], data.a[mask], zs])
+    names = ("intercept", *data.covariate_names, "a", "z")
+    if ys.size < design.shape[1]:
+        raise EstimationError(
+            f"{ys.size} survivors, fewer than the {design.shape[1]} coefficients"
+        )
+    coef = fit_ols(design, ys, column_names=names)
+    return float(coef[-1])
 
 
-def _fit_stage_one(data, method, start=None, tol=1e-8):
-    """Stage-one survival fit of a model-based method; None for the baselines.
+def dgyz_estimator(data):
+    """Covariate-free two-point mixture plug-in baseline.
+
+    Requires a binary substitution variable. At each level, the ratio of
+    control-arm to treated-arm survival proportions estimates the
+    always-survivor share among treated survivors; the two treated-arm
+    survivor means then solve the mixture for the treated always-survivor
+    mean, and control survivors average to the control one. The ratios are
+    used raw (they may exceed 1 in samples), which is the source of this
+    baseline's documented instability when the two shares are close.
+    """
+    z, s, a = data.z, data.s, data.a
+    levels = np.unique(a)
+    if levels.size != 2:
+        raise EstimationError(
+            f"the baseline needs a binary substitution variable, found levels {levels.tolist()}"
+        )
+    shares = []
+    means = []
+    for level in levels:
+        sel1 = (z == 1) & (a == level)
+        sel0 = (z == 0) & (a == level)
+        if not sel1.any() or not sel0.any():
+            raise EstimationError(f"no units in an arm at substitution level {level}")
+        p1 = float(np.mean(s[sel1]))
+        p0 = float(np.mean(s[sel0]))
+        if p1 <= 0.0:
+            raise EstimationError(f"no treated survivors at substitution level {level}")
+        surv1 = sel1 & (s == 1)
+        means.append(float(np.mean(data.outcomes_at(surv1))))
+        shares.append(p0 / p1)
+    mask0 = (z == 0) & (s == 1)
+    if not mask0.any():
+        raise EstimationError("no control-arm survivors")
+    mu_treated, _ = solve_two_point_mixture(means[0], means[1], shares[0], shares[1])
+    mu_control = float(np.mean(data.outcomes_at(mask0)))
+    return mu_treated - mu_control
+
+
+# The estimators of the method table: (data, survival, rho, weak_threshold)
+# -> (point, notes). They reach the public fits through this module's global
+# names, so a wrapper installed on those names sees every call.
+
+
+def _prop_er(data, survival, rho, weak_threshold):
+    outcome = fit_outcome_er(data, survival, weak_threshold)
+    always = survival.always_share(data.x, data.a)
+    if np.sum(always) <= 1e-12:
+        raise EstimationError(
+            "fitted always-survivor mass is zero; the effect is undefined"
+        )
+    mu1 = _linear_mean(outcome.treated_mix, data.x, (1.0,))
+    mu0 = _linear_mean(outcome.control, data.x, (data.a,))
+    return float(np.sum(always * (mu1 - mu0)) / np.sum(always)), []
+
+
+def _prop_ni(data, survival, rho, weak_threshold):
+    return float(fit_ni(data, survival, weak_threshold).pooled[-1]), []
+
+
+def _prop_sm(data, survival, rho, weak_threshold, assume_er=True):
+    fit = fit_sm(
+        data, rho, assume_er=assume_er, survival=survival, weak_threshold=weak_threshold
+    )
+    return fit.effect, fit.warnings
+
+
+class _Method(NamedTuple):
+    """One row of :data:`METHODS`."""
+
+    needs_rho: bool
+    stage_one: str | None  # kind of stage-one fit: "er", "sm" or None
+    estimate: Callable
+
+
+METHODS = {
+    "naive": _Method(False, None, lambda data, *_: (naive_estimator(data), [])),
+    "dgyz": _Method(False, None, lambda data, *_: (dgyz_estimator(data), [])),
+    "prop-er": _Method(False, "er", _prop_er),
+    "prop-ni": _Method(False, "er", _prop_ni),
+    "prop-sm": _Method(True, "sm", _prop_sm),
+    "prop-sm-ni": _Method(True, "sm", partial(_prop_sm, assume_er=False)),
+}
+ALL_METHODS = tuple(METHODS)
+PROP_METHODS = tuple(m for m, spec in METHODS.items() if spec.stage_one)
+_SURVIVAL_TYPES = {"er": SurvivalParamsER, "sm": SurvivalParamsSM}
+
+
+def check_method(method, rho=None):
+    """The :data:`METHODS` row of ``method``, with ``rho`` checked against it.
+
+    ``rho`` is required by, and only by, the methods that need it, and must
+    lie in [0, 1]. An unknown method or a wrong ``rho`` raises ValueError.
+    """
+    spec = METHODS.get(method)
+    if spec is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
+    if not spec.needs_rho:
+        if rho is not None:
+            raise ValueError(f"rho does not apply to method {method!r}")
+    elif rho is None:
+        raise ValueError(f"{method} requires rho")
+    else:
+        check_rho(rho)
+    return spec
+
+
+def method_rhos(methods, rho):
+    """Share one ``rho`` among several methods: {method: its rho}.
+
+    Methods that need ``rho`` get it and the rest get None; each pair is
+    checked with :func:`check_method`. The benchmark grid runs its methods
+    this way.
+    """
+    rhos = {m: rho if m in METHODS and METHODS[m].needs_rho else None for m in methods}
+    for m in methods:
+        check_method(m, rhos[m])
+    return rhos
+
+
+def _fit_stage_one(data, kind, start=None, tol=1e-8):
+    """Stage-one survival fit of the given kind; None when ``kind`` is None.
 
     ``start`` is an earlier, converged stage-one fit of the same kind, used
     as the starting point. The joint likelihood is not concave everywhere:
@@ -701,13 +839,13 @@ def _fit_stage_one(data, method, start=None, tol=1e-8):
     that does not converge is therefore redone from the cold start, so a
     start drops no replicate that the cold start keeps.
     """
-    if method in ("prop-er", "prop-ni"):
+    if kind == "er":
         if start is not None:
             fit = fit_survival_er(data, init=start.optimizer.params, tol=tol)
-            if fit.optimizer.converged:
+            if fit.converged:
                 return fit
         return fit_survival_er(data, tol=tol)
-    if method in ("prop-sm", "prop-sm-ni"):
+    if kind == "sm":
         if start is not None:
             fit = fit_survival_sm(
                 data, tol=tol, _init=(start.beta_treated, start.beta_control)
@@ -726,18 +864,20 @@ def estimate_sace(
     weak_threshold=WEAK_THRESHOLD,
     tol=1e-8,
 ):
-    """Estimate the always-survivor effect by one of the model-based methods.
+    """Estimate the always-survivor effect by any method of :data:`METHODS`.
 
     Parameters
     ----------
     data : Dataset
     method : str
-        One of ``prop-er``, ``prop-ni``, ``prop-sm``, ``prop-sm-ni``.
+        One of ``naive``, ``dgyz``, ``prop-er``, ``prop-ni``, ``prop-sm``,
+        ``prop-sm-ni``.
     rho : float, optional
         Sensitivity level; required by (and only by) the stochastic methods.
     survival : optional
         Precomputed stage-one fit (SurvivalParamsER for the er/ni methods,
-        SurvivalParamsSM for the stochastic ones) to reuse across calls.
+        SurvivalParamsSM for the stochastic ones) to reuse across calls;
+        the baselines fit no stage one and ignore it.
     weak_threshold : float
         Spread below which the share regressor triggers a warning.
     tol : float
@@ -750,95 +890,32 @@ def estimate_sace(
         Point estimate with convergence status and collected warnings
         (no bootstrap fields; see :func:`bootstrap`).
     """
-    if method not in PROP_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {PROP_METHODS}"
-        )
-    _require_rho(method, rho)
-
+    spec = check_method(method, rho)
     collected = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         if survival is None:
-            survival = _fit_stage_one(data, method, tol=tol)
-        if method in ("prop-er", "prop-ni"):
-            if not isinstance(survival, SurvivalParamsER):
-                raise TypeError(f"{method} needs a SurvivalParamsER survival fit")
-            converged = survival.optimizer.converged
-            if not converged:
-                collected.append(
-                    "survival fit did not converge"
-                    + (
-                        " (boundary-saturated fitted probabilities)"
-                        if survival.optimizer.boundary_flag
-                        else ""
-                    )
+            survival = _fit_stage_one(data, spec.stage_one, tol=tol)
+        elif spec.stage_one is not None:
+            expected = _SURVIVAL_TYPES[spec.stage_one]
+            if not isinstance(survival, expected):
+                raise TypeError(f"{method} needs a {expected.__name__} survival fit")
+        converged = survival is None or survival.converged
+        if not converged:
+            collected.append(
+                "survival fit did not converge"
+                + (
+                    " (boundary-saturated fitted probabilities)"
+                    if survival.boundary_flag
+                    else ""
                 )
-            if method == "prop-er":
-                outcome = fit_outcome_er(data, survival, weak_threshold)
-                always = survival.always_share(data.x, data.a)
-                if np.sum(always) <= 1e-12:
-                    raise EstimationError(
-                        "fitted always-survivor mass is zero; the effect is undefined"
-                    )
-                mu1 = _linear_mean(outcome.treated_mix, data.x, (1.0,))
-                mu0 = _linear_mean(outcome.control, data.x, (data.a,))
-                point = float(np.sum(always * (mu1 - mu0)) / np.sum(always))
-            else:
-                outcome = fit_ni(data, survival, weak_threshold)
-                point = float(outcome.pooled[-1])
-        else:
-            if not isinstance(survival, SurvivalParamsSM):
-                raise TypeError(f"{method} needs a SurvivalParamsSM survival fit")
-            fit = fit_sm(
-                data,
-                rho,
-                assume_er=(method == "prop-sm"),
-                survival=survival,
-                weak_threshold=weak_threshold,
-                tol=tol,
             )
-            survival = fit.survival
-            converged = survival.converged
-            if not converged:
-                collected.append(
-                    "survival fit did not converge"
-                    + (
-                        " (boundary-saturated fitted probabilities)"
-                        if survival.boundary_flag
-                        else ""
-                    )
-                )
-            collected.extend(fit.warnings)
-            point = fit.effect
+        point, notes = spec.estimate(data, survival, rho, weak_threshold)
+        collected.extend(notes)
     collected.extend(str(w.message) for w in caught)
     return SaceEstimate(
         method=method, point=point, converged=converged, warnings=collected
     )
-
-
-def _point_estimate(data, method, rho, weak_threshold, survival=None):
-    """Unified dispatch over all six method tags.
-
-    Returns (value, converged). ``survival`` is the stage-one fit of a
-    model-based method. The baseline estimators live in the simulation
-    module; imported lazily to keep module layering one-way.
-    """
-    if method in PROP_METHODS:
-        est = estimate_sace(
-            data, method, rho=rho, survival=survival, weak_threshold=weak_threshold
-        )
-        return est.point, est.converged
-    from . import simulate as _simulate
-
-    if method == "naive":
-        return _simulate.naive_estimator(data), True
-    if method == "dgyz":
-        return _simulate.dgyz_estimator(data), True
-    raise ValueError(f"unknown method {method!r}")
-
-
-ALL_METHODS = ("naive", "dgyz") + PROP_METHODS
 
 
 def bootstrap(
@@ -865,16 +942,15 @@ def bootstrap(
     The standard error is the ddof-1 standard deviation and the quantiles
     are linearly interpolated.
     """
-    if method not in ALL_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {ALL_METHODS}")
-    if method in PROP_METHODS:
-        _require_rho(method, rho)
+    spec = check_method(method, rho)
     if n_boot < 2:
         raise ValueError("need at least 2 bootstrap replicates")
 
-    full = _fit_stage_one(data, method)
-    point, converged = _point_estimate(data, method, rho, weak_threshold, full)
-    start = full if converged else None
+    full = _fit_stage_one(data, spec.stage_one)
+    first = estimate_sace(
+        data, method, rho=rho, survival=full, weak_threshold=weak_threshold
+    )
+    start = full if first.converged else None
     n = len(data)
     estimates = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
@@ -884,17 +960,19 @@ def bootstrap(
             rng = rng_stream(seed, b)
             sample = data.subset(rng.integers(0, n, size=n))
             try:
-                survival = _fit_stage_one(sample, method, start)
-                value, ok = _point_estimate(sample, method, rho, weak_threshold, survival)
+                survival = _fit_stage_one(sample, spec.stage_one, start)
+                est = estimate_sace(
+                    sample, method, rho=rho, survival=survival, weak_threshold=weak_threshold
+                )
             except EstimationError:
                 failed["estimation_error"] += 1
                 continue
-            if not np.isfinite(value):
+            if not np.isfinite(est.point):
                 failed["non_finite"] += 1
-            elif not ok:
+            elif not est.converged:
                 failed["not_converged"] += 1
             else:
-                estimates.append(value)
+                estimates.append(est.point)
     n_failed = sum(failed.values())
 
     if not estimates:
@@ -905,19 +983,19 @@ def bootstrap(
         notes.append(f"{n_failed} of {n_boot} bootstrap replicates dropped")
     if n_failed > 0.1 * n_boot:
         notes.append("unreliable: more than 10% of bootstrap replicates failed")
-    if not converged:
+    if not first.converged:
         notes.append("full-data survival fit did not converge")
     q025, q50, q975 = np.quantile(est, [0.025, 0.5, 0.975], method="linear")
     return SaceEstimate(
         method=method,
-        point=point,
+        point=first.point,
         se=float(np.std(est, ddof=1)),
         q025=float(q025),
         q50=float(q50),
         q975=float(q975),
         n_boot=n_boot,
         n_failed=n_failed,
-        converged=converged,
+        converged=first.converged,
         warnings=notes,
         failed_by_reason=failed,
     )
@@ -980,8 +1058,8 @@ def sensitivity_sweep(
     grid = np.asarray(rho_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("rho grid is empty")
-    if np.any(~np.isfinite(grid)) or np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise ValueError("rho grid values must lie in [0, 1]")
+    for rho in grid.tolist():
+        check_rho(rho)
     grid = np.sort(grid)
     if survival is None:
         survival = fit_survival_sm(data)

@@ -1,4 +1,4 @@
-"""Synthetic data generation, baseline estimators, and the replicate benchmark.
+"""Synthetic data generation and the replicate benchmark.
 
 The data-generating process draws three covariates (one symmetric binary,
 two correlated Gaussians), a binary substitution variable whose propensity
@@ -24,9 +24,10 @@ import numpy as np
 
 from .data import Dataset, StratumLabel
 from .errors import DataError, EstimationError
-from .identify import solve_two_point_mixture
-from .models import PROP_METHODS, estimate_sace, fit_survival_er, fit_survival_sm
-from .numerics import expit, fit_ols, rng_stream
+from .models import METHODS, _fit_stage_one, estimate_sace, method_rhos
+# fit_ols is no longer called here, but the binding stays: the tracing test
+# in perfbench/test_tracing.py patches and checks sacekit.simulate.fit_ols.
+from .numerics import expit, fit_ols, rng_stream  # noqa: F401
 
 # Fixed DGP constants.
 _U = np.array([0.5, 0.5, 0.5])
@@ -188,67 +189,6 @@ def true_sace(setting):
     return 1.0
 
 
-def naive_estimator(data):
-    """Survivor-only regression that ignores the truncation problem.
-
-    OLS of the outcome on (1, X, A, Z) among survivors; returns the Z
-    coefficient. Biased whenever treatment changes the composition of the
-    surviving population.
-    """
-    mask = data.survivor_mask()
-    zs = data.z[mask]
-    if not (zs == 1).any() or not (zs == 0).any():
-        raise EstimationError("survivors are required in both arms")
-    ys = data.outcomes_at(mask)
-    design = np.column_stack([np.ones(ys.size), data.x[mask], data.a[mask], zs])
-    names = ("intercept", *data.covariate_names, "a", "z")
-    if ys.size < design.shape[1]:
-        raise EstimationError(
-            f"{ys.size} survivors, fewer than the {design.shape[1]} coefficients"
-        )
-    coef = fit_ols(design, ys, column_names=names)
-    return float(coef[-1])
-
-
-def dgyz_estimator(data):
-    """Covariate-free two-point mixture plug-in baseline.
-
-    Requires a binary substitution variable. At each level, the ratio of
-    control-arm to treated-arm survival proportions estimates the
-    always-survivor share among treated survivors; the two treated-arm
-    survivor means then solve the mixture for the treated always-survivor
-    mean, and control survivors average to the control one. The ratios are
-    used raw (they may exceed 1 in samples), which is the source of this
-    baseline's documented instability when the two shares are close.
-    """
-    z, s, a = data.z, data.s, data.a
-    levels = np.unique(a)
-    if levels.size != 2:
-        raise EstimationError(
-            f"the baseline needs a binary substitution variable, found levels {levels.tolist()}"
-        )
-    shares = []
-    means = []
-    for level in levels:
-        sel1 = (z == 1) & (a == level)
-        sel0 = (z == 0) & (a == level)
-        if not sel1.any() or not sel0.any():
-            raise EstimationError(f"no units in an arm at substitution level {level}")
-        p1 = float(np.mean(s[sel1]))
-        p0 = float(np.mean(s[sel0]))
-        if p1 <= 0.0:
-            raise EstimationError(f"no treated survivors at substitution level {level}")
-        surv1 = sel1 & (s == 1)
-        means.append(float(np.mean(data.outcomes_at(surv1))))
-        shares.append(p0 / p1)
-    mask0 = (z == 0) & (s == 1)
-    if not mask0.any():
-        raise EstimationError("no control-arm survivors")
-    mu_treated, _ = solve_two_point_mixture(means[0], means[1], shares[0], shares[1])
-    mu_control = float(np.mean(data.outcomes_at(mask0)))
-    return mu_treated - mu_control
-
-
 @dataclass
 class BenchCell:
     """Benchmark summary for one (setting, size, method) cell."""
@@ -356,20 +296,18 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
         stream (seed, c, r), so cells and replicates are independent and
         individually reproducible.
     rho : float, optional
-        Sensitivity level for the stochastic methods, if requested.
+        Sensitivity level; required when a stochastic method is requested,
+        and passed only to the methods that need it.
 
-    Failed replicates (estimation errors, non-finite estimates, stage-one
-    non-convergence) are excluded from a cell's average and counted.
+    Each replicate fits every stage-one kind its methods use once and
+    shares it among them. Failed replicates (estimation errors, non-finite
+    estimates, stage-one non-convergence) are excluded from a cell's
+    average and counted.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     methods = tuple(methods)
-    known = ("naive", "dgyz") + PROP_METHODS
-    for m in methods:
-        if m not in known:
-            raise ValueError(f"unknown method {m!r}")
-    if any(m in ("prop-sm", "prop-sm-ni") for m in methods) and rho is None:
-        raise ValueError("the stochastic methods require rho")
+    rhos = method_rhos(methods, rho)
 
     norm_settings = []
     for s in settings:
@@ -391,33 +329,22 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
             failures = {m: 0 for m in methods}
             for r in range(reps):
                 data, _ = gen_dataset(setting, rng=rng_stream(seed, cell_index, r))
-                survival_er = None
-                survival_sm = None
+                stage_one = {}  # kind -> this replicate's stage-one fit
                 for m in methods:
+                    kind = METHODS[m].stage_one
                     try:
-                        if m == "naive":
-                            value, ok = naive_estimator(data), True
-                        elif m == "dgyz":
-                            value, ok = dgyz_estimator(data), True
-                        elif m in ("prop-er", "prop-ni"):
-                            if survival_er is None:
-                                survival_er = fit_survival_er(data)
-                            est = estimate_sace(data, m, survival=survival_er)
-                            value, ok = est.point, est.converged
-                        else:
-                            if survival_sm is None:
-                                survival_sm = fit_survival_sm(data)
-                            est = estimate_sace(
-                                data, m, rho=rho, survival=survival_sm
-                            )
-                            value, ok = est.point, est.converged
+                        if kind not in stage_one:
+                            stage_one[kind] = _fit_stage_one(data, kind)
+                        est = estimate_sace(
+                            data, m, rho=rhos[m], survival=stage_one[kind]
+                        )
                     except EstimationError:
                         failures[m] += 1
                         continue
-                    if not np.isfinite(value) or not ok:
+                    if not np.isfinite(est.point) or not est.converged:
                         failures[m] += 1
                         continue
-                    estimates[m].append(value)
+                    estimates[m].append(est.point)
             for m in methods:
                 est = np.array(estimates[m])
                 n_ok = est.size

@@ -22,6 +22,7 @@ from sacekit.identify import (
 )
 from sacekit.models import (
     bootstrap,
+    dgyz_estimator,
     estimate_sace,
     fit_survival_er,
     fit_survival_sm,
@@ -30,7 +31,7 @@ from sacekit.models import (
     survival_design,
 )
 from sacekit.numerics import bernoulli_objective, check_gradient, rng_stream
-from sacekit.simulate import SimulationSetting, dgyz_estimator, gen_dataset, run_benchmark
+from sacekit.simulate import SimulationSetting, gen_dataset, run_benchmark
 
 from conftest import population_cell
 

@@ -129,7 +129,7 @@ def test_fit_model_methods_and_bootstrap(tmp_path, capsys):
 def test_fit_usage_and_error_codes(tmp_path, capsys):
     data = make_data(tmp_path, capsys, n=200)
     code, _, err = run_cli(capsys, "fit", "--data", str(data), "--method", "prop-sm")
-    assert code == 2 and "--rho is required" in err
+    assert code == 2 and "requires rho" in err
     code, _, err = run_cli(
         capsys, "fit", "--data", str(data), "--method", "prop-er", "--rho", "0.5"
     )
@@ -142,6 +142,33 @@ def test_fit_usage_and_error_codes(tmp_path, capsys):
         capsys, "fit", "--data", str(tmp_path / "nope.csv"), "--method", "naive"
     )
     assert code == 3 and "data error" in err
+
+
+def test_library_input_errors_are_usage_errors(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=200)
+    code, _, err = run_cli(
+        capsys, "fit", "--data", str(data), "--method", "naive", "--bootstrap", "1"
+    )
+    assert code == 2 and "at least 2" in err
+    code, _, err = run_cli(capsys, "bench", "--settings", "2,0", "--reps", "1")
+    assert code == 2 and "delta1 and delta2 must be 0 or 1" in err
+    code, _, err = run_cli(
+        capsys, "diagnose", "--data", str(data), "--rho", "nan"
+    )
+    assert code == 2 and "rho must lie in [0, 1]" in err
+
+
+def test_unexpected_value_error_is_not_an_exit_code(tmp_path, capsys, monkeypatch):
+    import sacekit.models as models
+
+    data = make_data(tmp_path, capsys, n=200)
+
+    def broken(data):
+        raise ValueError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(models, "naive_estimator", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["fit", "--data", str(data), "--method", "naive"])
 
 
 def test_fit_malformed_covariate_deep_in_file_is_a_data_error(tmp_path, capsys):
@@ -339,7 +366,7 @@ def test_bench_usage_errors(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "bench", "--settings", "0,0", "--methods", "prop-sm", "--reps", "1"
     )
-    assert code == 2 and "--rho is required" in err
+    assert code == 2 and "requires rho" in err
     code, _, err = run_cli(capsys, "bench", "--reps", "1")
     assert code == 2 and "--table2" in err
     code, _, err = run_cli(

@@ -327,6 +327,17 @@ def test_load_text_fields_that_quote_delimiters(tmp_path):
     assert_loads_like_reference(bad)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_skips_a_header_with_a_quoted_line_break(tmp_path, newline):
+    # The header is one record over two physical lines.
+    p = tmp_path / "header.csv"
+    rows = ['z,s,y,a,"x' + newline + '1"', "1,1,0.5,0,1.5", "0,0,,1,2.5"]
+    p.write_bytes((newline.join(rows) + newline).encode())
+    data = assert_loads_like_reference(p)
+    assert data.covariate_names == ("x" + newline + "1",)
+    assert data.x[:, 0].tolist() == [1.5, 2.5]
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308])
 values = st.one_of(finite, edge_floats)

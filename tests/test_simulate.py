@@ -5,13 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sacekit.data import Dataset
+from sacekit.models import dgyz_estimator, naive_estimator
 from sacekit.numerics import rng_stream
 from sacekit.simulate import (
     OracleTable,
     SimulationSetting,
-    dgyz_estimator,
     gen_dataset,
-    naive_estimator,
     run_benchmark,
     true_sace,
 )
@@ -186,7 +185,7 @@ def test_run_benchmark_validation():
         run_benchmark([(0, 0, False)], [100], ("naive",), reps=0)
     with pytest.raises(ValueError, match="unknown method"):
         run_benchmark([(0, 0, False)], [100], ("magic",), reps=1)
-    with pytest.raises(ValueError, match="require rho"):
+    with pytest.raises(ValueError, match="requires rho"):
         run_benchmark([(0, 0, False)], [100], ("prop-sm",), reps=1)
 
 
