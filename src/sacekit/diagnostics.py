@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2
 
-from .identify import CellTable, gmm_overidentified, strata_probs_stochastic
+from .identify import CellTable, check_rho, gmm_overidentified, strata_probs_stochastic
 from .errors import RelevanceError
 from .models import SurvivalParamsER, SurvivalParamsSM
 
@@ -369,6 +369,8 @@ def run_diagnostics(
         All five constraints always appear, each with a status and
         cell-level detail. Inputs are never modified.
     """
+    if rho is not None:
+        check_rho(rho)
     transform = quantile_binner(data.x, bins) if data.n_covariates else None
     table = CellTable.from_dataset(
         data, use_x=data.n_covariates > 0, x_transform=transform

@@ -16,13 +16,18 @@ differing in the assumption that closes the system:
 - :func:`sace_no_interaction`: protected units may differ from always
   survivors by an additive shift that the treatment does not interact with.
 
-All three consume a :class:`CellTable`, which stores either exact population
-cell probabilities or sample frequencies.
+All three consume a :class:`CellTable` (exact population cell probabilities
+or sample frequencies) through one per-group driver: it takes each cell's
+always-survivor share, asks the route for the contrasts of the group, and
+averages them weighted by mass times share. A cell with a positive share that
+the route cannot score is dropped with a warning, and every
+:class:`IdentificationWarning` names the line that called the route.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import warnings as _warnings
 from dataclasses import dataclass
 
@@ -250,6 +255,15 @@ def _opt_float(v):
     return None if v is None else float(v)
 
 
+def _survival_probs(*probs):
+    """The survival probabilities as floats, each checked to lie in [0, 1]."""
+    probs = tuple(float(p) for p in probs)
+    for p in probs:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"survival probability {p} outside [0, 1]")
+    return probs
+
+
 def strata_probs_monotone(p_surv_treated, p_surv_control):
     """Stratum shares under deterministic monotonicity.
 
@@ -261,10 +275,7 @@ def strata_probs_monotone(p_surv_treated, p_surv_control):
     MonotonicityError
         If survival is higher under control than under treatment.
     """
-    p1, p0 = float(p_surv_treated), float(p_surv_control)
-    for p in (p1, p0):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"survival probability {p} outside [0, 1]")
+    p1, p0 = _survival_probs(p_surv_treated, p_surv_control)
     if p0 > p1:
         raise MonotonicityError(
             f"control survival {p0} exceeds treated survival {p1}"
@@ -290,10 +301,7 @@ def strata_probs_stochastic(p_surv_treated, p_surv_control, rho):
     ``(always, protected, harmed, never)``, which is an exact probability
     vector for every ``rho`` in [0, 1].
     """
-    p1, p0 = float(p_surv_treated), float(p_surv_control)
-    for p in (p1, p0):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"survival probability {p} outside [0, 1]")
+    p1, p0 = _survival_probs(p_surv_treated, p_surv_control)
     rho = check_rho(rho)
     if p0 <= 0.0:
         always = 0.0
@@ -375,15 +383,15 @@ def _cell_label(xkey, a=None):
     return "(" + ("; ".join(parts) if parts else "all") + ")"
 
 
-def _sample_mode(table):
-    return table.mode == "sample"
-
-
 def _warn(msg):
-    _warnings.warn(msg, IdentificationWarning, stacklevel=3)
+    """Warn at the first frame outside this module: the route's caller."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    _warnings.warn(msg, IdentificationWarning, stacklevel=level)
 
 
-def _solve_mixture_levels(entries, sample, weak_threshold, what, xkey):
+def _solve_mixture_levels(entries, sample, weak_threshold, where):
     """Common per-group solve: entries = list of (mean, mix_weight, count).
 
     Returns the first mixture component (the always-survivor mean), or None
@@ -392,10 +400,7 @@ def _solve_mixture_levels(entries, sample, weak_threshold, what, xkey):
     pure always-survivor sample and their weighted mean is the answer.
     """
     if len(entries) < 2:
-        _warn(
-            f"{what} at {_cell_label(xkey)}: fewer than two usable levels, "
-            "group dropped"
-        )
+        _warn(f"{where}: fewer than two usable levels, group dropped")
         return None
     ys = np.array([e[0] for e in entries])
     ws = np.array([e[1] for e in entries])
@@ -405,13 +410,13 @@ def _solve_mixture_levels(entries, sample, weak_threshold, what, xkey):
         if np.all(np.abs(ws - 1.0) < 1e-6):
             return float(np.average(ys, weights=cs))
         raise RelevanceError(
-            f"{what} at {_cell_label(xkey)}: mixing weights constant at "
-            f"{ws[0]:.6g}; components are not identified"
+            f"{where}: mixing weights constant at {ws[0]:.6g}; "
+            "components are not identified"
         )
     if sample and spread < weak_threshold:
         _warn(
-            f"{what} at {_cell_label(xkey)}: mixing-weight spread {spread:.3g} "
-            "is weak; the solve is noise-amplified"
+            f"{where}: mixing-weight spread {spread:.3g} is weak; "
+            "the solve is noise-amplified"
         )
     if len(entries) == 2:
         mu, _ = solve_two_point_mixture(ys[0], ys[1], ws[0], ws[1])
@@ -420,8 +425,69 @@ def _solve_mixture_levels(entries, sample, weak_threshold, what, xkey):
     return float(mu)
 
 
-def _annotate(exc, xkey, a):
-    raise type(exc)(f"cell {_cell_label(xkey, a)}: {exc}") from None
+def _arm_mixture(group, shares, arm, table, weak_threshold, xkey):
+    """Always-survivor mean of one arm's survivors in one covariate group.
+
+    Each level with survivors gives the entry (survivor mean, share /
+    survival, survivor count in sample mode or else the cell mass).
+    """
+    sample = table.mode == "sample"
+    tag = "treated" if arm == 1 else "control"
+    entries = []
+    for a, share in shares.items():
+        c = group[a]
+        mean, p = getattr(c, f"mean_{tag}"), getattr(c, f"p_surv_{tag}")
+        if mean is None or p <= 0.0:
+            continue
+        count = getattr(c, f"n_surv_{tag}") if sample else c.mass
+        if count <= 0:
+            count = c.mass
+        entries.append((mean, share / p, count))
+    where = f"{tag}-arm mixture at {_cell_label(xkey)}"
+    return _solve_mixture_levels(entries, sample, weak_threshold, where)
+
+
+def _sace_by_group(table, strata_probs, group_contrasts):
+    """The skeleton shared by the three routes.
+
+    Per covariate group, in ascending level order: the always-survivor share
+    of each cell is the first of ``strata_probs(p1, p0)``, then
+    ``group_contrasts(xkey, group, shares)`` returns ``{a: contrast}`` for the
+    cells the route can score. The effect averages the contrasts weighted by
+    mass times share; a cell with a positive share and no contrast is dropped
+    with a warning.
+    """
+    num = 0.0
+    den = 0.0
+    for xkey, group in table.x_groups().items():
+        shares = {}
+        for a, c in sorted(group.items()):
+            if c.p_surv_treated is None or c.p_surv_control is None:
+                _warn(
+                    f"cell {_cell_label(xkey, a)}: survival unobserved in an arm, "
+                    "cell dropped"
+                )
+                continue
+            try:
+                shares[a] = strata_probs(c.p_surv_treated, c.p_surv_control)[0]
+            except (MonotonicityError, ValueError) as exc:
+                raise type(exc)(f"cell {_cell_label(xkey, a)}: {exc}") from None
+        contrasts = group_contrasts(xkey, group, shares)
+        for a, share in shares.items():
+            if a not in contrasts:
+                if share > 0.0:
+                    _warn(
+                        f"cell {_cell_label(xkey, a)}: incomplete outcome data, "
+                        "cell dropped from the effect average"
+                    )
+                continue
+            num += group[a].mass * share * contrasts[a]
+            den += group[a].mass * share
+    if den <= 0.0:
+        raise EstimationError(
+            "no cell carries always-survivor mass with complete data"
+        )
+    return num / den
 
 
 def sace_monotone_exclusion(table, weak_threshold=WEAK_THRESHOLD):
@@ -447,60 +513,15 @@ def sace_monotone_exclusion(table, weak_threshold=WEAK_THRESHOLD):
         The effect, a weighted average of per-cell contrasts with
         always-survivor mass as weights.
     """
-    sample = _sample_mode(table)
-    num = 0.0
-    den = 0.0
-    used = 0
-    for xkey, group in table.x_groups().items():
-        shares = {}
-        for a, c in sorted(group.items()):
-            if c.p_surv_treated is None or c.p_surv_control is None:
-                _warn(
-                    f"cell {_cell_label(xkey, a)}: survival unobserved in an arm, "
-                    "cell dropped"
-                )
-                continue
-            try:
-                always, _, _ = strata_probs_monotone(
-                    c.p_surv_treated, c.p_surv_control
-                )
-            except (MonotonicityError, ValueError) as exc:
-                _annotate(exc, xkey, a)
-            shares[a] = always
+    def contrasts(xkey, group, shares):
+        mu = _arm_mixture(group, shares, 1, table, weak_threshold, xkey)
+        return {
+            a: mu - group[a].mean_control
+            for a in shares
+            if mu is not None and group[a].mean_control is not None
+        }
 
-        entries = []
-        for a, c in sorted(group.items()):
-            if a not in shares or c.mean_treated is None:
-                continue
-            if c.p_surv_treated <= 0.0:
-                continue
-            mix = shares[a] / c.p_surv_treated
-            count = c.n_surv_treated if sample else c.mass
-            if count <= 0:
-                count = c.mass
-            entries.append((c.mean_treated, mix, count))
-        mu_treated = _solve_mixture_levels(
-            entries, sample, weak_threshold, "treated-arm mixture", xkey
-        )
-
-        for a, c in sorted(group.items()):
-            if a not in shares:
-                continue
-            if mu_treated is None or c.mean_control is None:
-                if shares[a] > 0.0:
-                    _warn(
-                        f"cell {_cell_label(xkey, a)}: incomplete outcome data, "
-                        "cell dropped from the effect average"
-                    )
-                continue
-            num += c.mass * shares[a] * (mu_treated - c.mean_control)
-            den += c.mass * shares[a]
-            used += 1
-    if used == 0 or den <= 0.0:
-        raise EstimationError(
-            "no cell carries always-survivor mass with complete data"
-        )
-    return num / den
+    return _sace_by_group(table, strata_probs_monotone, contrasts)
 
 
 def sace_stochastic_monotone(table, rho, weak_threshold=WEAK_THRESHOLD):
@@ -515,66 +536,16 @@ def sace_stochastic_monotone(table, rho, weak_threshold=WEAK_THRESHOLD):
     Returns the effect as a float; see :func:`sace_monotone_exclusion` for
     the weighting and drop policy.
     """
-    sample = _sample_mode(table)
-    num = 0.0
-    den = 0.0
-    used = 0
-    for xkey, group in table.x_groups().items():
-        shares = {}
-        for a, c in sorted(group.items()):
-            if c.p_surv_treated is None or c.p_surv_control is None:
-                _warn(
-                    f"cell {_cell_label(xkey, a)}: survival unobserved in an arm, "
-                    "cell dropped"
-                )
-                continue
-            try:
-                always, _, _, _ = strata_probs_stochastic(
-                    c.p_surv_treated, c.p_surv_control, rho
-                )
-            except ValueError as exc:
-                _annotate(exc, xkey, a)
-            shares[a] = always
+    def contrasts(xkey, group, shares):
+        mu1 = _arm_mixture(group, shares, 1, table, weak_threshold, xkey)
+        mu0 = _arm_mixture(group, shares, 0, table, weak_threshold, xkey)
+        if mu1 is None or mu0 is None:
+            return {}
+        return dict.fromkeys(shares, mu1 - mu0)
 
-        mus = {}
-        for arm, mean_field, p_field, n_field in (
-            (1, "mean_treated", "p_surv_treated", "n_surv_treated"),
-            (0, "mean_control", "p_surv_control", "n_surv_control"),
-        ):
-            entries = []
-            for a, c in sorted(group.items()):
-                if a not in shares:
-                    continue
-                mean = getattr(c, mean_field)
-                p = getattr(c, p_field)
-                if mean is None or p is None or p <= 0.0:
-                    continue
-                mix = shares[a] / p
-                count = getattr(c, n_field) if sample else c.mass
-                if count <= 0:
-                    count = c.mass
-                entries.append((mean, mix, count))
-            mus[arm] = _solve_mixture_levels(
-                entries,
-                sample,
-                weak_threshold,
-                f"arm-{arm} mixture",
-                xkey,
-            )
-
-        if mus[1] is None or mus[0] is None:
-            continue
-        for a, c in sorted(group.items()):
-            if a not in shares:
-                continue
-            num += c.mass * shares[a] * (mus[1] - mus[0])
-            den += c.mass * shares[a]
-            used += 1
-    if used == 0 or den <= 0.0:
-        raise EstimationError(
-            "no cell carries always-survivor mass with complete data"
-        )
-    return num / den
+    return _sace_by_group(
+        table, lambda p1, p0: strata_probs_stochastic(p1, p0, rho), contrasts
+    )
 
 
 def sace_no_interaction(table, weak_threshold=WEAK_THRESHOLD):
@@ -588,83 +559,46 @@ def sace_no_interaction(table, weak_threshold=WEAK_THRESHOLD):
     two sufficiently separated levels in code order). The per-cell contrast
     is then constant across levels within a covariate group.
     """
-    sample = _sample_mode(table)
-    num = 0.0
-    den = 0.0
-    used = 0
-    for xkey, group in table.x_groups().items():
-        shares = {}
-        mixes = {}
-        for a, c in sorted(group.items()):
-            if c.p_surv_treated is None or c.p_surv_control is None:
-                _warn(
-                    f"cell {_cell_label(xkey, a)}: survival unobserved in an arm, "
-                    "cell dropped"
-                )
-                continue
-            try:
-                always, _, _ = strata_probs_monotone(
-                    c.p_surv_treated, c.p_surv_control
-                )
-            except (MonotonicityError, ValueError) as exc:
-                _annotate(exc, xkey, a)
-            shares[a] = always
-            if c.p_surv_treated > 0.0:
-                mixes[a] = always / c.p_surv_treated
+    sample = table.mode == "sample"
 
-        candidates = [
-            a
-            for a, c in sorted(group.items())
-            if a in mixes and c.mean_treated is not None and c.mean_control is not None
-        ]
-        contrast = None
-        if len(candidates) >= 2:
-            ref = candidates[0]
-            other = None
-            for a in candidates[1:]:
-                if abs(mixes[a] - mixes[ref]) >= SEPARATION_EPS:
-                    other = a
-                    break
-            if other is None:
-                raise RelevanceError(
-                    f"group {_cell_label(xkey)}: mixing weights constant across "
-                    "levels; components are not identified"
-                )
-            spread = abs(mixes[other] - mixes[ref])
-            if sample and spread < weak_threshold:
-                _warn(
-                    f"group {_cell_label(xkey)}: mixing-weight spread "
-                    f"{spread:.3g} is weak; the solve is noise-amplified"
-                )
-            shift = group[ref].mean_control - group[other].mean_control
-            mu_always_ref, _ = solve_two_point_mixture(
-                group[ref].mean_treated,
-                group[other].mean_treated + shift,
-                mixes[ref],
-                mixes[other],
-            )
-            contrast = mu_always_ref - group[ref].mean_control
-        else:
+    def contrasts(xkey, group, shares):
+        # the mixing weights of the levels with both survivor means
+        mixes = {
+            a: share / group[a].p_surv_treated
+            for a, share in shares.items()
+            if group[a].p_surv_treated > 0.0
+            and group[a].mean_treated is not None
+            and group[a].mean_control is not None
+        }
+        if len(mixes) < 2:
             _warn(
                 f"group {_cell_label(xkey)}: fewer than two usable levels, "
                 "group dropped"
             )
-
-        for a, c in sorted(group.items()):
-            if a not in shares:
-                continue
-            if contrast is None or c.mean_control is None:
-                if shares[a] > 0.0:
-                    _warn(
-                        f"cell {_cell_label(xkey, a)}: incomplete outcome data, "
-                        "cell dropped from the effect average"
-                    )
-                continue
-            num += c.mass * shares[a] * contrast
-            den += c.mass * shares[a]
-            used += 1
-    if used == 0 or den <= 0.0:
-        raise EstimationError(
-            "no cell carries always-survivor mass with complete data"
+            return {}
+        ref, *rest = mixes
+        other = next(
+            (a for a in rest if abs(mixes[a] - mixes[ref]) >= SEPARATION_EPS), None
         )
-    return num / den
+        if other is None:
+            raise RelevanceError(
+                f"group {_cell_label(xkey)}: mixing weights constant across "
+                "levels; components are not identified"
+            )
+        spread = abs(mixes[other] - mixes[ref])
+        if sample and spread < weak_threshold:
+            _warn(
+                f"group {_cell_label(xkey)}: mixing-weight spread "
+                f"{spread:.3g} is weak; the solve is noise-amplified"
+            )
+        shift = group[ref].mean_control - group[other].mean_control
+        mu_always_ref, _ = solve_two_point_mixture(
+            group[ref].mean_treated,
+            group[other].mean_treated + shift,
+            mixes[ref],
+            mixes[other],
+        )
+        contrast = mu_always_ref - group[ref].mean_control
+        return {a: contrast for a in shares if group[a].mean_control is not None}
+
+    return _sace_by_group(table, strata_probs_monotone, contrasts)

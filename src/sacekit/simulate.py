@@ -309,22 +309,20 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
     methods = tuple(methods)
     rhos = method_rhos(methods, rho)
 
+    # every setting is checked before the first dataset is drawn
     norm_settings = []
     for s in settings:
-        if isinstance(s, SimulationSetting):
-            norm_settings.append((s.delta1, s.delta2, s.er_violation))
-        else:
+        if not isinstance(s, SimulationSetting):
             d1, d2, er = s
-            norm_settings.append((int(d1), int(d2), bool(er)))
+            s = SimulationSetting(0, int(d1), int(d2), bool(er))
+        norm_settings.append(s)
 
     started = time.monotonic()
     cells = []
     cell_index = 0
-    for d1, d2, er in norm_settings:
+    for base in norm_settings:
         for n in sizes:
-            setting = SimulationSetting(
-                n=n, delta1=d1, delta2=d2, er_violation=er, seed=0
-            )
+            setting = dataclasses.replace(base, n=n)
             estimates = {m: [] for m in methods}
             failures = {m: 0 for m in methods}
             for r in range(reps):
@@ -355,9 +353,9 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
                 cells.append(
                     BenchCell(
                         n=n,
-                        delta1=d1,
-                        delta2=d2,
-                        er_violation=er,
+                        delta1=setting.delta1,
+                        delta2=setting.delta2,
+                        er_violation=setting.er_violation,
                         method=m,
                         n_ok=n_ok,
                         n_failed=failures[m],

@@ -152,10 +152,9 @@ def test_library_input_errors_are_usage_errors(tmp_path, capsys):
     assert code == 2 and "at least 2" in err
     code, _, err = run_cli(capsys, "bench", "--settings", "2,0", "--reps", "1")
     assert code == 2 and "delta1 and delta2 must be 0 or 1" in err
-    code, _, err = run_cli(
-        capsys, "diagnose", "--data", str(data), "--rho", "nan"
-    )
-    assert code == 2 and "rho must lie in [0, 1]" in err
+    for rho in ("nan", "1.5"):
+        code, _, err = run_cli(capsys, "diagnose", "--data", str(data), "--rho", rho)
+        assert code == 2 and "rho must lie in [0, 1]" in err
 
 
 def test_unexpected_value_error_is_not_an_exit_code(tmp_path, capsys, monkeypatch):

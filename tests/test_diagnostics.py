@@ -234,6 +234,12 @@ def test_run_diagnostics_with_fitted_survival_models():
         run_diagnostics(data, survival="nope")
 
 
+def test_run_diagnostics_checks_rho():
+    data, _ = gen_dataset(SimulationSetting(n=500, seed=1))
+    with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+        run_diagnostics(data, rho=1.5)
+
+
 def test_run_diagnostics_single_level_note():
     rng = rng_stream(87)
     n = 200

@@ -407,3 +407,89 @@ def test_weak_separation_warns_in_sample_mode():
     table = CellTable(cells, mode="sample")
     with pytest.warns(IdentificationWarning, match="weak"):
         sace_monotone_exclusion(table)
+
+
+def sample_cell(p1, p0, m1, m0, per_arm=50):
+    """A sample-mode cell with ``per_arm`` units in each arm."""
+    return CellStats(
+        mass=2.0 * per_arm,
+        p_surv_treated=p1,
+        p_surv_control=p0,
+        mean_treated=m1,
+        mean_control=m0,
+        n_treated=per_arm,
+        n_control=per_arm,
+        n_surv_treated=round(p1 * per_arm),
+        n_surv_control=round(p0 * per_arm),
+    )
+
+
+ROUTES = {
+    "exclusion": sace_monotone_exclusion,
+    "stochastic": lambda table: sace_stochastic_monotone(table, 1.0),
+    "no-interaction": sace_no_interaction,
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_route_warnings_point_at_the_calling_line(route):
+    # group 0 is weakly separated; group 1 has one level without control
+    # units, which leaves a single usable level
+    table = CellTable(
+        {
+            ((0.0,), 0): sample_cell(0.80, 0.6, 1.5, 1.0),
+            ((0.0,), 1): sample_cell(0.801, 0.6, 1.5, 1.0),
+            ((1.0,), 0): sample_cell(0.8, 0.6, 1.5, 1.0),
+            ((1.0,), 1): CellStats(
+                mass=50.0,
+                p_surv_treated=0.8,
+                mean_treated=1.5,
+                n_treated=50,
+                n_surv_treated=40,
+            ),
+        },
+        mode="sample",
+        covariate_names=("g",),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ROUTES[route](table)
+    messages = [str(w.message) for w in caught]
+    for kind in (
+        "is weak",
+        "fewer than two usable levels",
+        "incomplete outcome data",
+        "survival unobserved",
+    ):
+        assert any(kind in m for m in messages), kind
+    assert all(w.category is IdentificationWarning for w in caught)
+    assert [w.filename for w in caught] == [__file__] * len(caught)
+
+
+def test_every_route_drops_an_unsolvable_groups_cells_once():
+    # group 1: nobody survives at level 1 (share 0), so level 0 alone
+    # cannot be solved and is the one cell dropped
+    table = CellTable(
+        {
+            ((0.0,), 1): sample_cell(0.8, 0.6, 1.5, 1.0),
+            ((0.0,), 0): sample_cell(0.7, 0.3, 6.0 / 7.0, 1.0),
+            ((1.0,), 0): sample_cell(0.8, 0.6, 1.5, 1.0),
+            ((1.0,), 1): sample_cell(0.0, 0.0, None, None),
+        },
+        mode="sample",
+        covariate_names=("g",),
+    )
+    for name, route in ROUTES.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = route(table)
+        dropped = [
+            str(w.message)
+            for w in caught
+            if "dropped from the effect average" in str(w.message)
+        ]
+        assert dropped == [
+            "cell (x=1; a=0): incomplete outcome data, "
+            "cell dropped from the effect average"
+        ], name
+        assert_allclose(got, 1.0, atol=1e-12)

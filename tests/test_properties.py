@@ -5,8 +5,12 @@ Every method runs through ``estimate_sace``: ``bootstrap`` and
 invariance tolerances were measured on seeded n=2000 data over 40 random
 draws of seed, scale and shift: permuting rows moved no estimate by more
 than 4e-15 relative, and an affine rescaling of the covariates moved
-prop-er, prop-ni and naive by at most 8e-11.
+prop-er, prop-ni and naive by at most 8e-11. The cell routes see the
+substitution levels only through their order, so an order-preserving
+relabeling of the levels must leave them bit-identical.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +19,13 @@ from hypothesis import strategies as st
 
 from sacekit.data import Dataset
 from sacekit.errors import EstimationError
+from sacekit.identify import (
+    CellTable,
+    IdentificationWarning,
+    sace_monotone_exclusion,
+    sace_no_interaction,
+    sace_stochastic_monotone,
+)
 from sacekit.models import (
     ALL_METHODS,
     METHODS,
@@ -133,3 +144,73 @@ def test_affine_covariates_change_no_estimate(seed, scale, shift):
 
 def test_identity_subset_is_the_dataset(data):
     assert data.subset(np.arange(len(data))) == data
+
+
+def relabel_levels(table):
+    """The table with every substitution level ``a`` recoded as ``5a + 3``."""
+    return CellTable(
+        {(xkey, 5 * a + 3): c for (xkey, a), c in table.cells.items()},
+        mode=table.mode,
+        covariate_names=table.covariate_names,
+    )
+
+
+def route_values(table, rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentificationWarning)
+        return (
+            sace_monotone_exclusion(table),
+            sace_stochastic_monotone(table, rho),
+            sace_no_interaction(table),
+        )
+
+
+@pytest.mark.parametrize("n_levels", [2, 3, 4])
+def test_level_relabeling_changes_no_population_route(
+    random_monotone_table, random_stochastic_table, n_levels
+):
+    for rep in range(6):
+        rho = (0.0, 0.3, 1.0)[rep % 3]
+        rng = rng_stream(120, n_levels, rep)
+        for table, _ in (
+            random_monotone_table(rng, n_levels=n_levels),
+            random_stochastic_table(rng, rho, n_levels=n_levels),
+        ):
+            assert route_values(relabel_levels(table), rho) == route_values(table, rho)
+
+
+def stratified_sample(seed, n_levels=4, n_groups=2, per_arm=80):
+    """Exact stratum counts per (group, level, arm), noisy survivor outcomes.
+
+    Treated survivors are always survivors (mean 2) and protected units
+    (mean -1); control survivors are always survivors (mean 1). The counts
+    keep every cell monotone and the levels' mixing weights apart.
+    """
+    rng = rng_stream(seed)
+    z, x, a, s, y = [], [], [], [], []
+    for g in range(n_groups):
+        for lev in range(n_levels):
+            n_always = int(per_arm * (0.2 + 0.15 * lev + 0.05 * g))
+            n_alive = {0: n_always, 1: n_always + int(per_arm * 0.3)}
+            for arm in (0, 1):
+                unit = np.arange(per_arm)
+                alive = unit < n_alive[arm]
+                mean = np.where(unit < n_always, 1.0 + arm, -1.0)
+                noise = rng.normal(scale=0.5, size=per_arm)
+                z.append(np.full(per_arm, arm))
+                x.append(np.full(per_arm, float(g)))
+                a.append(np.full(per_arm, lev))
+                s.append(alive.astype(int))
+                y.append(np.where(alive, mean + noise, np.nan))
+    return [np.concatenate(v) for v in (z, x, a, s, y)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_level_relabeling_changes_no_sample_route(seed):
+    z, x, a, s, y = stratified_sample(seed)
+    table = CellTable.from_dataset(Dataset.from_arrays(z, x, a, s, y))
+    moved = CellTable.from_dataset(Dataset.from_arrays(z, x, 5 * a + 3, s, y))
+    assert len(table.a_levels) == 4
+    assert list(moved.cells) == list(relabel_levels(table).cells)
+    for rho in (0.0, 0.3, 1.0):
+        assert route_values(moved, rho) == route_values(table, rho)

@@ -189,6 +189,19 @@ def test_run_benchmark_validation():
         run_benchmark([(0, 0, False)], [100], ("prop-sm",), reps=1)
 
 
+def test_run_benchmark_checks_every_setting_before_drawing(monkeypatch):
+    import sacekit.simulate as simulate
+
+    draws = []
+    real = simulate.gen_dataset
+    monkeypatch.setattr(
+        simulate, "gen_dataset", lambda *a, **k: draws.append(1) or real(*a, **k)
+    )
+    with pytest.raises(ValueError, match="delta1 and delta2 must be 0 or 1"):
+        run_benchmark([(0, 0, False), (2, 0, False)], [300], ("prop-er",), reps=5)
+    assert draws == []
+
+
 def test_format_table_uses_times_hundred_convention():
     rep = run_benchmark([(0, 0, False)], [300], ("naive",), reps=3, seed=6)
     text = rep.format_table()
