@@ -27,7 +27,6 @@ from .diagnostics import (
 )
 from .errors import (
     CollinearityError,
-    ConvergenceError,
     DataError,
     EstimationError,
     MonotonicityError,
@@ -90,7 +89,6 @@ __all__ = [
     "CellStats",
     "CellTable",
     "CollinearityError",
-    "ConvergenceError",
     "DataError",
     "Dataset",
     "DiagnosticsReport",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -534,9 +533,6 @@ class ValidationReport:
             "flags": list(self.flags),
             "ok": self.ok,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def validate(data):

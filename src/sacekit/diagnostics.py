@@ -17,7 +17,6 @@ included in the report so users can apply their own corrections.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,9 +57,6 @@ class DiagnosticsReport:
             "constraints": self.constraints,
             "notes": list(self.notes),
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
     def format_text(self):
         lines = [f"diagnostics on n={self.n} units ({self.bins} quantile bins)"]

@@ -46,7 +46,3 @@ class MonotonicityError(EstimationError):
     pr(survive | treated) within every covariate cell; a cell violating
     this makes the always-survivor share negative.
     """
-
-
-class ConvergenceError(EstimationError):
-    """An iterative fit failed to reach its tolerance."""

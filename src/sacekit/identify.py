@@ -534,8 +534,11 @@ def sace_stochastic_monotone(table, rho, weak_threshold=WEAK_THRESHOLD):
     components are solved per covariate group across substitution levels.
 
     Returns the effect as a float; see :func:`sace_monotone_exclusion` for
-    the weighting and drop policy.
+    the weighting and drop policy. An out-of-range ``rho`` raises
+    ValueError before any cell is visited.
     """
+    rho = check_rho(rho)
+
     def contrasts(xkey, group, shares):
         mu1 = _arm_mixture(group, shares, 1, table, weak_threshold, xkey)
         mu0 = _arm_mixture(group, shares, 0, table, weak_threshold, xkey)

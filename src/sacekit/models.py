@@ -29,7 +29,6 @@ of them.
 
 from __future__ import annotations
 
-import json
 import warnings as _warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -46,7 +45,6 @@ from .identify import (
 )
 from .numerics import (
     OptimizerResult,
-    bernoulli_objective,
     expit,
     fit_logistic,
     fit_ols,
@@ -110,6 +108,10 @@ class SurvivalParamsER:
         return self.theta_control(x, a)
 
     @property
+    def params(self):
+        return self.optimizer.params
+
+    @property
     def converged(self):
         return self.optimizer.converged
 
@@ -133,6 +135,10 @@ class SurvivalParamsSM:
 
     def theta_control(self, x, a):
         return expit(survival_design(x, a) @ self.beta_control)
+
+    @property
+    def params(self):
+        return np.concatenate([self.beta_treated, self.beta_control])
 
     @property
     def converged(self):
@@ -222,9 +228,9 @@ def fit_survival_er(data, init=None, tol=1e-8, max_iter=100):
     """Fit the joint survival model by maximum likelihood.
 
     ``init`` is the starting point: the treated-survival coefficients
-    stacked on the ratio coefficients, as in ``optimizer.params`` of an
-    earlier fit. :func:`bootstrap` passes the full-data fit there, so each
-    replicate starts near its optimum. Without it the fit starts from an
+    stacked on the ratio coefficients, as in ``params`` of an earlier fit.
+    :func:`bootstrap` passes the full-data fit there, so each replicate
+    starts near its optimum. Without it the fit starts from an
     arm-wise logistic fit for the treated coefficients and zeros for the
     ratio coefficients. The returned optimizer result carries convergence
     and boundary flags; a boundary-saturated ratio surface is the
@@ -257,19 +263,20 @@ def fit_survival_er(data, init=None, tol=1e-8, max_iter=100):
     )
 
 
-def fit_survival_sm(data, tol=1e-8, max_iter=100, *, _init=(None, None)):
+def fit_survival_sm(data, init=None, tol=1e-8, max_iter=100):
     """Fit treated and control survival by independent logistic regressions.
 
-    ``_init`` is a private (treated, control) pair of starting coefficient
-    vectors, one per logistic fit; :func:`bootstrap` passes the full-data
-    fit there so each replicate starts near its optimum. ``None`` starts a
-    fit from zeros.
+    ``init`` is the starting point: the treated coefficients stacked on the
+    control coefficients, as in ``params`` of an earlier fit.
+    :func:`bootstrap` passes the full-data fit there, so each replicate
+    starts near its optimum. Without it both fits start from zeros.
     """
     z, s = data.z, data.s
     if not np.any(z == 1) or not np.any(z == 0):
         raise EstimationError("both treatment arms are required to fit survival")
     v = survival_design(data.x, data.a)
-    init1, init0 = _init
+    p = v.shape[1]
+    init1, init0 = (None, None) if init is None else (init[:p], init[p:])
     opt1 = fit_logistic(v[z == 1], s[z == 1], init=init1, tol=tol, max_iter=max_iter)
     opt0 = fit_logistic(v[z == 0], s[z == 0], init=init0, tol=tol, max_iter=max_iter)
     return SurvivalParamsSM(
@@ -682,9 +689,6 @@ class SaceEstimate:
         # the field order is the order of the JSON report
         return asdict(self)
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def naive_estimator(data):
     """Survivor-only regression that ignores the truncation problem.
@@ -831,29 +835,13 @@ def method_rhos(methods, rho):
 def _fit_stage_one(data, kind, start=None, tol=1e-8):
     """Stage-one survival fit of the given kind; None when ``kind`` is None.
 
-    ``start`` is an earlier, converged stage-one fit of the same kind, used
-    as the starting point. The joint likelihood is not concave everywhere:
-    where the ratio coefficients are weakly identified, the Hessian of a
-    resample can be indefinite at the full-data optimum, and Newton's
-    gradient fallback then crawls for all ``max_iter`` steps. A started fit
-    that does not converge is therefore redone from the cold start, so a
-    start drops no replicate that the cold start keeps.
+    ``start`` is an earlier stage-one fit of the same kind whose parameters
+    are the starting point; without it the fit starts cold.
     """
-    if kind == "er":
-        if start is not None:
-            fit = fit_survival_er(data, init=start.optimizer.params, tol=tol)
-            if fit.converged:
-                return fit
-        return fit_survival_er(data, tol=tol)
-    if kind == "sm":
-        if start is not None:
-            fit = fit_survival_sm(
-                data, tol=tol, _init=(start.beta_treated, start.beta_control)
-            )
-            if fit.converged:
-                return fit
-        return fit_survival_sm(data, tol=tol)
-    return None
+    if kind is None:
+        return None
+    fit = fit_survival_er if kind == "er" else fit_survival_sm
+    return fit(data, init=None if start is None else start.params, tol=tol)
 
 
 def estimate_sace(
@@ -918,6 +906,36 @@ def estimate_sace(
     )
 
 
+def _replicate(data, methods, rhos, starts=None, weak_threshold=WEAK_THRESHOLD):
+    """{method: its point, or the :data:`FAILURE_REASONS` entry that drops it}.
+
+    The replicate step of :func:`bootstrap` and ``run_benchmark``. Each
+    stage-one kind is fitted once, from ``starts[kind]`` if given, and
+    shared among the methods; ``rhos`` maps each method to its ``rho``.
+    """
+    starts = starts or {}
+    fits = {}  # kind -> this replicate's stage-one fit
+    outcomes = {}
+    for m in methods:
+        kind = METHODS[m].stage_one
+        try:
+            if kind not in fits:
+                fits[kind] = _fit_stage_one(data, kind, starts.get(kind))
+            est = estimate_sace(
+                data, m, rho=rhos[m], survival=fits[kind], weak_threshold=weak_threshold
+            )
+        except EstimationError:
+            outcomes[m] = "estimation_error"
+            continue
+        if not np.isfinite(est.point):
+            outcomes[m] = "non_finite"
+        elif not est.converged:
+            outcomes[m] = "not_converged"
+        else:
+            outcomes[m] = est.point
+    return outcomes
+
+
 def bootstrap(
     data,
     method,
@@ -934,11 +952,10 @@ def bootstrap(
     once on the full data, from the usual cold start, and gives the point
     estimate; when it converged, every replicate's stage-one fit starts
     from it, which reaches the replicate's own optimum in about half the
-    Newton iterations. A replicate fit that does not converge from there
-    is redone from the cold start. Replicates that raise an estimation
-    error, return a non-finite value, or fail stage-one convergence are
-    dropped and counted by reason (``failed_by_reason``, the first reason
-    that applies); more than 10% dropped flags the result as unreliable.
+    Newton iterations. Replicates that raise an estimation error, return a
+    non-finite value, or fail stage-one convergence are dropped and counted
+    by reason (``failed_by_reason``, the first reason that applies); more
+    than 10% dropped flags the result as unreliable.
     The standard error is the ddof-1 standard deviation and the quantiles
     are linearly interpolated.
     """
@@ -950,29 +967,17 @@ def bootstrap(
     first = estimate_sace(
         data, method, rho=rho, survival=full, weak_threshold=weak_threshold
     )
-    start = full if first.converged else None
+    starts = {spec.stage_one: full} if first.converged else None
     n = len(data)
     estimates = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", IdentificationWarning)
-        for b in range(n_boot):
-            rng = rng_stream(seed, b)
-            sample = data.subset(rng.integers(0, n, size=n))
-            try:
-                survival = _fit_stage_one(sample, spec.stage_one, start)
-                est = estimate_sace(
-                    sample, method, rho=rho, survival=survival, weak_threshold=weak_threshold
-                )
-            except EstimationError:
-                failed["estimation_error"] += 1
-                continue
-            if not np.isfinite(est.point):
-                failed["non_finite"] += 1
-            elif not est.converged:
-                failed["not_converged"] += 1
-            else:
-                estimates.append(est.point)
+    for b in range(n_boot):
+        sample = data.subset(rng_stream(seed, b).integers(0, n, size=n))
+        outcome = _replicate(sample, (method,), {method: rho}, starts, weak_threshold)[method]
+        if isinstance(outcome, str):
+            failed[outcome] += 1
+        else:
+            estimates.append(outcome)
     n_failed = sum(failed.values())
 
     if not estimates:

@@ -140,6 +140,26 @@ class OptimizerResult:
     boundary_flag: bool
 
 
+def _ascent_direction(g, h):
+    """Solve (-h + lam I) d = g for the first lam of 0, c, 10c, 100c, ... that factors.
+
+    ``c`` is 1e-8 times the largest absolute diagonal entry of -h, at least
+    1e-8; ``lam = 0`` gives the Newton step. None if ``h`` is not finite or
+    no tried ``lam`` factors.
+    """
+    neg = np.negative(h)
+    if np.all(np.isfinite(neg)):
+        lam = 0.0
+        for _ in range(40):
+            damped = neg + lam * np.eye(g.size) if lam else neg
+            try:
+                return scipy.linalg.cho_solve(scipy.linalg.cho_factor(damped), g)
+            except scipy.linalg.LinAlgError:
+                c = 1e-8 * max(1.0, float(np.max(np.abs(np.diagonal(neg)))))
+                lam = 10.0 * lam if lam else c
+    return None
+
+
 def maximize_loglik(objective, init, tol=1e-8, max_iter=100, probabilities=None):
     """Maximize a twice-differentiable log-likelihood by damped Newton ascent.
 
@@ -159,14 +179,14 @@ def maximize_loglik(objective, init, tol=1e-8, max_iter=100, probabilities=None)
 
     Notes
     -----
-    Each iteration solves the Newton system when the Hessian is negative
-    definite (checked by a Cholesky factorization of its negation) and
-    falls back to a gradient-ascent direction otherwise. Step halving
-    enforces a non-decreasing objective across accepted steps, up to a
-    slack of a few units in the last place of the objective, so that full
-    Newton steps are still taken once improvements fall below
-    floating-point resolution. The routine is deterministic: equal inputs
-    give bit-identical results.
+    Each iteration solves the Newton system where the Hessian is negative
+    definite and a Levenberg-Marquardt damped one, ``(-H + lam I) d = g``,
+    where it is not (see :func:`_ascent_direction`); a non-finite Hessian
+    ends the iterations. Step halving enforces a non-decreasing objective
+    across accepted steps, up to a slack of a few units in the last place
+    of the objective, so that full Newton steps are still taken once
+    improvements fall below floating-point resolution. The routine is
+    deterministic: equal inputs give bit-identical results.
     """
     x = np.asarray(init, dtype=float).copy()
     f, g, h = objective(x)
@@ -178,11 +198,9 @@ def maximize_loglik(objective, init, tol=1e-8, max_iter=100, probabilities=None)
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm <= tol:
             break
-        try:
-            factor = scipy.linalg.cho_factor(-h)
-            direction = scipy.linalg.cho_solve(factor, g)
-        except scipy.linalg.LinAlgError:
-            direction = g / max(1.0, float(np.max(np.abs(g))))
+        direction = _ascent_direction(g, h)
+        if direction is None:
+            break
 
         slack = 64.0 * np.finfo(float).eps * (1.0 + abs(f))
         step = 1.0

@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, StratumLabel
-from .errors import DataError, EstimationError
-from .models import METHODS, _fit_stage_one, estimate_sace, method_rhos
+from .errors import DataError
+from .models import FAILURE_REASONS, _replicate, method_rhos
 # fit_ols is no longer called here, but the binding stays: the tracing test
 # in perfbench/test_tracing.py patches and checks sacekit.simulate.fit_ols.
 from .numerics import expit, fit_ols, rng_stream  # noqa: F401
@@ -191,7 +190,7 @@ def true_sace(setting):
 
 @dataclass
 class BenchCell:
-    """Benchmark summary for one (setting, size, method) cell."""
+    """Benchmark summary for one (setting, size, method) cell; dropped replicates by reason."""
 
     n: int
     delta1: int
@@ -202,6 +201,7 @@ class BenchCell:
     n_failed: int
     mean_bias: float
     mc_se: float
+    failed_by_reason: dict
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -229,9 +229,6 @@ class BenchReport:
             "warnings": list(self.warnings),
             "cells": [c.to_dict() for c in self.cells],
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
 
     def cell(self, n, delta1, delta2, er_violation, method):
         for c in self.cells:
@@ -302,7 +299,7 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
     Each replicate fits every stage-one kind its methods use once and
     shares it among them. Failed replicates (estimation errors, non-finite
     estimates, stage-one non-convergence) are excluded from a cell's
-    average and counted.
+    average and counted by reason.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -324,25 +321,14 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
         for n in sizes:
             setting = dataclasses.replace(base, n=n)
             estimates = {m: [] for m in methods}
-            failures = {m: 0 for m in methods}
+            failures = {m: dict.fromkeys(FAILURE_REASONS, 0) for m in methods}
             for r in range(reps):
                 data, _ = gen_dataset(setting, rng=rng_stream(seed, cell_index, r))
-                stage_one = {}  # kind -> this replicate's stage-one fit
-                for m in methods:
-                    kind = METHODS[m].stage_one
-                    try:
-                        if kind not in stage_one:
-                            stage_one[kind] = _fit_stage_one(data, kind)
-                        est = estimate_sace(
-                            data, m, rho=rhos[m], survival=stage_one[kind]
-                        )
-                    except EstimationError:
-                        failures[m] += 1
-                        continue
-                    if not np.isfinite(est.point) or not est.converged:
-                        failures[m] += 1
-                        continue
-                    estimates[m].append(est.point)
+                for m, outcome in _replicate(data, methods, rhos).items():
+                    if isinstance(outcome, str):
+                        failures[m][outcome] += 1
+                    else:
+                        estimates[m].append(outcome)
             for m in methods:
                 est = np.array(estimates[m])
                 n_ok = est.size
@@ -358,9 +344,10 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
                         er_violation=setting.er_violation,
                         method=m,
                         n_ok=n_ok,
-                        n_failed=failures[m],
+                        n_failed=sum(failures[m].values()),
                         mean_bias=mean_bias,
                         mc_se=mc_se,
+                        failed_by_reason=failures[m],
                     )
                 )
             cell_index += 1

@@ -493,3 +493,17 @@ def test_every_route_drops_an_unsolvable_groups_cells_once():
             "cell dropped from the effect average"
         ], name
         assert_allclose(got, 1.0, atol=1e-12)
+
+
+def test_stochastic_route_checks_rho_before_any_cell(hand_table):
+    with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\], got 1.5$"):
+        sace_stochastic_monotone(hand_table, 1.5)
+    # no cell has survivors, so no cell would ever reach the share step
+    dead = CellTable(
+        {((), a): sample_cell(0.0, 0.0, None, None) for a in (0, 1)}, mode="sample"
+    )
+    with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\], got nan$"):
+        sace_stochastic_monotone(dead, float("nan"))
+    with pytest.warns(IdentificationWarning, match="group dropped"):
+        with pytest.raises(EstimationError, match="no cell carries"):
+            sace_stochastic_monotone(dead, 0.5)

@@ -308,6 +308,21 @@ def test_bootstrap_validation():
         bootstrap(data, "prop-sm", n_boot=10)
 
 
+@pytest.mark.parametrize("method, rho", [("prop-er", None), ("prop-sm-ni", 0.5)])
+def test_bootstrap_lets_no_identification_warning_escape(method, rho):
+    import warnings
+
+    data, _ = gen_dataset(SimulationSetting(n=800, delta1=0, delta2=0, seed=53))
+    # an absurdly high threshold makes every replicate's share regressor weak;
+    # estimate_sace records those warnings instead of letting them escape
+    point = estimate_sace(data, method, rho=rho, weak_threshold=0.999)
+    assert any("weak" in w for w in point.warnings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = bootstrap(data, method, n_boot=5, seed=2, rho=rho, weak_threshold=0.999)
+    assert est.n_failed == 0
+
+
 def test_bootstrap_counts_dropped_replicates():
     # a lone control-arm survivor vanishes from ~37% of resamples, which
     # makes the naive fit impossible in those replicates
@@ -352,15 +367,23 @@ def _replicate_outcome(sample, method, rho, survival=None):
     return est.point, None
 
 
+def _indefinite_at(sample, theta):
+    """Whether the joint survival Hessian of ``sample`` is indefinite at ``theta``."""
+    v = survival_design(sample.x, sample.a)
+    z, s = sample.z, sample.s
+    hess = joint_survival_objective(v[z == 1], s[z == 1], v[z == 0], s[z == 0])(theta)[2]
+    return bool(np.any(np.linalg.eigvalsh(hess) >= 0.0))
+
+
 # the last case is a criterion-7 dataset whose ratio coefficients are weakly
-# identified: from the full-data optimum, replicate 5's Newton fit crawls
-# through an indefinite region and is redone from the cold start
+# identified: at the full-data optimum the Hessian of replicates 1, 3 and 5
+# is indefinite, so their warm-started fits begin with damped Newton steps
 SEEDED_2000 = (SimulationSetting(n=2000, delta1=1, delta2=1, seed=0), (63,))
 WEAK_RATIO = (SimulationSetting(n=1000, delta1=0, delta2=1, seed=0), (808, 11))
 
 
 @pytest.mark.parametrize(
-    "method, rho, source, seed, n_boot, warm_fails",
+    "method, rho, source, seed, n_boot, indefinite",
     [
         ("prop-er", None, SEEDED_2000, 4, 12, False),
         ("prop-ni", None, SEEDED_2000, 4, 12, False),
@@ -369,7 +392,7 @@ WEAK_RATIO = (SimulationSetting(n=1000, delta1=0, delta2=1, seed=0), (808, 11))
     ],
 )
 def test_bootstrap_warm_start_matches_cold_refits(
-    method, rho, source, seed, n_boot, warm_fails
+    method, rho, source, seed, n_boot, indefinite
 ):
     setting, key = source
     data, _ = gen_dataset(setting, rng=rng_stream(*key))
@@ -377,37 +400,46 @@ def test_bootstrap_warm_start_matches_cold_refits(
     est = bootstrap(data, method, n_boot=n_boot, seed=seed, rho=rho)
     assert est.point == estimate_sace(data, method, rho=rho).point
 
-    full = fit_survival_sm(data) if method == "prop-sm" else fit_survival_er(data)
+    fit = fit_survival_sm if method == "prop-sm" else fit_survival_er
+    full = fit(data)
     kept = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
-    crawled = 0
+    damped = 0
     for b in range(n_boot):
         sample = data.subset(rng_stream(seed, b).integers(0, n, size=n))
-        if method == "prop-sm":
-            warm = fit_survival_sm(sample, _init=(full.beta_treated, full.beta_control))
-            warm_converged = warm.converged
-        else:
-            warm = fit_survival_er(sample, init=full.optimizer.params)
-            warm_converged = warm.optimizer.converged
+        warm = fit(sample, init=full.params)
+        if method != "prop-sm":
+            damped += _indefinite_at(sample, full.params)
         cold_point, cold_reason = _replicate_outcome(sample, method, rho)
-        if warm_converged:
-            warm_point, warm_reason = _replicate_outcome(sample, method, rho, warm)
-            assert warm_reason == cold_reason
-            if cold_reason is None:
-                assert_allclose(warm_point, cold_point, rtol=1e-9, atol=0)
-        else:
-            crawled += 1
+        warm_point, warm_reason = _replicate_outcome(sample, method, rho, warm)
+        assert warm.converged == fit(sample).converged
+        assert warm_reason == cold_reason
         if cold_reason is None:
+            assert_allclose(warm_point, cold_point, rtol=1e-9, atol=0)
             kept.append(cold_point)
         else:
             failed[cold_reason] += 1
-    assert (crawled > 0) == warm_fails
-    # warm starts, with the cold refit behind them, drop exactly what cold starts drop
+    assert (damped > 0) == indefinite
+    # warm starts drop exactly what cold starts drop
     assert est.failed_by_reason == failed
     assert_allclose(est.se, np.std(kept, ddof=1), rtol=1e-9)
     assert_allclose(
         [est.q025, est.q50, est.q975], np.quantile(kept, [0.025, 0.5, 0.975]), rtol=1e-9
     )
+
+
+def test_warm_start_through_an_indefinite_hessian_converges():
+    # replicate 5 of the weak-ratio case: the Hessian at the full-data
+    # optimum is indefinite, so the undamped Newton direction there need
+    # not be an ascent direction
+    setting, key = WEAK_RATIO
+    data, _ = gen_dataset(setting, rng=rng_stream(*key))
+    full = fit_survival_er(data)
+    sample = data.subset(rng_stream(11, 5).integers(0, len(data), size=len(data)))
+    assert _indefinite_at(sample, full.params)
+    warm = fit_survival_er(sample, init=full.params)
+    assert warm.converged
+    assert warm.optimizer.iterations < 10
 
 
 def test_bootstrap_replicates_start_from_a_converged_full_fit(monkeypatch):

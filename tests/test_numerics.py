@@ -6,6 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from sacekit.errors import CollinearityError
+from sacekit.models import joint_survival_objective, survival_design
 from sacekit.numerics import (
     bernoulli_objective,
     check_gradient,
@@ -16,6 +17,7 @@ from sacekit.numerics import (
     maximize_loglik,
     rng_stream,
 )
+from sacekit.simulate import SimulationSetting, gen_dataset
 
 
 def test_expit_known_values():
@@ -216,6 +218,91 @@ def test_maximize_loglik_respects_max_iter():
     res = maximize_loglik(slow, np.array([5.0]), max_iter=3)
     assert res.iterations <= 3
     assert not res.converged
+
+
+def _undamped_newton(objective, init, tol=1e-8, max_iter=100):
+    """Plain Newton ascent with step halving: ``maximize_loglik`` without damping.
+
+    Returns ``(params, loglik, iterations)``; raises LinAlgError at the
+    first Hessian that is not negative definite.
+    """
+    x = np.asarray(init, dtype=float).copy()
+    f, g, h = objective(x)
+    iterations = 0
+    for _ in range(max_iter):
+        if np.max(np.abs(g)) <= tol:
+            break
+        direction = scipy.linalg.cho_solve(scipy.linalg.cho_factor(-h), g)
+        slack = 64.0 * np.finfo(float).eps * (1.0 + abs(f))
+        step = 1.0
+        for _ in range(60):
+            x_new = x + step * direction
+            f_new, g_new, h_new = objective(x_new)
+            if np.isfinite(f_new) and f_new >= f - slack:
+                break
+            step *= 0.5
+        else:
+            break
+        x, f, g, h = x_new, f_new, g_new, h_new
+        iterations += 1
+    return x, f, iterations
+
+
+def _joint_case():
+    data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=1, seed=15))
+    v = survival_design(data.x, data.a)
+    z, s = data.z, data.s
+    objective = joint_survival_objective(v[z == 1], s[z == 1], v[z == 0], s[z == 0])
+    return objective, np.zeros(2 * v.shape[1])
+
+
+def _logistic_case():
+    rng = rng_stream(15)
+    design = np.column_stack([np.ones(500), rng.normal(size=(500, 2))])
+    y = rng.binomial(1, expit(design @ np.array([0.2, 1.0, -0.5]))).astype(float)
+    return bernoulli_objective(design, y)[0], np.zeros(3)
+
+
+@pytest.mark.parametrize("case", [_logistic_case, _joint_case])
+def test_maximize_loglik_is_plain_newton_where_the_hessian_is_definite(case):
+    objective, init = case()
+    params, loglik, iterations = _undamped_newton(objective, init)
+    res = maximize_loglik(objective, init)
+    assert res.converged and iterations > 3
+    assert np.array_equal(res.params, params)
+    assert res.loglik == loglik
+    assert res.iterations == iterations
+
+
+def test_maximize_loglik_damps_an_indefinite_hessian():
+    # f = -(u^2 - 1)^2 - v^2 in coordinates (u, v) rotated by 30 degrees from
+    # x; it curves upward along u for |u| < 1/sqrt(3)
+    rot = np.array([[np.sqrt(3.0), -1.0], [1.0, np.sqrt(3.0)]]) / 2.0
+
+    def objective(x):
+        u, v = rot @ x
+        f = -((u**2 - 1.0) ** 2) - v**2
+        g = rot.T @ np.array([-4.0 * u * (u**2 - 1.0), -2.0 * v])
+        h = rot.T @ np.diag([-(12.0 * u**2 - 4.0), -2.0]) @ rot
+        return f, g, h
+
+    start = rot.T @ np.array([0.1, 1.0])
+    with pytest.raises(scipy.linalg.LinAlgError):
+        _undamped_newton(objective, start)
+    res = maximize_loglik(objective, start)
+    assert res.converged
+    assert_allclose(rot @ res.params, [1.0, 0.0], atol=1e-8)
+    assert res.iterations < 20
+
+
+def test_maximize_loglik_stops_at_a_non_finite_hessian():
+    def objective(x):
+        return -float(x @ x), -2.0 * x, np.full((2, 2), np.nan)
+
+    res = maximize_loglik(objective, np.array([1.0, 2.0]))
+    assert not res.converged
+    assert res.iterations == 0
+    assert np.array_equal(res.params, [1.0, 2.0])
 
 
 def test_check_gradient_flags_wrong_gradient():

@@ -28,6 +28,7 @@ from sacekit.identify import (
 )
 from sacekit.models import (
     ALL_METHODS,
+    FAILURE_REASONS,
     METHODS,
     bootstrap,
     dgyz_estimator,
@@ -83,6 +84,7 @@ def test_bootstrap_rejects_rho_for_a_method_without_it(data):
 def test_benchmark_cells_average_the_direct_estimates():
     settings_, sizes, reps, seed = [(0, 0, False), (1, 1, True)], [150, 300], 3, 12
     report = run_benchmark(settings_, sizes, ALL_METHODS, reps=reps, seed=seed, rho=RHO)
+    assert any(c.n_failed for c in report.cells)  # the reasons below are not vacuous
     cell_index = 0
     for d1, d2, er in settings_:
         for n in sizes:
@@ -93,16 +95,23 @@ def test_benchmark_cells_average_the_direct_estimates():
             ]
             for method in ALL_METHODS:
                 points = []
+                failed = dict.fromkeys(FAILURE_REASONS, 0)
                 for sample in draws:
                     try:
                         est = estimate_sace(sample, method, rho=rho_for(method))
                     except EstimationError:
+                        failed["estimation_error"] += 1
                         continue
-                    if np.isfinite(est.point) and est.converged:
+                    if not np.isfinite(est.point):
+                        failed["non_finite"] += 1
+                    elif not est.converged:
+                        failed["not_converged"] += 1
+                    else:
                         points.append(est.point)
                 cell = report.cell(n, d1, d2, er, method)
                 assert cell.n_ok == len(points)
                 assert cell.n_failed == reps - len(points)
+                assert cell.failed_by_reason == failed
                 if points:
                     assert cell.mean_bias == float(np.mean(np.array(points)) - 1.0)
             cell_index += 1
