@@ -66,7 +66,7 @@ class Schema:
     """Column mapping for CSV files.
 
     ``covariates=None`` means: every column other than z/s/y/a, in header
-    order. ``a_labels`` optionally names the integer codes of ``a``.
+    order.
     """
 
     z: str = "z"
@@ -74,7 +74,6 @@ class Schema:
     y: str = "y"
     a: str = "a"
     covariates: tuple | None = None
-    a_labels: tuple | None = None
 
 
 class Dataset:
@@ -85,7 +84,7 @@ class Dataset:
     return read-only views.
     """
 
-    def __init__(self, z, x, a, s, y_packed, covariate_names, a_labels=None):
+    def __init__(self, z, x, a, s, y_packed, covariate_names):
         self._z = np.asarray(z, dtype=np.int64)
         self._x = np.asarray(x, dtype=float)
         self._a = np.asarray(a, dtype=np.int64)
@@ -103,12 +102,11 @@ class Dataset:
         self.covariate_names = tuple(covariate_names)
         if len(self.covariate_names) != self._x.shape[1]:
             raise DataError("covariate_names must match the covariate columns")
-        self.a_labels = tuple(a_labels) if a_labels is not None else None
         for arr in (self._z, self._x, self._a, self._s, self._y, self._ypos):
             arr.setflags(write=False)
 
     @classmethod
-    def from_arrays(cls, z, x, a, s, y, covariate_names=None, a_labels=None):
+    def from_arrays(cls, z, x, a, s, y, covariate_names=None):
         """Build a dataset from full-length arrays.
 
         ``y`` must be NaN at every truncated unit (``s == 0``) and finite at
@@ -134,13 +132,9 @@ class Dataset:
             raise DataError("outcome present for a truncated unit")
         if covariate_names is None:
             covariate_names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
-        return cls(z, x, a, s, y[surv], covariate_names, a_labels)
+        return cls(z, x, a, s, y[surv], covariate_names)
 
     def __len__(self):
-        return self._z.shape[0]
-
-    @property
-    def n(self):
         return self._z.shape[0]
 
     @property
@@ -210,13 +204,7 @@ class Dataset:
         keep = s == 1
         y[keep] = self._y[self._ypos[idx[keep]]]
         return Dataset.from_arrays(
-            self._z[idx],
-            self._x[idx],
-            self._a[idx],
-            s,
-            y,
-            self.covariate_names,
-            self.a_labels,
+            self._z[idx], self._x[idx], self._a[idx], s, y, self.covariate_names
         )
 
     def __eq__(self, other):
@@ -224,7 +212,6 @@ class Dataset:
             return NotImplemented
         return (
             self.covariate_names == other.covariate_names
-            and self.a_labels == other.a_labels
             and np.array_equal(self._z, other._z)
             and np.array_equal(self._x, other._x)
             and np.array_equal(self._a, other._a)
@@ -328,7 +315,6 @@ def load_dataset(path, schema=None):
         surv.astype(np.int64),
         y_surv,
         layout.x_names,
-        schema.a_labels,
     )
 
 

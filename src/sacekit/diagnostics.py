@@ -26,9 +26,16 @@ from .identify import CellTable, check_rho, gmm_overidentified, strata_probs_sto
 from .errors import RelevanceError
 from .models import SurvivalParamsER, SurvivalParamsSM
 
+# A monotonicity cell fails when its one-sided z statistic exceeds this.
+MONOTONE_FAIL_Z = 2.0
+
 # A relevance cell fails only when its dispersion statistic is this small:
 # the observed ratios are numerically identical across levels.
 RELEVANCE_FAIL_Q = 1e-4
+
+# A mean-structure cell fails when its J statistic exceeds this quantile of
+# the chi-square distribution with its degrees of freedom.
+J_LEVEL = 0.99
 
 # A ratio spread at or below this is treated as numerically constant. Kept
 # equal to the separation guard of the two-point mixture solver so the
@@ -118,19 +125,19 @@ def _aggregate(cells):
     return "vacuous"
 
 
-def check_monotone(source, z_threshold=2.0, *, x=None, a=None):
+def check_monotone(source, *, x=None, a=None):
     """Screen: control-arm survival must not exceed treated-arm survival.
 
     ``source`` is either a :class:`CellTable` (sample mode: one-sided
     two-proportion z comparison per cell) or a fitted survival model (model
     mode). An arm-wise :class:`SurvivalParamsSM` fit is evaluated pointwise
     at covariates ``x`` and level codes ``a``, which it requires. The
-    ratio-parameterized joint fit satisfies the restriction by construction
-    and is reported vacuous-pass.
+    ratio-parameterized joint fit satisfies the restriction by construction,
+    so no data is tested and it is reported vacuous.
     """
     if isinstance(source, SurvivalParamsER):
         return {
-            "status": "pass",
+            "status": "vacuous",
             "cells": [],
             "note": "holds by construction of the ratio parameterization",
         }
@@ -176,12 +183,12 @@ def check_monotone(source, z_threshold=2.0, *, x=None, a=None):
                 entry.update(status="fail", z=float("inf"))
             else:
                 zstat = diff / se
-                entry.update(status="fail" if zstat > z_threshold else "pass", z=float(zstat))
+                entry.update(status="fail" if zstat > MONOTONE_FAIL_Z else "pass", z=float(zstat))
         cells.append(entry)
     return {"status": _aggregate(cells), "cells": cells}
 
 
-def check_relevance(table, fail_q=RELEVANCE_FAIL_Q):
+def check_relevance(table):
     """Screen: the control/treated survival ratio must vary across levels.
 
     Within each covariate group, the log survival ratios across
@@ -235,13 +242,13 @@ def check_relevance(table, fail_q=RELEVANCE_FAIL_Q):
             chi2_95=float(chi2.ppf(0.95, df)),
             ratio_spread=spread,
         )
-        constant = q <= fail_q and spread <= RELEVANCE_SPREAD_FLOOR
+        constant = q <= RELEVANCE_FAIL_Q and spread <= RELEVANCE_SPREAD_FLOOR
         entry["status"] = "fail" if constant else "pass"
         cells.append(entry)
     return {"status": _aggregate(cells), "cells": cells}
 
 
-def _j_test_cells(table, which, j_level, rho=None):
+def _j_test_cells(table, which, rho=None):
     """Over-identification screen of a mean-structure restriction.
 
     ``which`` selects the treated-arm means, the control-arm means, or the
@@ -300,7 +307,7 @@ def _j_test_cells(table, which, j_level, rho=None):
             entry.update(status="vacuous", levels=len(means), note="constant mixing weights")
             cells.append(entry)
             continue
-        crit = float(chi2.ppf(j_level, df))
+        crit = float(chi2.ppf(J_LEVEL, df))
         entry.update(
             levels=len(means), j_stat=float(j_stat), df=df, critical=crit
         )
@@ -309,7 +316,7 @@ def _j_test_cells(table, which, j_level, rho=None):
     return cells
 
 
-def _mean_structure(table, which, j_level, rho=None):
+def _mean_structure(table, which, rho=None):
     levels = table.a_levels
     if len(levels) <= 2:
         return {
@@ -326,7 +333,7 @@ def _mean_structure(table, which, j_level, rho=None):
             "note": "vacuous without a sensitivity level: the control-arm "
             "mixing weights need rho",
         }
-    cells = _j_test_cells(table, which, j_level, rho=rho)
+    cells = _j_test_cells(table, which, rho=rho)
     out = {"status": _aggregate(cells), "cells": cells}
     if out["status"] == "vacuous":
         out["status"] = "pass"
@@ -334,15 +341,7 @@ def _mean_structure(table, which, j_level, rho=None):
     return out
 
 
-def run_diagnostics(
-    data,
-    bins=2,
-    survival=None,
-    rho=None,
-    z_threshold=2.0,
-    fail_q=RELEVANCE_FAIL_Q,
-    j_level=0.99,
-):
+def run_diagnostics(data, bins=2, survival=None, rho=None):
     """Run every observable-implication screen on a dataset.
 
     Parameters
@@ -356,8 +355,6 @@ def run_diagnostics(
         mode (the empirical mode runs otherwise).
     rho : float, optional
         Sensitivity level enabling the control-arm mean-structure screen.
-    z_threshold, fail_q, j_level : float
-        Thresholds of the individual screens.
 
     Returns
     -------
@@ -377,14 +374,14 @@ def run_diagnostics(
             raise TypeError("survival must be a fitted survival model")
         monotone = check_monotone(survival, x=data.x, a=data.a)
     else:
-        monotone = check_monotone(table, z_threshold=z_threshold)
+        monotone = check_monotone(table)
 
     constraints = {
         "survival_monotonicity": monotone,
-        "treated_mean_structure": _mean_structure(table, "treated", j_level),
-        "substitution_relevance": check_relevance(table, fail_q=fail_q),
-        "control_mean_structure": _mean_structure(table, "control", j_level, rho=rho),
-        "contrast_mean_structure": _mean_structure(table, "contrast", j_level),
+        "treated_mean_structure": _mean_structure(table, "treated"),
+        "substitution_relevance": check_relevance(table),
+        "control_mean_structure": _mean_structure(table, "control", rho=rho),
+        "contrast_mean_structure": _mean_structure(table, "contrast"),
     }
     notes = []
     if len(table.a_levels) < 2:

@@ -26,7 +26,6 @@ the route cannot score is dropped with a warning, and every
 
 from __future__ import annotations
 
-import json
 import sys
 import warnings as _warnings
 from dataclasses import dataclass
@@ -162,75 +161,6 @@ class CellTable:
         names = data.covariate_names if use_x else ()
         return cls(cells, mode="sample", covariate_names=names)
 
-    @classmethod
-    def from_json(cls, source):
-        """Build a table from a JSON document (text or parsed dict).
-
-        Expected shape::
-
-            {"mode": "population",
-             "covariates": ["x1"],
-             "cells": [{"x": [1.0], "a": 0, "mass": 0.25,
-                        "p_surv_treated": 0.6, "p_surv_control": 0.3,
-                        "mean_treated": 1.5, "mean_control": 1.0}, ...]}
-
-        Optional per-cell count fields (``n_treated`` etc.) are accepted in
-        sample mode.
-        """
-        obj = json.loads(source) if isinstance(source, str) else source
-        try:
-            mode = obj["mode"]
-            raw_cells = obj["cells"]
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"cell table JSON missing field: {exc}") from None
-        cells = {}
-        for k, c in enumerate(raw_cells):
-            try:
-                xkey = tuple(float(v) for v in c.get("x", ()))
-                a = int(c["a"])
-                stats = CellStats(
-                    mass=float(c["mass"]),
-                    p_surv_treated=_opt_float(c.get("p_surv_treated")),
-                    p_surv_control=_opt_float(c.get("p_surv_control")),
-                    mean_treated=_opt_float(c.get("mean_treated")),
-                    mean_control=_opt_float(c.get("mean_control")),
-                    n_treated=int(c.get("n_treated", 0)),
-                    n_control=int(c.get("n_control", 0)),
-                    n_surv_treated=int(c.get("n_surv_treated", 0)),
-                    n_surv_control=int(c.get("n_surv_control", 0)),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"cell {k}: {exc}") from None
-            cells[(xkey, a)] = stats
-        return cls(cells, mode=mode, covariate_names=obj.get("covariates", ()))
-
-    def to_json(self, indent=2):
-        cells = []
-        for (xkey, a), c in self.cells.items():
-            cells.append(
-                {
-                    "x": list(xkey),
-                    "a": a,
-                    "mass": c.mass,
-                    "p_surv_treated": c.p_surv_treated,
-                    "p_surv_control": c.p_surv_control,
-                    "mean_treated": c.mean_treated,
-                    "mean_control": c.mean_control,
-                    "n_treated": c.n_treated,
-                    "n_control": c.n_control,
-                    "n_surv_treated": c.n_surv_treated,
-                    "n_surv_control": c.n_surv_control,
-                }
-            )
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "covariates": list(self.covariate_names),
-                "cells": cells,
-            },
-            indent=indent,
-        )
-
 
 def _row_codes(columns, n):
     """One int64 code per row, ordered as the rows' tuples of column values.
@@ -249,10 +179,6 @@ def _row_codes(columns, n):
         code = code * levels.size + rank
         size *= levels.size
     return code
-
-
-def _opt_float(v):
-    return None if v is None else float(v)
 
 
 def _survival_probs(*probs):
@@ -314,7 +240,7 @@ def strata_probs_stochastic(p_surv_treated, p_surv_control, rho):
     return always, protected, harmed, never
 
 
-def solve_two_point_mixture(mean_a, mean_b, weight_a, weight_b, eps=SEPARATION_EPS):
+def solve_two_point_mixture(mean_a, mean_b, weight_a, weight_b):
     """Solve a two-component mixture observed at two mixing weights.
 
     Given ``mean = w * mu_first + (1 - w) * mu_second`` at two weights,
@@ -323,12 +249,13 @@ def solve_two_point_mixture(mean_a, mean_b, weight_a, weight_b, eps=SEPARATION_E
     Raises
     ------
     RelevanceError
-        If the two weights differ by less than ``eps``: the system is
-        singular and the substitution variable carries no information.
+        If the two weights differ by less than ``SEPARATION_EPS``: the
+        system is singular and the substitution variable carries no
+        information.
     """
     wa, wb = float(weight_a), float(weight_b)
     det = wa - wb
-    if abs(det) < eps:
+    if abs(det) < SEPARATION_EPS:
         raise RelevanceError(
             f"mixing weights {wa} and {wb} do not separate the mixture components"
         )
@@ -338,7 +265,7 @@ def solve_two_point_mixture(mean_a, mean_b, weight_a, weight_b, eps=SEPARATION_E
     return mu_first, mu_second
 
 
-def gmm_overidentified(means, mix_weights, counts, eps=SEPARATION_EPS):
+def gmm_overidentified(means, mix_weights, counts):
     """Weighted least-squares fit of the two-point mixture across 3+ levels.
 
     Minimizes ``sum_k counts[k] * (means[k] - w_k mu_first - (1-w_k)
@@ -359,12 +286,12 @@ def gmm_overidentified(means, mix_weights, counts, eps=SEPARATION_EPS):
         raise ValueError("need at least two levels")
     if np.any(cs <= 0):
         raise ValueError("counts must be positive")
-    if float(np.ptp(ws)) < eps:
+    if float(np.ptp(ws)) < SEPARATION_EPS:
         raise RelevanceError(
             "mixing weights are numerically constant across levels"
         )
     if k == 2:
-        mu1, mu2 = solve_two_point_mixture(ys[0], ys[1], ws[0], ws[1], eps=eps)
+        mu1, mu2 = solve_two_point_mixture(ys[0], ys[1], ws[0], ws[1])
         return mu1, mu2, 0.0, 0
     design = np.column_stack([ws, 1.0 - ws])
     sw = np.sqrt(cs)
@@ -391,7 +318,7 @@ def _warn(msg):
     _warnings.warn(msg, IdentificationWarning, stacklevel=level)
 
 
-def _solve_mixture_levels(entries, sample, weak_threshold, where):
+def _solve_mixture_levels(entries, sample, where):
     """Common per-group solve: entries = list of (mean, mix_weight, count).
 
     Returns the first mixture component (the always-survivor mean), or None
@@ -413,7 +340,7 @@ def _solve_mixture_levels(entries, sample, weak_threshold, where):
             f"{where}: mixing weights constant at {ws[0]:.6g}; "
             "components are not identified"
         )
-    if sample and spread < weak_threshold:
+    if sample and spread < WEAK_THRESHOLD:
         _warn(
             f"{where}: mixing-weight spread {spread:.3g} is weak; "
             "the solve is noise-amplified"
@@ -425,7 +352,7 @@ def _solve_mixture_levels(entries, sample, weak_threshold, where):
     return float(mu)
 
 
-def _arm_mixture(group, shares, arm, table, weak_threshold, xkey):
+def _arm_mixture(group, shares, arm, table, xkey):
     """Always-survivor mean of one arm's survivors in one covariate group.
 
     Each level with survivors gives the entry (survivor mean, share /
@@ -444,7 +371,7 @@ def _arm_mixture(group, shares, arm, table, weak_threshold, xkey):
             count = c.mass
         entries.append((mean, share / p, count))
     where = f"{tag}-arm mixture at {_cell_label(xkey)}"
-    return _solve_mixture_levels(entries, sample, weak_threshold, where)
+    return _solve_mixture_levels(entries, sample, where)
 
 
 def _sace_by_group(table, strata_probs, group_contrasts):
@@ -490,7 +417,7 @@ def _sace_by_group(table, strata_probs, group_contrasts):
     return num / den
 
 
-def sace_monotone_exclusion(table, weak_threshold=WEAK_THRESHOLD):
+def sace_monotone_exclusion(table):
     """Always-survivor effect under monotonicity plus exclusion restriction.
 
     Within every covariate group, the treated-arm survivor mean at each
@@ -504,8 +431,6 @@ def sace_monotone_exclusion(table, weak_threshold=WEAK_THRESHOLD):
     Parameters
     ----------
     table : CellTable
-    weak_threshold : float
-        Sample-mode mixing-weight spread below which a warning is issued.
 
     Returns
     -------
@@ -514,7 +439,7 @@ def sace_monotone_exclusion(table, weak_threshold=WEAK_THRESHOLD):
         always-survivor mass as weights.
     """
     def contrasts(xkey, group, shares):
-        mu = _arm_mixture(group, shares, 1, table, weak_threshold, xkey)
+        mu = _arm_mixture(group, shares, 1, table, xkey)
         return {
             a: mu - group[a].mean_control
             for a in shares
@@ -524,7 +449,7 @@ def sace_monotone_exclusion(table, weak_threshold=WEAK_THRESHOLD):
     return _sace_by_group(table, strata_probs_monotone, contrasts)
 
 
-def sace_stochastic_monotone(table, rho, weak_threshold=WEAK_THRESHOLD):
+def sace_stochastic_monotone(table, rho):
     """Always-survivor effect under stochastic monotonicity of degree ``rho``.
 
     Both arms now hold two-point mixtures: treated survivors mix always
@@ -540,8 +465,8 @@ def sace_stochastic_monotone(table, rho, weak_threshold=WEAK_THRESHOLD):
     rho = check_rho(rho)
 
     def contrasts(xkey, group, shares):
-        mu1 = _arm_mixture(group, shares, 1, table, weak_threshold, xkey)
-        mu0 = _arm_mixture(group, shares, 0, table, weak_threshold, xkey)
+        mu1 = _arm_mixture(group, shares, 1, table, xkey)
+        mu0 = _arm_mixture(group, shares, 0, table, xkey)
         if mu1 is None or mu0 is None:
             return {}
         return dict.fromkeys(shares, mu1 - mu0)
@@ -551,7 +476,7 @@ def sace_stochastic_monotone(table, rho, weak_threshold=WEAK_THRESHOLD):
     )
 
 
-def sace_no_interaction(table, weak_threshold=WEAK_THRESHOLD):
+def sace_no_interaction(table):
     """Always-survivor effect under monotonicity plus additive no-interaction.
 
     The exclusion restriction is dropped: substitution levels may shift
@@ -589,7 +514,7 @@ def sace_no_interaction(table, weak_threshold=WEAK_THRESHOLD):
                 "levels; components are not identified"
             )
         spread = abs(mixes[other] - mixes[ref])
-        if sample and spread < weak_threshold:
+        if sample and spread < WEAK_THRESHOLD:
             _warn(
                 f"group {_cell_label(xkey)}: mixing-weight spread "
                 f"{spread:.3g} is weak; the solve is noise-amplified"

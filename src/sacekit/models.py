@@ -224,7 +224,7 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
     return objective
 
 
-def fit_survival_er(data, init=None, tol=1e-8, max_iter=100):
+def fit_survival_er(data, init=None):
     """Fit the joint survival model by maximum likelihood.
 
     ``init`` is the starting point: the treated-survival coefficients
@@ -244,16 +244,14 @@ def fit_survival_er(data, init=None, tol=1e-8, max_iter=100):
     v0, s0 = v[z == 0], s[z == 0]
     p = v.shape[1]
     if init is None:
-        warm = fit_logistic(v1, s1, tol=tol, max_iter=max_iter)
+        warm = fit_logistic(v1, s1)
         init = np.concatenate([warm.params, np.zeros(p)])
     objective = joint_survival_objective(v1, s1, v0, s0)
 
     def probabilities(theta):
         return np.concatenate([expit(v @ theta[:p]), expit(v @ theta[p:])])
 
-    result = maximize_loglik(
-        objective, init, tol=tol, max_iter=max_iter, probabilities=probabilities
-    )
+    result = maximize_loglik(objective, init, probabilities=probabilities)
     names = _design_names(data.covariate_names, ("a",))
     return SurvivalParamsER(
         beta_treated=result.params[:p],
@@ -263,7 +261,7 @@ def fit_survival_er(data, init=None, tol=1e-8, max_iter=100):
     )
 
 
-def fit_survival_sm(data, init=None, tol=1e-8, max_iter=100):
+def fit_survival_sm(data, init=None):
     """Fit treated and control survival by independent logistic regressions.
 
     ``init`` is the starting point: the treated coefficients stacked on the
@@ -277,8 +275,8 @@ def fit_survival_sm(data, init=None, tol=1e-8, max_iter=100):
     v = survival_design(data.x, data.a)
     p = v.shape[1]
     init1, init0 = (None, None) if init is None else (init[:p], init[p:])
-    opt1 = fit_logistic(v[z == 1], s[z == 1], init=init1, tol=tol, max_iter=max_iter)
-    opt0 = fit_logistic(v[z == 0], s[z == 0], init=init0, tol=tol, max_iter=max_iter)
+    opt1 = fit_logistic(v[z == 1], s[z == 1], init=init1)
+    opt0 = fit_logistic(v[z == 0], s[z == 0], init=init0)
     return SurvivalParamsSM(
         beta_treated=opt1.params,
         beta_control=opt0.params,
@@ -340,7 +338,7 @@ def _linear_mean(coef, x, tail):
     return np.column_stack(cols) @ coef
 
 
-def _check_share_regressor(share, what, weak_threshold, stacklevel=3):
+def _check_share_regressor(share, what, stacklevel=3):
     """Classify a fitted-share regressor: usable, pure, or degenerate.
 
     Returns True when the column is usable, False when the arm is a pure
@@ -358,7 +356,7 @@ def _check_share_regressor(share, what, weak_threshold, stacklevel=3):
             f"{float(share[0]) if share.size else float('nan'):.6g} in {what}; "
             "the substitution variable carries no information there",
         )
-    if spread < weak_threshold:
+    if spread < WEAK_THRESHOLD:
         _warnings.warn(
             f"{what}: always-share spread {spread:.3g} is weak; "
             "coefficients are noise-amplified",
@@ -368,7 +366,7 @@ def _check_share_regressor(share, what, weak_threshold, stacklevel=3):
     return True
 
 
-def fit_outcome_er(data, survival, weak_threshold=WEAK_THRESHOLD):
+def fit_outcome_er(data, survival):
     """Stage-two outcome fits under the exclusion restriction.
 
     Control-arm survivors are pure always survivors, so their mean is linear
@@ -393,7 +391,7 @@ def fit_outcome_er(data, survival, weak_threshold=WEAK_THRESHOLD):
     control = fit_ols(survival_design(x0, a0), y0, column_names=names_control)
 
     share = survival.theta_ratio(x1, a1)
-    if not _check_share_regressor(share, "the treated-arm outcome fit", weak_threshold):
+    if not _check_share_regressor(share, "the treated-arm outcome fit"):
         raise CollinearityError(
             ["always_share"],
             "fitted always-survivor share is numerically constant across "
@@ -409,7 +407,7 @@ def fit_outcome_er(data, survival, weak_threshold=WEAK_THRESHOLD):
     )
 
 
-def fit_ni(data, survival, weak_threshold=WEAK_THRESHOLD):
+def fit_ni(data, survival):
     """Pooled no-interaction outcome fit.
 
     All survivors enter one regression on (1, X, A, share*, Z): share* is 1
@@ -429,9 +427,7 @@ def fit_ni(data, survival, weak_threshold=WEAK_THRESHOLD):
     share = np.ones(ys.size)
     treated = zs == 1
     share[treated] = survival.theta_ratio(xs[treated], as_[treated])
-    _check_share_regressor(
-        share[treated], "the pooled outcome fit (treated rows)", weak_threshold
-    )
+    _check_share_regressor(share[treated], "the pooled outcome fit (treated rows)")
     names = _design_names(data.covariate_names, ("a", "always_share", "z"))
     if ys.size < len(names):
         raise EstimationError(
@@ -529,7 +525,7 @@ class _SmStage:
         harmed_mass = float(np.mean(self.th0 - always)) if n else 0.0
         return always, always_mass, harmed_mass
 
-    def fit_arms(self, always, weak_threshold):
+    def fit_arms(self, always):
         """Arm-wise outcome fits on (1, X, arm share), and their notes."""
         coefs = {}
         notes = []
@@ -537,9 +533,7 @@ class _SmStage:
             if problem is not None:
                 raise EstimationError(problem)
             share = np.divide(always[mask], floor, out=design[:, -1])
-            if _check_share_regressor(
-                share, f"the arm-{arm} outcome fit", weak_threshold, stacklevel=4
-            ):
+            if _check_share_regressor(share, f"the arm-{arm} outcome fit", stacklevel=4):
                 coefs[tag] = fit_ols(design, ys, column_names=self.names)
             else:
                 reduced = fit_ols(design[:, :-1], ys, column_names=self.names[:-1])
@@ -558,7 +552,7 @@ class _SmStage:
         effect = float(np.sum(always * gap) / np.sum(always))
         return outcome, effect, notes
 
-    def fit_pooled(self, always, weak_threshold):
+    def fit_pooled(self, always):
         """Pooled fit on (1, X, A, Z*share1, Z, (1-Z)*share0), and its notes."""
         if self.problem is not None:
             raise EstimationError(self.problem)
@@ -568,13 +562,11 @@ class _SmStage:
         use1 = _check_share_regressor(
             share1[self.treated],
             "the pooled fit (treated share column)",
-            weak_threshold,
             stacklevel=4,
         )
         use0 = _check_share_regressor(
             share0[~self.treated],
             "the pooled fit (control share column)",
-            weak_threshold,
             stacklevel=4,
         )
         d = len(self.covariate_names)
@@ -605,25 +597,15 @@ class _SmStage:
         return outcome, float(canonical[d + 2] + canonical[d + 3] - canonical[d + 4]), notes
 
 
-def fit_sm(
-    data,
-    rho,
-    assume_er=True,
-    survival=None,
-    weak_threshold=WEAK_THRESHOLD,
-    tol=1e-8,
-    *,
-    _stage=None,
-):
+def fit_sm(data, rho, assume_er=True, survival=None, *, _stage=None):
     """Stochastic-monotonicity pipeline at sensitivity level ``rho``.
 
-    Stage one (reusable across ``rho`` via the ``survival`` argument, and
-    fitted with tolerance ``tol`` when not given) fits the two arm-wise
-    survival models. The coupling at ``rho`` turns them into a per-unit
-    always-survivor share. Stage two either fits each arm's survivor mean on
-    (1, X, arm share) and plugs in (``assume_er=True``), or fits the pooled
-    regression on (1, X, A, Z*share1, Z, (1-Z)*share0) whose coefficient
-    combination gives the effect (``assume_er=False``).
+    Stage one (reusable across ``rho`` via the ``survival`` argument) fits
+    the two arm-wise survival models. The coupling at ``rho`` turns them into
+    a per-unit always-survivor share. Stage two either fits each arm's
+    survivor mean on (1, X, arm share) and plugs in (``assume_er=True``), or
+    fits the pooled regression on (1, X, A, Z*share1, Z, (1-Z)*share0)
+    whose coefficient combination gives the effect (``assume_er=False``).
 
     An arm whose share regressor is constant at 1 is a pure
     always-survivor sample (this happens at ``rho = 1`` when fitted control
@@ -638,7 +620,7 @@ def fit_sm(
     """
     if _stage is None:
         if survival is None:
-            survival = fit_survival_sm(data, tol=tol)
+            survival = fit_survival_sm(data)
         _stage = _SmStage(data, survival, assume_er)
     always, always_mass, harmed_mass = _stage.coupling(rho)
     if always_mass <= 1e-12:
@@ -646,9 +628,9 @@ def fit_sm(
             "fitted always-survivor mass is zero; the effect is undefined"
         )
     if assume_er:
-        outcome, effect, notes = _stage.fit_arms(always, weak_threshold)
+        outcome, effect, notes = _stage.fit_arms(always)
     else:
-        outcome, effect, notes = _stage.fit_pooled(always, weak_threshold)
+        outcome, effect, notes = _stage.fit_pooled(always)
     return SmFit(
         survival=_stage.survival,
         rho=float(rho),
@@ -751,13 +733,13 @@ def dgyz_estimator(data):
     return mu_treated - mu_control
 
 
-# The estimators of the method table: (data, survival, rho, weak_threshold)
-# -> (point, notes). They reach the public fits through this module's global
-# names, so a wrapper installed on those names sees every call.
+# The estimators of the method table: (data, survival, rho) -> (point,
+# notes). They reach the public fits through this module's global names, so a
+# wrapper installed on those names sees every call.
 
 
-def _prop_er(data, survival, rho, weak_threshold):
-    outcome = fit_outcome_er(data, survival, weak_threshold)
+def _prop_er(data, survival, rho):
+    outcome = fit_outcome_er(data, survival)
     always = survival.always_share(data.x, data.a)
     if np.sum(always) <= 1e-12:
         raise EstimationError(
@@ -768,14 +750,12 @@ def _prop_er(data, survival, rho, weak_threshold):
     return float(np.sum(always * (mu1 - mu0)) / np.sum(always)), []
 
 
-def _prop_ni(data, survival, rho, weak_threshold):
-    return float(fit_ni(data, survival, weak_threshold).pooled[-1]), []
+def _prop_ni(data, survival, rho):
+    return float(fit_ni(data, survival).pooled[-1]), []
 
 
-def _prop_sm(data, survival, rho, weak_threshold, assume_er=True):
-    fit = fit_sm(
-        data, rho, assume_er=assume_er, survival=survival, weak_threshold=weak_threshold
-    )
+def _prop_sm(data, survival, rho, assume_er=True):
+    fit = fit_sm(data, rho, assume_er=assume_er, survival=survival)
     return fit.effect, fit.warnings
 
 
@@ -832,7 +812,7 @@ def method_rhos(methods, rho):
     return rhos
 
 
-def _fit_stage_one(data, kind, start=None, tol=1e-8):
+def _fit_stage_one(data, kind, start=None):
     """Stage-one survival fit of the given kind; None when ``kind`` is None.
 
     ``start`` is an earlier stage-one fit of the same kind whose parameters
@@ -841,17 +821,10 @@ def _fit_stage_one(data, kind, start=None, tol=1e-8):
     if kind is None:
         return None
     fit = fit_survival_er if kind == "er" else fit_survival_sm
-    return fit(data, init=None if start is None else start.params, tol=tol)
+    return fit(data, init=None if start is None else start.params)
 
 
-def estimate_sace(
-    data,
-    method,
-    rho=None,
-    survival=None,
-    weak_threshold=WEAK_THRESHOLD,
-    tol=1e-8,
-):
+def estimate_sace(data, method, rho=None, survival=None):
     """Estimate the always-survivor effect by any method of :data:`METHODS`.
 
     Parameters
@@ -866,11 +839,6 @@ def estimate_sace(
         Precomputed stage-one fit (SurvivalParamsER for the er/ni methods,
         SurvivalParamsSM for the stochastic ones) to reuse across calls;
         the baselines fit no stage one and ignore it.
-    weak_threshold : float
-        Spread below which the share regressor triggers a warning.
-    tol : float
-        Convergence tolerance of the stage-one survival fit, when it is
-        fitted here.
 
     Returns
     -------
@@ -883,7 +851,7 @@ def estimate_sace(
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         if survival is None:
-            survival = _fit_stage_one(data, spec.stage_one, tol=tol)
+            survival = _fit_stage_one(data, spec.stage_one)
         elif spec.stage_one is not None:
             expected = _SURVIVAL_TYPES[spec.stage_one]
             if not isinstance(survival, expected):
@@ -898,7 +866,7 @@ def estimate_sace(
                     else ""
                 )
             )
-        point, notes = spec.estimate(data, survival, rho, weak_threshold)
+        point, notes = spec.estimate(data, survival, rho)
         collected.extend(notes)
     collected.extend(str(w.message) for w in caught)
     return SaceEstimate(
@@ -906,7 +874,7 @@ def estimate_sace(
     )
 
 
-def _replicate(data, methods, rhos, starts=None, weak_threshold=WEAK_THRESHOLD):
+def _replicate(data, methods, rhos, starts=None):
     """{method: its point, or the :data:`FAILURE_REASONS` entry that drops it}.
 
     The replicate step of :func:`bootstrap` and ``run_benchmark``. Each
@@ -921,9 +889,7 @@ def _replicate(data, methods, rhos, starts=None, weak_threshold=WEAK_THRESHOLD):
         try:
             if kind not in fits:
                 fits[kind] = _fit_stage_one(data, kind, starts.get(kind))
-            est = estimate_sace(
-                data, m, rho=rhos[m], survival=fits[kind], weak_threshold=weak_threshold
-            )
+            est = estimate_sace(data, m, rho=rhos[m], survival=fits[kind])
         except EstimationError:
             outcomes[m] = "estimation_error"
             continue
@@ -936,14 +902,7 @@ def _replicate(data, methods, rhos, starts=None, weak_threshold=WEAK_THRESHOLD):
     return outcomes
 
 
-def bootstrap(
-    data,
-    method,
-    n_boot=200,
-    seed=0,
-    rho=None,
-    weak_threshold=WEAK_THRESHOLD,
-):
+def bootstrap(data, method, n_boot=200, seed=0, rho=None):
     """Nonparametric bootstrap of any method's point estimate.
 
     Resamples units with replacement; replicate ``b`` uses the derived
@@ -964,16 +923,14 @@ def bootstrap(
         raise ValueError("need at least 2 bootstrap replicates")
 
     full = _fit_stage_one(data, spec.stage_one)
-    first = estimate_sace(
-        data, method, rho=rho, survival=full, weak_threshold=weak_threshold
-    )
+    first = estimate_sace(data, method, rho=rho, survival=full)
     starts = {spec.stage_one: full} if first.converged else None
     n = len(data)
     estimates = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
     for b in range(n_boot):
         sample = data.subset(rng_stream(seed, b).integers(0, n, size=n))
-        outcome = _replicate(sample, (method,), {method: rho}, starts, weak_threshold)[method]
+        outcome = _replicate(sample, (method,), {method: rho}, starts)[method]
         if isinstance(outcome, str):
             failed[outcome] += 1
         else:
@@ -1038,13 +995,7 @@ class SensitivityCurve:
                 fh.close()
 
 
-def sensitivity_sweep(
-    data,
-    rho_grid,
-    assume_er=True,
-    survival=None,
-    weak_threshold=WEAK_THRESHOLD,
-):
+def sensitivity_sweep(data, rho_grid, assume_er=True, survival=None):
     """Sweep the stochastic-monotonicity estimate over a grid of ``rho``.
 
     The arm-wise survival models are fitted once and reused at every grid
@@ -1074,13 +1025,7 @@ def sensitivity_sweep(
         _warnings.simplefilter("ignore", IdentificationWarning)
         for rho in grid.tolist():
             try:
-                fit = fit_sm(
-                    data,
-                    rho,
-                    assume_er=assume_er,
-                    weak_threshold=weak_threshold,
-                    _stage=stage,
-                )
+                fit = fit_sm(data, rho, assume_er=assume_er, _stage=stage)
             except EstimationError as exc:
                 rows.append(
                     SensitivityRow(

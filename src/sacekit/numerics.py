@@ -284,15 +284,13 @@ def bernoulli_objective(design, response):
     return objective, probabilities
 
 
-def fit_logistic(design, response, init=None, tol=1e-8, max_iter=100):
+def fit_logistic(design, response, init=None):
     """Maximum-likelihood logistic regression via :func:`maximize_loglik`."""
     design = np.asarray(design, dtype=float)
     if init is None:
         init = np.zeros(design.shape[1])
     objective, probabilities = bernoulli_objective(design, response)
-    return maximize_loglik(
-        objective, init, tol=tol, max_iter=max_iter, probabilities=probabilities
-    )
+    return maximize_loglik(objective, init, probabilities=probabilities)
 
 
 def rng_stream(seed, *key):

@@ -6,11 +6,13 @@ error, 3 data error, 4 numerical failure.
 """
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sacekit.cli import UsageError, main, parse_rho_grid
+from sacekit.cli import UsageError, build_parser, main, parse_rho_grid
 from sacekit.data import load_dataset
 from sacekit.simulate import OracleTable
 
@@ -437,3 +439,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "sacekit" in capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    # the "Command line" block of the README, parsed but never executed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("sacekit ")]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]

@@ -245,7 +245,6 @@ def reference_load(path, schema=None):
         s,
         np.array([float(row[yi]) if alive else np.nan for row, alive in zip(rows, s)]),
         covariate_names=layout.x_names,
-        a_labels=schema.a_labels,
     )
 
 

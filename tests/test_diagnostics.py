@@ -72,7 +72,7 @@ def test_check_monotone_model_modes():
     data, _ = gen_dataset(SimulationSetting(n=1500, delta1=0, delta2=1, seed=82))
     joint = fit_survival_er(data)
     out = check_monotone(joint)
-    assert out["status"] == "pass"
+    assert out["status"] == "vacuous"
     assert "by construction" in out["note"]
 
     arms = fit_survival_sm(data)
@@ -226,8 +226,9 @@ def test_run_diagnostics_reports_all_five_constraints():
 def test_run_diagnostics_with_fitted_survival_models():
     data, _ = gen_dataset(SimulationSetting(n=1200, delta1=0, delta2=1, seed=86))
     report = run_diagnostics(data, survival=fit_survival_er(data))
-    note = report.constraints["survival_monotonicity"]["note"]
-    assert "by construction" in note
+    monotone = report.constraints["survival_monotonicity"]
+    assert monotone["status"] == "vacuous"
+    assert "by construction" in monotone["note"]
     report = run_diagnostics(data, survival=fit_survival_sm(data), rho=0.5)
     assert "pointwise" in report.constraints["survival_monotonicity"]["note"]
     with pytest.raises(TypeError):

@@ -5,7 +5,6 @@ directly from the strata that generated the table, so the check is exact
 up to floating point rather than statistical.
 """
 
-import json
 import warnings
 
 import numpy as np
@@ -255,23 +254,6 @@ def test_cell_table_validation():
                 (("0",), 0): population_cell(0.5, 0.8, 0.6, 1.0, 1.0),
             },
             mode="population",
-        )
-
-
-def test_cell_table_json_roundtrip(hand_table):
-    doc = hand_table.to_json()
-    back = CellTable.from_json(doc)
-    assert back.mode == "population"
-    assert back.cells.keys() == hand_table.cells.keys()
-    for key in back.cells:
-        assert_allclose(back.cells[key].mass, hand_table.cells[key].mass)
-        assert back.cells[key].mean_treated == hand_table.cells[key].mean_treated
-    assert_allclose(sace_monotone_exclusion(back), 1.0, atol=1e-12)
-    with pytest.raises(DataError, match="missing field"):
-        CellTable.from_json(json.dumps({"cells": []}))
-    with pytest.raises(DataError, match="cell 0"):
-        CellTable.from_json(
-            json.dumps({"mode": "sample", "cells": [{"x": [], "a": 0}]})
         )
 
 

@@ -276,10 +276,11 @@ def test_fit_sm_relaxed_variant_runs():
     assert_allclose(fit.effect, coef[-3] + coef[-2] - coef[-1], rtol=1e-12)
 
 
-def test_estimate_sace_collects_weak_separation_warnings():
+def test_estimate_sace_collects_weak_separation_warnings(monkeypatch):
     data, _ = gen_dataset(SimulationSetting(n=1500, delta1=0, delta2=0, seed=53))
     # absurdly high threshold forces the weak-spread path
-    est = estimate_sace(data, "prop-er", weak_threshold=0.999)
+    monkeypatch.setattr("sacekit.models.WEAK_THRESHOLD", 0.999)
+    est = estimate_sace(data, "prop-er")
     assert any("weak" in w for w in est.warnings)
     d = est.to_dict()
     assert set(d) >= {"method", "point", "se", "converged", "warnings"}
@@ -309,17 +310,18 @@ def test_bootstrap_validation():
 
 
 @pytest.mark.parametrize("method, rho", [("prop-er", None), ("prop-sm-ni", 0.5)])
-def test_bootstrap_lets_no_identification_warning_escape(method, rho):
+def test_bootstrap_lets_no_identification_warning_escape(method, rho, monkeypatch):
     import warnings
 
     data, _ = gen_dataset(SimulationSetting(n=800, delta1=0, delta2=0, seed=53))
     # an absurdly high threshold makes every replicate's share regressor weak;
     # estimate_sace records those warnings instead of letting them escape
-    point = estimate_sace(data, method, rho=rho, weak_threshold=0.999)
+    monkeypatch.setattr("sacekit.models.WEAK_THRESHOLD", 0.999)
+    point = estimate_sace(data, method, rho=rho)
     assert any("weak" in w for w in point.warnings)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = bootstrap(data, method, n_boot=5, seed=2, rho=rho, weak_threshold=0.999)
+        est = bootstrap(data, method, n_boot=5, seed=2, rho=rho)
     assert est.n_failed == 0
 
 
@@ -557,34 +559,19 @@ def test_sensitivity_sweep_failing_point_matches_point_fit(assume_er):
     assert notes[0.5] is not None
 
 
-def test_tol_reaches_the_survival_fits(monkeypatch):
-    import sacekit.models as models
-
-    seen = []
-    original = models.fit_logistic
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("tol"))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(models, "fit_logistic", spy)
-    data, _ = gen_dataset(SimulationSetting(n=1500, delta1=1, delta2=1, seed=59))
-    estimate_sace(data, "prop-sm", rho=0.5, tol=1e-5)
-    assert seen == [1e-5, 1e-5]
-
-
 @pytest.mark.parametrize("assume_er", [True, False])
-def test_fit_sm_weak_share_warning_points_at_the_caller(assume_er):
+def test_fit_sm_weak_share_warning_points_at_the_caller(assume_er, monkeypatch):
     import warnings
 
     from sacekit.identify import IdentificationWarning
 
     data, _ = gen_dataset(SimulationSetting(n=1500, delta1=1, delta2=1, seed=60))
     survival = fit_survival_sm(data)
+    # absurdly high threshold forces the weak-spread path
+    monkeypatch.setattr("sacekit.models.WEAK_THRESHOLD", 0.999)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IdentificationWarning)
-        # absurdly high threshold forces the weak-spread path
-        fit_sm(data, 0.5, assume_er=assume_er, survival=survival, weak_threshold=0.999)
+        fit_sm(data, 0.5, assume_er=assume_er, survival=survival)
     weak = [w for w in caught if issubclass(w.category, IdentificationWarning)]
     assert weak
     assert all(w.filename == __file__ for w in weak)
