@@ -12,7 +12,6 @@ from .data import (
     Dataset,
     Schema,
     StratumLabel,
-    Unit,
     ValidationReport,
     load_dataset,
     save_dataset,
@@ -108,7 +107,6 @@ __all__ = [
     "StratumLabel",
     "SurvivalParamsER",
     "SurvivalParamsSM",
-    "Unit",
     "ValidationReport",
     "bootstrap",
     "check_gradient",

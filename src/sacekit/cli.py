@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -294,10 +295,8 @@ def cmd_fit(args):
 def _curve_paths(out, variants):
     if len(variants) == 1:
         return {variants[0]: out}
-    stem, dot, ext = out.rpartition(".")
-    if not dot:
-        stem, ext = out, "csv"
-    return {v: f"{stem}.{'er' if v == 'true' else 'ni'}.{ext}" for v in variants}
+    stem, ext = os.path.splitext(out)
+    return {v: f"{stem}.{'er' if v == 'true' else 'ni'}{ext or '.csv'}" for v in variants}
 
 
 def cmd_sensitivity(args):

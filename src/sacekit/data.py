@@ -51,17 +51,6 @@ class StratumLabel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Unit:
-    """Single-row view of a dataset. ``y`` is None for truncated units."""
-
-    z: int
-    x: tuple
-    a: int
-    s: int
-    y: float | None
-
-
-@dataclass(frozen=True)
 class Schema:
     """Column mapping for CSV files.
 
@@ -184,17 +173,6 @@ class Dataset:
         """(x, a, y) arrays for survivors, optionally restricted to one arm."""
         mask = self.survivor_mask(arm)
         return self._x[mask], self._a[mask], self.outcomes_at(mask)
-
-    def unit(self, i):
-        i = int(i)
-        s = int(self._s[i])
-        y = float(self._y[self._ypos[i]]) if s == 1 else None
-        return Unit(
-            z=int(self._z[i]), x=tuple(self._x[i]), a=int(self._a[i]), s=s, y=y
-        )
-
-    def __iter__(self):
-        return (self.unit(i) for i in range(len(self)))
 
     def subset(self, indices):
         """New dataset of the given rows (duplicates allowed, e.g. resampling)."""

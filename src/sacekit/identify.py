@@ -19,9 +19,11 @@ differing in the assumption that closes the system:
 All three consume a :class:`CellTable` (exact population cell probabilities
 or sample frequencies) through one per-group driver: it takes each cell's
 always-survivor share, asks the route for the contrasts of the group, and
-averages them weighted by mass times share. A cell with a positive share that
-the route cannot score is dropped with a warning, and every
-:class:`IdentificationWarning` names the line that called the route.
+averages them weighted by mass times share. A group whose shares are all 0
+carries no weight and is skipped; a cell with a positive share that the
+route cannot score is dropped with a warning, and every
+:class:`IdentificationWarning` names the line outside the package that
+called the route.
 """
 
 from __future__ import annotations
@@ -311,9 +313,11 @@ def _cell_label(xkey, a=None):
 
 
 def _warn(msg):
-    """Warn at the first frame outside this module: the route's caller."""
+    """Warn at the first frame outside the package: the public function's caller."""
     frame, level = sys._getframe(), 1
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
+    while frame is not None and (
+        frame.f_globals.get("__name__", "").partition(".")[0] == __package__
+    ):
         frame, level = frame.f_back, level + 1
     _warnings.warn(msg, IdentificationWarning, stacklevel=level)
 
@@ -378,7 +382,8 @@ def _sace_by_group(table, strata_probs, group_contrasts):
     """The skeleton shared by the three routes.
 
     Per covariate group, in ascending level order: the always-survivor share
-    of each cell is the first of ``strata_probs(p1, p0)``, then
+    of each cell is the first of ``strata_probs(p1, p0)``; a group with no
+    positive share is skipped, and otherwise
     ``group_contrasts(xkey, group, shares)`` returns ``{a: contrast}`` for the
     cells the route can score. The effect averages the contrasts weighted by
     mass times share; a cell with a positive share and no contrast is dropped
@@ -399,6 +404,8 @@ def _sace_by_group(table, strata_probs, group_contrasts):
                 shares[a] = strata_probs(c.p_surv_treated, c.p_surv_control)[0]
             except (MonotonicityError, ValueError) as exc:
                 raise type(exc)(f"cell {_cell_label(xkey, a)}: {exc}") from None
+        if not any(share > 0.0 for share in shares.values()):
+            continue
         contrasts = group_contrasts(xkey, group, shares)
         for a, share in shares.items():
             if a not in contrasts:

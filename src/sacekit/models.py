@@ -9,7 +9,11 @@ fit), or two independent arm-wise logistic fits combined through a
 stochastic-monotonicity coupling of degree ``rho``. Stage two runs linear
 outcome regressions in which the fitted always-survivor share enters as a
 regressor, and the effect is a share-weighted plug-in average over the
-empirical covariate distribution.
+empirical covariate distribution. Every survivor regression, the naive
+baseline's included, goes through one function, :func:`_outcome_ols`,
+which screens each share column the same way: weak spread warns, a pure
+always-survivor arm (share constant at 1) drops the column with a note,
+and a share constant elsewhere raises.
 
 Method tags used throughout (and by the CLI):
 
@@ -40,6 +44,7 @@ from .errors import CollinearityError, EstimationError
 from .identify import (
     WEAK_THRESHOLD,
     IdentificationWarning,
+    _warn,
     check_rho,
     solve_two_point_mixture,
 )
@@ -303,7 +308,8 @@ class OutcomeParams:
     Only the blocks used by the requested method are filled. Vectors keep a
     canonical column order recorded in ``names``; a column dropped because
     its regressor was degenerate (a pure always-survivor arm) is stored
-    with coefficient 0 so downstream formulas stay valid.
+    with coefficient 0 so downstream formulas stay valid, and ``notes``
+    says so.
 
     - ``control``: (1, X, A), control-arm survivor mean.
     - ``treated_mix``: (1, X, share), treated-arm survivor mean with the
@@ -324,46 +330,64 @@ class OutcomeParams:
     pooled: np.ndarray | None = None
     pooled_relaxed: np.ndarray | None = None
     names: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
 
 
-def _linear_mean(coef, x, tail):
-    """Evaluate (1, x, *tail) @ coef for array-valued columns."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n = x.shape[0]
-    cols = [np.ones(n), *(x[:, j] for j in range(x.shape[1]))]
-    for t in tail:
-        cols.append(np.broadcast_to(np.asarray(t, dtype=float), (n,)))
-    return np.column_stack(cols) @ coef
+def _outcome_ols(ys, design, names, shares, what):
+    """Least-squares survivor outcome regression: (coefficients, notes).
 
-
-def _check_share_regressor(share, what, stacklevel=3):
-    """Classify a fitted-share regressor: usable, pure, or degenerate.
-
-    Returns True when the column is usable, False when the arm is a pure
-    always-survivor sample (share constant at 1). Constant anywhere else is
-    unidentifiable and raises. ``stacklevel`` places the weak-share warning
-    at the caller of the public fit that runs this check.
+    The one stage-two fit of every model-based method. ``shares`` maps the
+    index of each fitted-share column to the rows it is screened on. A
+    column whose spread there is below ``WEAK_THRESHOLD`` warns; one
+    constant at 1 marks a pure always-survivor sample and is dropped with
+    coefficient 0 and a note; one constant anywhere else carries no
+    information and raises CollinearityError. Errors and notes start with
+    ``what``, the fit's name, and the coefficients come in ``names`` order.
     """
-    spread = float(np.ptp(share)) if share.size else 0.0
-    if spread < CONSTANT_EPS:
-        if share.size and abs(float(share[0]) - 1.0) < 1e-6:
-            return False
-        raise CollinearityError(
-            [what],
-            f"fitted always-survivor share is numerically constant at "
-            f"{float(share[0]) if share.size else float('nan'):.6g} in {what}; "
-            "the substitution variable carries no information there",
+    n, p = design.shape
+    if n < p:
+        raise EstimationError(
+            f"{what}: {n} survivors, fewer than the {p} outcome coefficients"
         )
-    if spread < WEAK_THRESHOLD:
-        _warnings.warn(
-            f"{what}: always-share spread {spread:.3g} is weak; "
-            "coefficients are noise-amplified",
-            IdentificationWarning,
-            stacklevel=stacklevel,
+    screened = {j: design[rows, j] for j, rows in shares.items()}
+    if any(col.size == 0 for col in screened.values()):
+        raise EstimationError(f"{what}: survivors are required in both arms")
+    keep, notes = list(range(p)), []
+    for j, col in screened.items():
+        spread = float(np.ptp(col))
+        if spread >= CONSTANT_EPS:
+            if spread < WEAK_THRESHOLD:
+                _warn(
+                    f"{what}: {names[j]} spread {spread:.3g} is weak; "
+                    "coefficients are noise-amplified"
+                )
+        elif abs(float(col[0]) - 1.0) < 1e-6:
+            keep.remove(j)
+            notes.append(
+                f"{what}: {names[j]} dropped, its survivors are a pure "
+                "always-survivor sample"
+            )
+        else:
+            raise CollinearityError(
+                [names[j]],
+                f"{what}: fitted always-survivor share {names[j]} is numerically "
+                f"constant at {float(col[0]):.6g}; the substitution variable "
+                "carries no information there",
+            )
+    coef = np.zeros(p)
+    fit = design if len(keep) == p else design[:, keep]
+    coef[keep] = fit_ols(fit, ys, column_names=[names[j] for j in keep])
+    return coef, notes
+
+
+def _always_mass(always):
+    """Mean fitted always-survivor share; zero mass leaves no effect to average."""
+    mass = float(np.mean(always)) if always.size else 0.0
+    if mass <= 1e-12:
+        raise EstimationError(
+            "fitted always-survivor mass is zero; the effect is undefined"
         )
-    return True
+    return mass
 
 
 def fit_outcome_er(data, survival):
@@ -378,32 +402,21 @@ def fit_outcome_er(data, survival):
     x1, a1, y1 = data.survivors(arm=1)
     names_control = _design_names(data.covariate_names, ("a",))
     names_treated = _design_names(data.covariate_names, ("always_share",))
-    if y0.size < len(names_control):
-        raise EstimationError(
-            f"control arm has {y0.size} survivors, fewer than the "
-            f"{len(names_control)} outcome coefficients"
-        )
-    if y1.size < len(names_treated):
-        raise EstimationError(
-            f"treated arm has {y1.size} survivors, fewer than the "
-            f"{len(names_treated)} outcome coefficients"
-        )
-    control = fit_ols(survival_design(x0, a0), y0, column_names=names_control)
-
-    share = survival.theta_ratio(x1, a1)
-    if not _check_share_regressor(share, "the treated-arm outcome fit"):
-        raise CollinearityError(
-            ["always_share"],
-            "fitted always-survivor share is numerically constant across "
-            "treated-arm survivors; the substitution variable carries no "
-            "information",
-        )
-    design1 = np.column_stack([np.ones(y1.size), x1, share])
-    treated_mix = fit_ols(design1, y1, column_names=names_treated)
+    control, _ = _outcome_ols(
+        y0, survival_design(x0, a0), names_control, {}, "the control-arm outcome fit"
+    )
+    treated_mix, notes = _outcome_ols(
+        y1,
+        survival_design(x1, survival.theta_ratio(x1, a1)),
+        names_treated,
+        {len(names_treated) - 1: slice(None)},
+        "the treated-arm outcome fit",
+    )
     return OutcomeParams(
         control=control,
         treated_mix=treated_mix,
         names={"control": names_control, "treated_mix": names_treated},
+        notes=notes,
     )
 
 
@@ -416,26 +429,19 @@ def fit_ni(data, survival):
     coefficient is exactly the always-survivor effect.
     """
     mask = data.survivor_mask()
-    if not mask.any():
-        raise EstimationError("no survivors to fit")
-    xs = data.x[mask]
-    as_ = data.a[mask]
-    zs = data.z[mask]
+    xs, as_, zs = data.x[mask], data.a[mask], data.z[mask]
     ys = data.outcomes_at(mask)
     if not (zs == 1).any() or not (zs == 0).any():
         raise EstimationError("survivors are required in both arms")
     share = np.ones(ys.size)
     treated = zs == 1
     share[treated] = survival.theta_ratio(xs[treated], as_[treated])
-    _check_share_regressor(share[treated], "the pooled outcome fit (treated rows)")
     names = _design_names(data.covariate_names, ("a", "always_share", "z"))
-    if ys.size < len(names):
-        raise EstimationError(
-            f"{ys.size} survivors, fewer than the {len(names)} outcome coefficients"
-        )
     design = np.column_stack([np.ones(ys.size), xs, as_, share, zs])
-    pooled = fit_ols(design, ys, column_names=names)
-    return OutcomeParams(pooled=pooled, names={"pooled": names})
+    pooled, notes = _outcome_ols(
+        ys, design, names, {len(names) - 2: treated}, "the pooled outcome fit"
+    )
+    return OutcomeParams(pooled=pooled, names={"pooled": names}, notes=notes)
 
 
 @dataclass
@@ -461,55 +467,44 @@ class _SmStage:
     that turn the always-survivor probability into a share, and each
     outcome design as a Fortran-ordered buffer whose intercept, covariate,
     ``a`` and ``z`` columns are filled here; evaluating at a ``rho``
-    overwrites only the share columns. A data condition that rules out the
-    outcome stage is stored as its message and raised at evaluation, in the
-    order a single fit meets it, so in a sweep each grid point fails alone.
+    overwrites only the share columns. Every data check runs when a fit is
+    evaluated, so in a sweep each grid point fails alone.
     """
 
     def __init__(self, data, survival, assume_er):
         self.survival = survival
-        self.covariate_names = tuple(data.covariate_names)
+        self.assume_er = assume_er
         self.x = data.x
         self.th1 = survival.theta_treated(data.x, data.a)
         self.th0 = survival.theta_control(data.x, data.a)
         tiny = 1e-300
         d = data.n_covariates
         if assume_er:
-            self.names = _design_names(self.covariate_names, ("always_share",))
+            self.names = _design_names(data.covariate_names, ("always_share",))
+            self.shares = {d + 1: slice(None)}
             self.arms = []
-            for arm, tag, th_arm in ((1, "treated_mix", self.th1), (0, "control_mix", self.th0)):
+            for arm, th_arm in ((1, self.th1), (0, self.th0)):
                 mask = data.survivor_mask(arm)
                 ys = data.outcomes_at(mask)
-                problem = None
-                if not mask.any():
-                    problem = f"arm {arm} has no survivors"
-                elif ys.size < len(self.names):
-                    problem = (
-                        f"arm {arm} has {ys.size} survivors, fewer than the "
-                        f"{len(self.names)} outcome coefficients"
-                    )
                 design = np.empty((ys.size, d + 2), order="F")
                 design[:, 0] = 1.0
                 design[:, 1:-1] = data.x[mask]
                 floor = np.maximum(th_arm[mask], tiny)
-                self.arms.append((arm, tag, problem, mask, ys, floor, design))
+                what = f"the {'treated' if arm else 'control'}-arm outcome fit"
+                self.arms.append((what, mask, ys, floor, design))
         else:
-            mask = data.survivor_mask()
-            zs = data.z[mask]
-            self.mask = mask
-            self.ys = data.outcomes_at(mask)
-            self.treated = zs == 1
-            self.problem = None
-            if not self.treated.any() or not (zs == 0).any():
-                self.problem = "survivors are required in both arms"
-            self.z = zs
+            self.mask = mask = data.survivor_mask()
+            self.z = zs = data.z[mask]
             self.cz = 1 - zs
+            self.ys = data.outcomes_at(mask)
             self.floor1 = np.maximum(self.th1[mask], tiny)
             self.floor0 = np.maximum(self.th0[mask], tiny)
-            # (1, X, A, Z*share1, Z, (1-Z)*share0); the share columns are per rho
-            self.pooled_names = _design_names(
-                self.covariate_names, ("a", "z_x_treated_share", "z", "cz_x_control_share")
+            # (1, X, A, Z*share1, Z, (1-Z)*share0); the share columns are per
+            # rho and each is screened on its own arm's rows
+            self.names = _design_names(
+                data.covariate_names, ("a", "z_x_treated_share", "z", "cz_x_control_share")
             )
+            self.shares = {d + 2: zs == 1, d + 4: zs == 0}
             design = np.empty((self.ys.size, d + 5), order="F")
             design[:, 0] = 1.0
             design[:, 1 : d + 1] = data.x[mask]
@@ -518,83 +513,46 @@ class _SmStage:
             self.design = design
 
     def coupling(self, rho):
-        """(always, always_mass, harmed_mass) at ``rho``."""
+        """(always, harmed_mass) at ``rho``."""
         always = stochastic_always_share(self.th1, self.th0, float(rho))
-        n = always.size
-        always_mass = float(np.mean(always)) if n else 0.0
-        harmed_mass = float(np.mean(self.th0 - always)) if n else 0.0
-        return always, always_mass, harmed_mass
+        harmed_mass = float(np.mean(self.th0 - always)) if always.size else 0.0
+        return always, harmed_mass
 
-    def fit_arms(self, always):
-        """Arm-wise outcome fits on (1, X, arm share), and their notes."""
-        coefs = {}
-        notes = []
-        for arm, tag, problem, mask, ys, floor, design in self.arms:
-            if problem is not None:
-                raise EstimationError(problem)
-            share = np.divide(always[mask], floor, out=design[:, -1])
-            if _check_share_regressor(share, f"the arm-{arm} outcome fit", stacklevel=4):
-                coefs[tag] = fit_ols(design, ys, column_names=self.names)
-            else:
-                reduced = fit_ols(design[:, :-1], ys, column_names=self.names[:-1])
-                coefs[tag] = np.concatenate([reduced, [0.0]])
-                notes.append(
-                    f"arm {arm} survivors fitted as a pure always-survivor sample"
-                )
-        outcome = OutcomeParams(
-            treated_mix=coefs["treated_mix"],
-            control_mix=coefs["control_mix"],
-            names={"treated_mix": self.names, "control_mix": self.names},
-        )
-        # (1, X, 1) @ (treated - control): the survivor-mean gap of each unit
-        gap_coef = outcome.treated_mix - outcome.control_mix
-        gap = self.x @ gap_coef[1:-1] + (gap_coef[0] + gap_coef[-1])
-        effect = float(np.sum(always * gap) / np.sum(always))
-        return outcome, effect, notes
+    def fit(self, always):
+        """(outcome, effect) of the outcome stage at the coupling ``always``.
 
-    def fit_pooled(self, always):
-        """Pooled fit on (1, X, A, Z*share1, Z, (1-Z)*share0), and its notes."""
-        if self.problem is not None:
-            raise EstimationError(self.problem)
-        surv_always = always[self.mask]
-        share1 = surv_always / self.floor1
-        share0 = surv_always / self.floor0
-        use1 = _check_share_regressor(
-            share1[self.treated],
-            "the pooled fit (treated share column)",
-            stacklevel=4,
-        )
-        use0 = _check_share_regressor(
-            share0[~self.treated],
-            "the pooled fit (control share column)",
-            stacklevel=4,
-        )
-        d = len(self.covariate_names)
-        design = self.design
-        np.multiply(self.z, share1, out=design[:, d + 2])
-        np.multiply(self.cz, share0, out=design[:, d + 4])
-        notes = []
-        if not use0:
-            notes.append("control-arm survivors fitted as a pure always-survivor sample")
-        if not use1:
-            notes.append("treated-arm survivors fitted as a pure always-survivor sample")
-        cols = [j for j in range(d + 5) if (use1 or j != d + 2) and (use0 or j != d + 4)]
-        if len(cols) < design.shape[1]:
-            design = design[:, cols]
-        if self.ys.size < design.shape[1]:
-            raise EstimationError(
-                f"{self.ys.size} survivors, fewer than the {design.shape[1]} "
-                "outcome coefficients"
+        Two arm-wise fits on (1, X, arm share) when the exclusion
+        restriction is assumed, else one pooled fit.
+        """
+        if self.assume_er:
+            coefs, notes = [], []
+            for what, mask, ys, floor, design in self.arms:
+                np.divide(always[mask], floor, out=design[:, -1])
+                coef, arm_notes = _outcome_ols(ys, design, self.names, self.shares, what)
+                coefs.append(coef)
+                notes += arm_notes
+            treated_mix, control_mix = coefs
+            outcome = OutcomeParams(
+                treated_mix=treated_mix,
+                control_mix=control_mix,
+                names={"treated_mix": self.names, "control_mix": self.names},
+                notes=notes,
             )
-        # a dropped share column keeps coefficient 0 in the canonical layout
-        canonical = np.zeros(d + 5)
-        canonical[cols] = fit_ols(
-            design, self.ys, column_names=[self.pooled_names[j] for j in cols]
+            # (1, X, 1) @ (treated - control): the survivor-mean gap of each unit
+            gap_coef = treated_mix - control_mix
+            gap = self.x @ gap_coef[1:-1] + (gap_coef[0] + gap_coef[-1])
+            return outcome, float(np.sum(always * gap) / np.sum(always))
+        d = self.x.shape[1]
+        surv_always = always[self.mask]
+        np.multiply(self.z, surv_always / self.floor1, out=self.design[:, d + 2])
+        np.multiply(self.cz, surv_always / self.floor0, out=self.design[:, d + 4])
+        coef, notes = _outcome_ols(
+            self.ys, self.design, self.names, self.shares, "the pooled outcome fit"
         )
         outcome = OutcomeParams(
-            pooled_relaxed=canonical, names={"pooled_relaxed": self.pooled_names}
+            pooled_relaxed=coef, names={"pooled_relaxed": self.names}, notes=notes
         )
-        return outcome, float(canonical[d + 2] + canonical[d + 3] - canonical[d + 4]), notes
+        return outcome, float(coef[d + 2] + coef[d + 3] - coef[d + 4])
 
 
 def fit_sm(data, rho, assume_er=True, survival=None, *, _stage=None):
@@ -622,15 +580,9 @@ def fit_sm(data, rho, assume_er=True, survival=None, *, _stage=None):
         if survival is None:
             survival = fit_survival_sm(data)
         _stage = _SmStage(data, survival, assume_er)
-    always, always_mass, harmed_mass = _stage.coupling(rho)
-    if always_mass <= 1e-12:
-        raise EstimationError(
-            "fitted always-survivor mass is zero; the effect is undefined"
-        )
-    if assume_er:
-        outcome, effect, notes = _stage.fit_arms(always)
-    else:
-        outcome, effect, notes = _stage.fit_pooled(always)
+    always, harmed_mass = _stage.coupling(rho)
+    always_mass = _always_mass(always)
+    outcome, effect = _stage.fit(always)
     return SmFit(
         survival=_stage.survival,
         rho=float(rho),
@@ -639,7 +591,7 @@ def fit_sm(data, rho, assume_er=True, survival=None, *, _stage=None):
         effect=effect,
         always_mass=always_mass,
         harmed_mass=harmed_mass,
-        warnings=notes,
+        warnings=outcome.notes,
     )
 
 
@@ -685,12 +637,8 @@ def naive_estimator(data):
         raise EstimationError("survivors are required in both arms")
     ys = data.outcomes_at(mask)
     design = np.column_stack([np.ones(ys.size), data.x[mask], data.a[mask], zs])
-    names = ("intercept", *data.covariate_names, "a", "z")
-    if ys.size < design.shape[1]:
-        raise EstimationError(
-            f"{ys.size} survivors, fewer than the {design.shape[1]} coefficients"
-        )
-    coef = fit_ols(design, ys, column_names=names)
+    names = _design_names(data.covariate_names, ("a", "z"))
+    coef, _ = _outcome_ols(ys, design, names, {}, "the naive fit")
     return float(coef[-1])
 
 
@@ -741,17 +689,15 @@ def dgyz_estimator(data):
 def _prop_er(data, survival, rho):
     outcome = fit_outcome_er(data, survival)
     always = survival.always_share(data.x, data.a)
-    if np.sum(always) <= 1e-12:
-        raise EstimationError(
-            "fitted always-survivor mass is zero; the effect is undefined"
-        )
-    mu1 = _linear_mean(outcome.treated_mix, data.x, (1.0,))
-    mu0 = _linear_mean(outcome.control, data.x, (data.a,))
-    return float(np.sum(always * (mu1 - mu0)) / np.sum(always)), []
+    _always_mass(always)
+    mu1 = survival_design(data.x, np.ones(len(data))) @ outcome.treated_mix
+    mu0 = survival_design(data.x, data.a) @ outcome.control
+    return float(np.sum(always * (mu1 - mu0)) / np.sum(always)), outcome.notes
 
 
 def _prop_ni(data, survival, rho):
-    return float(fit_ni(data, survival).pooled[-1]), []
+    outcome = fit_ni(data, survival)
+    return float(outcome.pooled[-1]), outcome.notes
 
 
 def _prop_sm(data, survival, rho, assume_er=True):
@@ -1030,7 +976,7 @@ def sensitivity_sweep(data, rho_grid, assume_er=True, survival=None):
                 rows.append(
                     SensitivityRow(
                         rho=rho,
-                        harmed_mass=stage.coupling(rho)[2],
+                        harmed_mass=stage.coupling(rho)[1],
                         effect=float("nan"),
                         message=str(exc),
                     )

@@ -253,6 +253,21 @@ def test_sensitivity_both_variants(tmp_path, capsys):
     assert len(er_file.read_text().splitlines()) == 4
 
 
+def test_sensitivity_both_variants_keep_a_dotted_directory(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=700)
+    (tmp_path / "run.d").mkdir()
+    code, _, _ = run_cli(
+        capsys,
+        "sensitivity", "--data", str(data), "--rho-grid", "0,1",
+        "--assume-er", "both", "--out", str(tmp_path / "run.d" / "curve"),
+    )
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == [
+        "curve.er.csv",
+        "curve.ni.csv",
+    ]
+
+
 def test_sensitivity_grid_errors(tmp_path, capsys):
     data = make_data(tmp_path, capsys, n=100)
     out = str(tmp_path / "c.csv")

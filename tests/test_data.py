@@ -88,15 +88,22 @@ def test_zero_covariate_columns_supported():
     assert data.x.shape == (2, 0)
 
 
-def test_subset_and_iteration():
+def row_fields(data, i):
+    """Row ``i`` as the CSV fields ``save_dataset`` writes: z, s, y, a, then x."""
+    s = int(data.s[i])
+    y = repr(float(data.outcomes_at([i])[0])) if s == 1 else ""
+    head = [str(int(data.z[i])), str(s), y, str(int(data.a[i]))]
+    return head + [repr(float(v)) for v in data.x[i]]
+
+
+def test_subset_rows():
     data = small_dataset()
     sub = data.subset([0, 2, 5])
     assert len(sub) == 3
-    units = list(sub)
-    assert units[0].y == 2.5
-    assert units[1].x == (0.0, 0.5)
-    # truncated units carry y=None through the row view
-    assert next(iter(data.subset([3]))).y is None
+    assert row_fields(sub, 0) == ["1", "1", "2.5", "0", "0.5", "1.0"]
+    assert tuple(sub.x[1]) == (0.0, 0.5)
+    # a truncated unit keeps no outcome
+    assert row_fields(data.subset([3]), 0)[2] == ""
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -386,10 +393,7 @@ def test_save_load_roundtrip_across_blocks(tmp_path):
     lines = p.read_bytes().split(b"\r\n")
     assert lines[0] == b"z,s,y,a,x1,x2" and lines[-1] == b""
     for i in (0, 8191, 8192, n - 1):
-        u = data.unit(i)
-        y = "" if u.y is None else repr(u.y)
-        fields = [str(u.z), str(u.s), y, str(u.a)] + [repr(float(v)) for v in u.x]
-        assert lines[i + 1] == ",".join(fields).encode()
+        assert lines[i + 1] == ",".join(row_fields(data, i)).encode()
     assert load_dataset(p) == data
 
 
@@ -444,10 +448,8 @@ def rendered_csv(draw):
         return f'"{text}"' if draw(st.booleans()) else text
 
     lines = [",".join(["z", "s", "y", "a"] + list(data.covariate_names))]
-    for u in data:
-        y = "" if u.y is None else repr(u.y)
-        fields = [str(u.z), str(u.s), y, str(u.a)] + [repr(float(v)) for v in u.x]
-        lines.append(",".join(map(render, fields)))
+    for i in range(len(data)):
+        lines.append(",".join(map(render, row_fields(data, i))))
     body = newline.join(lines) + (newline if draw(st.booleans()) else "")
     return data, body.encode()
 

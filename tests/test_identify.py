@@ -477,6 +477,26 @@ def test_every_route_drops_an_unsolvable_groups_cells_once():
         assert_allclose(got, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_group_without_always_survivors_is_skipped(route):
+    # group 1 has no control survivors at either level: every share is 0,
+    # so it carries no weight and is skipped without a warning
+    table = CellTable(
+        {
+            ((0.0,), 1): population_cell(0.4, 0.8, 0.6, 1.5, 1.0),
+            ((0.0,), 0): population_cell(0.4, 0.7, 0.3, 6.0 / 7.0, 1.0),
+            ((1.0,), 0): population_cell(0.1, 0.6, 0.0, 1.5, None),
+            ((1.0,), 1): population_cell(0.1, 0.5, 0.0, 1.2, None),
+        },
+        mode="population",
+        covariate_names=("g",),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ROUTES[route](table)
+    assert_allclose(got, 1.0, atol=1e-12)
+
+
 def test_stochastic_route_checks_rho_before_any_cell(hand_table):
     with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\], got 1.5$"):
         sace_stochastic_monotone(hand_table, 1.5)
@@ -486,6 +506,8 @@ def test_stochastic_route_checks_rho_before_any_cell(hand_table):
     )
     with pytest.raises(ValueError, match=r"^rho must lie in \[0, 1\], got nan$"):
         sace_stochastic_monotone(dead, float("nan"))
-    with pytest.warns(IdentificationWarning, match="group dropped"):
+    # its one group has no always survivors, so it is skipped without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(EstimationError, match="no cell carries"):
             sace_stochastic_monotone(dead, 0.5)

@@ -208,6 +208,20 @@ def test_prop_ni_point_is_the_pooled_z_coefficient():
     assert est.point == float(direct.pooled[-1])
 
 
+@pytest.mark.parametrize("method", ["prop-er", "prop-ni"])
+def test_pure_treated_share_is_dropped_with_a_note(method):
+    # a ratio intercept of 50 puts the always-survivor share at exactly 1
+    # for every treated survivor: the treated arm is a pure always-survivor
+    # sample, so the share column is dropped as prop-sm drops it
+    data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=0, seed=47))
+    survival = true_survival_er(0)
+    survival.gamma_ratio = survival.gamma_ratio.copy()
+    survival.gamma_ratio[0] = 50.0
+    est = estimate_sace(data, method, survival=survival)
+    assert np.isfinite(est.point)
+    assert any("pure always-survivor" in w for w in est.warnings)
+
+
 def test_end_to_end_recovery_at_moderate_n():
     data, _ = gen_dataset(SimulationSetting(n=5000, delta1=1, delta2=1, seed=48))
     survival = fit_survival_er(data)

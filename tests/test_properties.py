@@ -67,6 +67,24 @@ def test_bootstrap_point_is_the_estimate(data, method):
     assert boot.converged == est.converged
 
 
+def test_every_model_based_method_fits_its_outcomes_in_one_place(data, monkeypatch):
+    import sacekit.models as models
+
+    calls = []
+    original = models._outcome_ols
+
+    def spy(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(models, "_outcome_ols", spy)
+    expected = {"prop-er": 2, "prop-ni": 1, "prop-sm": 2, "prop-sm-ni": 1, "naive": 1}
+    for method, count in expected.items():
+        calls.clear()
+        estimate_sace(data, method, rho=rho_for(method))
+        assert len(calls) == count, (method, calls)
+
+
 def test_estimate_sace_runs_the_baselines(data):
     for method, fn in (("naive", naive_estimator), ("dgyz", dgyz_estimator)):
         est = estimate_sace(data, method)
