@@ -68,7 +68,6 @@ from .numerics import (
     expit,
     fit_logistic,
     fit_ols,
-    logit,
     maximize_loglik,
     rng_stream,
 )
@@ -125,7 +124,6 @@ __all__ = [
     "gen_dataset",
     "gmm_overidentified",
     "load_dataset",
-    "logit",
     "maximize_loglik",
     "naive_estimator",
     "quantile_binner",

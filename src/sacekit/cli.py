@@ -106,7 +106,8 @@ def build_parser():
     p.add_argument("--rho", type=float,
                    help="sensitivity level (stochastic methods only)")
     p.add_argument("--bootstrap", type=int, default=0, metavar="B",
-                   help="bootstrap replicates (0 = point estimate only)")
+                   help="bootstrap replicates (0 = point estimate only); each is "
+                        "fitted on its distinct rows with integer frequency weights")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.set_defaults(func=cmd_fit)

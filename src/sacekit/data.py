@@ -28,27 +28,6 @@ class StratumLabel(enum.Enum):
     HARMED = "DL"
     NEVER = "DD"
 
-    @property
-    def survives_treated(self):
-        return self in (StratumLabel.ALWAYS, StratumLabel.PROTECTED)
-
-    @property
-    def survives_control(self):
-        return self in (StratumLabel.ALWAYS, StratumLabel.HARMED)
-
-    @classmethod
-    def from_potential(cls, s_treated, s_control):
-        table = {
-            (1, 1): cls.ALWAYS,
-            (1, 0): cls.PROTECTED,
-            (0, 1): cls.HARMED,
-            (0, 0): cls.NEVER,
-        }
-        try:
-            return table[(int(s_treated), int(s_control))]
-        except KeyError:
-            raise ValueError("potential survival indicators must be 0 or 1") from None
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -169,11 +148,6 @@ class Dataset:
             raise DataError("requested the outcome of a truncated unit")
         return self._y[pos]
 
-    def survivors(self, arm=None):
-        """(x, a, y) arrays for survivors, optionally restricted to one arm."""
-        mask = self.survivor_mask(arm)
-        return self._x[mask], self._a[mask], self.outcomes_at(mask)
-
     def subset(self, indices):
         """New dataset of the given rows (duplicates allowed, e.g. resampling)."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -182,7 +156,7 @@ class Dataset:
         keep = s == 1
         y[keep] = self._y[self._ypos[idx[keep]]]
         return Dataset.from_arrays(
-            self._z[idx], self._x[idx], self._a[idx], s, y, self.covariate_names
+            self._z[idx], self._x.take(idx, axis=0), self._a[idx], s, y, self.covariate_names
         )
 
     def __eq__(self, other):

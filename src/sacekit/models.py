@@ -28,7 +28,10 @@ Method tags used throughout (and by the CLI):
 - ``naive`` and ``dgyz``: the comparison baselines, which fit no stage one.
 
 :data:`METHODS` holds one row per tag, and :func:`estimate_sace` runs any
-of them.
+of them. Every fit and plug-in average takes optional integer frequency
+weights, one per row; :func:`bootstrap` fits each replicate on its
+distinct rows weighted by their draw counts. Without weights no weight
+enters the arithmetic.
 """
 
 from __future__ import annotations
@@ -70,6 +73,38 @@ def survival_design(x, a):
     return np.column_stack([np.ones(a.shape[0]), x, a])
 
 
+def _design(x, a):
+    """The stage-one design of ``(x, a)``; ``x`` itself when ``a`` is None."""
+    return x if a is None else survival_design(x, a)
+
+
+def _rows(array, mask):
+    """The rows of a 2-D ``array`` where ``mask`` holds, as a C-ordered copy.
+
+    The same array as ``array[mask]``; ``take`` gathers the rows several
+    times faster than boolean indexing.
+    """
+    return array.take(np.flatnonzero(mask), axis=0)
+
+
+def _weights_at(weights, mask):
+    """The weights of the rows ``mask`` selects; None without weights."""
+    return None if weights is None else weights[mask]
+
+
+def _mean(values, weights=None):
+    """Mean of ``values``, each counted ``weights`` times when weights are given."""
+    if weights is None:
+        return float(np.mean(values))
+    return float(weights @ values / np.sum(weights))
+
+
+def _share_average(values, always, weights=None):
+    """Average of per-unit ``values`` weighted by the always-survivor share."""
+    mass = always if weights is None else always * weights
+    return float(np.sum(mass * values) / np.sum(mass))
+
+
 def _design_names(covariate_names, tail):
     return ("intercept", *covariate_names, *tail)
 
@@ -91,6 +126,11 @@ class SurvivalParamsER:
     logistic link on (1, x, a); ``gamma_ratio`` parameterizes the ratio of
     control to treated survival the same way. Control survival is their
     product, so it can never exceed treated survival.
+
+    Each ``theta_*`` method takes covariates and substitution levels
+    ``(x, a)``, or, with ``a`` omitted, a ready (1, X, A) design such as
+    :func:`survival_design` returns; the estimators build that design once
+    per fit and pass it.
     """
 
     beta_treated: np.ndarray
@@ -98,17 +138,18 @@ class SurvivalParamsER:
     optimizer: OptimizerResult
     column_names: tuple
 
-    def theta_treated(self, x, a):
-        return expit(survival_design(x, a) @ self.beta_treated)
+    def theta_treated(self, x, a=None):
+        return expit(_design(x, a) @ self.beta_treated)
 
-    def theta_ratio(self, x, a):
+    def theta_ratio(self, x, a=None):
         """Fitted always-survivor share among treated-arm survivors."""
-        return expit(survival_design(x, a) @ self.gamma_ratio)
+        return expit(_design(x, a) @ self.gamma_ratio)
 
-    def theta_control(self, x, a):
-        return self.theta_treated(x, a) * self.theta_ratio(x, a)
+    def theta_control(self, x, a=None):
+        v = _design(x, a)
+        return self.theta_treated(v) * self.theta_ratio(v)
 
-    def always_share(self, x, a):
+    def always_share(self, x, a=None):
         """Fitted always-survivor probability, which equals control survival."""
         return self.theta_control(x, a)
 
@@ -127,7 +168,11 @@ class SurvivalParamsER:
 
 @dataclass
 class SurvivalParamsSM:
-    """Independent arm-wise survival fits for the stochastic route."""
+    """Independent arm-wise survival fits for the stochastic route.
+
+    The ``theta_*`` methods take ``(x, a)`` or a ready design, as in
+    :class:`SurvivalParamsER`.
+    """
 
     beta_treated: np.ndarray
     beta_control: np.ndarray
@@ -135,11 +180,11 @@ class SurvivalParamsSM:
     opt_control: OptimizerResult
     column_names: tuple
 
-    def theta_treated(self, x, a):
-        return expit(survival_design(x, a) @ self.beta_treated)
+    def theta_treated(self, x, a=None):
+        return expit(_design(x, a) @ self.beta_treated)
 
-    def theta_control(self, x, a):
-        return expit(survival_design(x, a) @ self.beta_control)
+    def theta_control(self, x, a=None):
+        return expit(_design(x, a) @ self.beta_control)
 
     @property
     def params(self):
@@ -154,7 +199,9 @@ class SurvivalParamsSM:
         return self.opt_treated.boundary_flag or self.opt_control.boundary_flag
 
 
-def joint_survival_objective(design_treated, s_treated, design_control, s_control):
+def joint_survival_objective(
+    design_treated, s_treated, design_control, s_control, w_treated=None, w_control=None
+):
     """Log-likelihood triple for the joint survival model.
 
     The parameter vector stacks the treated-survival coefficients ``b`` and
@@ -168,6 +215,10 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
     is built: treated units and control survivors form one logistic block in
     ``b``, control survivors another in ``g``, and only the control deaths,
     through log(1 - q), couple the two blocks.
+
+    ``w_treated`` and ``w_control`` are integer frequency weights, one per
+    row of each arm, given together or not at all; each row's terms are
+    multiplied by its weight. Without them every row counts once.
     """
     v1 = np.asarray(design_treated, dtype=float)
     s1 = np.asarray(s_treated, dtype=float)
@@ -180,12 +231,17 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
     # one C-ordered (p, n) array so that every product below runs over
     # contiguous rows
     vt = np.empty((p, n1 + v0.shape[0]))
-    np.concatenate([v1.T, v0[lived].T, v0[~lived].T], axis=1, out=vt)
+    np.concatenate([v1.T, _rows(v0, lived).T, _rows(v0, ~lived).T], axis=1, out=vt)
     m = int(np.count_nonzero(lived))
     nb = n1 + m
     vg, vd = vt[:, n1:], vt[:, nb:]
     target = np.concatenate([s1, np.ones(m)])
     flip = 1.0 - 2.0 * target
+    w = None
+    if w_treated is not None:
+        w = np.concatenate([w_treated, w_control[lived], w_control[~lived]])
+        # the weights of the rows in vg and vd, and of the two logistic blocks
+        wg, wd, wb = w[n1:], w[nb:], w[:nb]
 
     def objective(theta):
         b, g = theta[:p], theta[p:]
@@ -193,7 +249,10 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
         u = g @ vg
         th = expit(t)
         thu = expit(u)
-        ll = -float(np.sum(_softplus(flip * t[:nb]))) - float(np.sum(_softplus(-u[:m])))
+        if w is None:
+            ll = -float(np.sum(_softplus(flip * t[:nb]))) - float(np.sum(_softplus(-u[:m])))
+        else:
+            ll = -float(wb @ _softplus(flip * t[:nb])) - float(wg[:m] @ _softplus(-u[:m]))
         r_b = np.empty_like(t)
         w_bb = np.empty_like(t)
         r_g = np.empty_like(u)
@@ -209,7 +268,7 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
         one_t, one_u = 1.0 - tht, 1.0 - thr
         q = tht * thr
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ll += float(np.sum(np.log1p(-q)))
+            ll += float(np.sum(np.log1p(-q)) if w is None else wd @ np.log1p(-q))
             c = -(q / (1.0 - q))
             curv = q / (1.0 - q) ** 2
             np.multiply(one_t, c, out=r_b[nb:])
@@ -217,6 +276,12 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
             w_bb[nb:] = tht * one_t * c + one_t**2 * curv
             w_gg[m:] = thr * one_u * c + one_u**2 * curv
             w_bg = one_t * one_u * curv
+        if w is not None:
+            r_b *= w
+            w_bb *= w
+            r_g *= wg
+            w_gg *= wg
+            w_bg *= wd
 
         grad = np.concatenate([vt @ r_b, vg @ r_g])
         hess = np.empty((2 * p, 2 * p))
@@ -229,7 +294,7 @@ def joint_survival_objective(design_treated, s_treated, design_control, s_contro
     return objective
 
 
-def fit_survival_er(data, init=None):
+def fit_survival_er(data, init=None, weights=None):
     """Fit the joint survival model by maximum likelihood.
 
     ``init`` is the starting point: the treated-survival coefficients
@@ -239,19 +304,22 @@ def fit_survival_er(data, init=None):
     arm-wise logistic fit for the treated coefficients and zeros for the
     ratio coefficients. The returned optimizer result carries convergence
     and boundary flags; a boundary-saturated ratio surface is the
-    fingerprint of a monotonicity violation in the data.
+    fingerprint of a monotonicity violation in the data. ``weights`` are
+    integer frequency weights, one per unit (see :func:`bootstrap`).
     """
     z, s = data.z, data.s
     if not np.any(z == 1) or not np.any(z == 0):
         raise EstimationError("both treatment arms are required to fit survival")
     v = survival_design(data.x, data.a)
-    v1, s1 = v[z == 1], s[z == 1]
-    v0, s0 = v[z == 0], s[z == 0]
+    treated, control = z == 1, z == 0
+    v1, s1 = _rows(v, treated), s[treated]
+    v0, s0 = _rows(v, control), s[control]
+    w1, w0 = _weights_at(weights, treated), _weights_at(weights, control)
     p = v.shape[1]
     if init is None:
-        warm = fit_logistic(v1, s1)
+        warm = fit_logistic(v1, s1, weights=w1)
         init = np.concatenate([warm.params, np.zeros(p)])
-    objective = joint_survival_objective(v1, s1, v0, s0)
+    objective = joint_survival_objective(v1, s1, v0, s0, w1, w0)
 
     def probabilities(theta):
         return np.concatenate([expit(v @ theta[:p]), expit(v @ theta[p:])])
@@ -266,13 +334,14 @@ def fit_survival_er(data, init=None):
     )
 
 
-def fit_survival_sm(data, init=None):
+def fit_survival_sm(data, init=None, weights=None):
     """Fit treated and control survival by independent logistic regressions.
 
     ``init`` is the starting point: the treated coefficients stacked on the
     control coefficients, as in ``params`` of an earlier fit.
     :func:`bootstrap` passes the full-data fit there, so each replicate
     starts near its optimum. Without it both fits start from zeros.
+    ``weights`` are integer frequency weights, one per unit.
     """
     z, s = data.z, data.s
     if not np.any(z == 1) or not np.any(z == 0):
@@ -280,8 +349,10 @@ def fit_survival_sm(data, init=None):
     v = survival_design(data.x, data.a)
     p = v.shape[1]
     init1, init0 = (None, None) if init is None else (init[:p], init[p:])
-    opt1 = fit_logistic(v[z == 1], s[z == 1], init=init1)
-    opt0 = fit_logistic(v[z == 0], s[z == 0], init=init0)
+    treated, control = z == 1, z == 0
+    w1, w0 = _weights_at(weights, treated), _weights_at(weights, control)
+    opt1 = fit_logistic(_rows(v, treated), s[treated], init=init1, weights=w1)
+    opt0 = fit_logistic(_rows(v, control), s[control], init=init0, weights=w0)
     return SurvivalParamsSM(
         beta_treated=opt1.params,
         beta_control=opt0.params,
@@ -333,7 +404,7 @@ class OutcomeParams:
     notes: list = field(default_factory=list)
 
 
-def _outcome_ols(ys, design, names, shares, what):
+def _outcome_ols(ys, design, names, shares, what, weights=None):
     """Least-squares survivor outcome regression: (coefficients, notes).
 
     The one stage-two fit of every model-based method. ``shares`` maps the
@@ -343,8 +414,11 @@ def _outcome_ols(ys, design, names, shares, what):
     coefficient 0 and a note; one constant anywhere else carries no
     information and raises CollinearityError. Errors and notes start with
     ``what``, the fit's name, and the coefficients come in ``names`` order.
+    With integer frequency ``weights`` the survivor count is their sum.
     """
     n, p = design.shape
+    if weights is not None:
+        n = int(np.sum(weights))
     if n < p:
         raise EstimationError(
             f"{what}: {n} survivors, fewer than the {p} outcome coefficients"
@@ -376,13 +450,13 @@ def _outcome_ols(ys, design, names, shares, what):
             )
     coef = np.zeros(p)
     fit = design if len(keep) == p else design[:, keep]
-    coef[keep] = fit_ols(fit, ys, column_names=[names[j] for j in keep])
+    coef[keep] = fit_ols(fit, ys, column_names=[names[j] for j in keep], weights=weights)
     return coef, notes
 
 
-def _always_mass(always):
+def _always_mass(always, weights=None):
     """Mean fitted always-survivor share; zero mass leaves no effect to average."""
-    mass = float(np.mean(always)) if always.size else 0.0
+    mass = _mean(always, weights) if always.size else 0.0
     if mass <= 1e-12:
         raise EstimationError(
             "fitted always-survivor mass is zero; the effect is undefined"
@@ -390,27 +464,35 @@ def _always_mass(always):
     return mass
 
 
-def fit_outcome_er(data, survival):
+def fit_outcome_er(data, survival, weights=None, *, design=None):
     """Stage-two outcome fits under the exclusion restriction.
 
     Control-arm survivors are pure always survivors, so their mean is linear
     in (1, X, A). Treated-arm survivor means are linear in (1, X, share)
     where share is the fitted always-survivor share from ``survival``; the
     share coefficient measures the always-vs-protected outcome gap.
+    ``weights`` are integer frequency weights, one per unit. ``design`` is
+    the stage-one design of ``data`` when the caller has built it; the
+    treated rows' copy of it gets the share as its last column.
     """
-    x0, a0, y0 = data.survivors(arm=0)
-    x1, a1, y1 = data.survivors(arm=1)
+    v = survival_design(data.x, data.a) if design is None else design
     names_control = _design_names(data.covariate_names, ("a",))
     names_treated = _design_names(data.covariate_names, ("always_share",))
+    mask0, mask1 = data.survivor_mask(0), data.survivor_mask(1)
+    w0, w1 = _weights_at(weights, mask0), _weights_at(weights, mask1)
     control, _ = _outcome_ols(
-        y0, survival_design(x0, a0), names_control, {}, "the control-arm outcome fit"
+        data.outcomes_at(mask0), _rows(v, mask0), names_control, {},
+        "the control-arm outcome fit", w0,
     )
+    v1 = _rows(v, mask1)
+    v1[:, -1] = survival.theta_ratio(v1)
     treated_mix, notes = _outcome_ols(
-        y1,
-        survival_design(x1, survival.theta_ratio(x1, a1)),
+        data.outcomes_at(mask1),
+        v1,
         names_treated,
         {len(names_treated) - 1: slice(None)},
         "the treated-arm outcome fit",
+        w1,
     )
     return OutcomeParams(
         control=control,
@@ -420,13 +502,14 @@ def fit_outcome_er(data, survival):
     )
 
 
-def fit_ni(data, survival):
+def fit_ni(data, survival, weights=None):
     """Pooled no-interaction outcome fit.
 
     All survivors enter one regression on (1, X, A, share*, Z): share* is 1
     for control-arm rows (pure always survivors) and the fitted share for
     treated-arm rows. Under the additive no-interaction assumption the Z
-    coefficient is exactly the always-survivor effect.
+    coefficient is exactly the always-survivor effect. ``weights`` are
+    integer frequency weights, one per unit.
     """
     mask = data.survivor_mask()
     xs, as_, zs = data.x[mask], data.a[mask], data.z[mask]
@@ -439,7 +522,8 @@ def fit_ni(data, survival):
     names = _design_names(data.covariate_names, ("a", "always_share", "z"))
     design = np.column_stack([np.ones(ys.size), xs, as_, share, zs])
     pooled, notes = _outcome_ols(
-        ys, design, names, {len(names) - 2: treated}, "the pooled outcome fit"
+        ys, design, names, {len(names) - 2: treated}, "the pooled outcome fit",
+        _weights_at(weights, mask),
     )
     return OutcomeParams(pooled=pooled, names={"pooled": names}, notes=notes)
 
@@ -468,15 +552,18 @@ class _SmStage:
     outcome design as a Fortran-ordered buffer whose intercept, covariate,
     ``a`` and ``z`` columns are filled here; evaluating at a ``rho``
     overwrites only the share columns. Every data check runs when a fit is
-    evaluated, so in a sweep each grid point fails alone.
+    evaluated, so in a sweep each grid point fails alone. ``weights`` are
+    integer frequency weights, one per unit.
     """
 
-    def __init__(self, data, survival, assume_er):
+    def __init__(self, data, survival, assume_er, weights=None):
         self.survival = survival
         self.assume_er = assume_er
+        self.weights = weights
         self.x = data.x
-        self.th1 = survival.theta_treated(data.x, data.a)
-        self.th0 = survival.theta_control(data.x, data.a)
+        v = survival_design(data.x, data.a)
+        self.th1 = survival.theta_treated(v)
+        self.th0 = survival.theta_control(v)
         tiny = 1e-300
         d = data.n_covariates
         if assume_er:
@@ -491,9 +578,10 @@ class _SmStage:
                 design[:, 1:-1] = data.x[mask]
                 floor = np.maximum(th_arm[mask], tiny)
                 what = f"the {'treated' if arm else 'control'}-arm outcome fit"
-                self.arms.append((what, mask, ys, floor, design))
+                self.arms.append((what, mask, ys, floor, design, _weights_at(weights, mask)))
         else:
             self.mask = mask = data.survivor_mask()
+            self.w = _weights_at(weights, mask)
             self.z = zs = data.z[mask]
             self.cz = 1 - zs
             self.ys = data.outcomes_at(mask)
@@ -515,7 +603,7 @@ class _SmStage:
     def coupling(self, rho):
         """(always, harmed_mass) at ``rho``."""
         always = stochastic_always_share(self.th1, self.th0, float(rho))
-        harmed_mass = float(np.mean(self.th0 - always)) if always.size else 0.0
+        harmed_mass = _mean(self.th0 - always, self.weights) if always.size else 0.0
         return always, harmed_mass
 
     def fit(self, always):
@@ -526,9 +614,9 @@ class _SmStage:
         """
         if self.assume_er:
             coefs, notes = [], []
-            for what, mask, ys, floor, design in self.arms:
+            for what, mask, ys, floor, design, w in self.arms:
                 np.divide(always[mask], floor, out=design[:, -1])
-                coef, arm_notes = _outcome_ols(ys, design, self.names, self.shares, what)
+                coef, arm_notes = _outcome_ols(ys, design, self.names, self.shares, what, w)
                 coefs.append(coef)
                 notes += arm_notes
             treated_mix, control_mix = coefs
@@ -541,13 +629,13 @@ class _SmStage:
             # (1, X, 1) @ (treated - control): the survivor-mean gap of each unit
             gap_coef = treated_mix - control_mix
             gap = self.x @ gap_coef[1:-1] + (gap_coef[0] + gap_coef[-1])
-            return outcome, float(np.sum(always * gap) / np.sum(always))
+            return outcome, _share_average(gap, always, self.weights)
         d = self.x.shape[1]
         surv_always = always[self.mask]
         np.multiply(self.z, surv_always / self.floor1, out=self.design[:, d + 2])
         np.multiply(self.cz, surv_always / self.floor0, out=self.design[:, d + 4])
         coef, notes = _outcome_ols(
-            self.ys, self.design, self.names, self.shares, "the pooled outcome fit"
+            self.ys, self.design, self.names, self.shares, "the pooled outcome fit", self.w
         )
         outcome = OutcomeParams(
             pooled_relaxed=coef, names={"pooled_relaxed": self.names}, notes=notes
@@ -555,7 +643,7 @@ class _SmStage:
         return outcome, float(coef[d + 2] + coef[d + 3] - coef[d + 4])
 
 
-def fit_sm(data, rho, assume_er=True, survival=None, *, _stage=None):
+def fit_sm(data, rho, assume_er=True, survival=None, weights=None, *, _stage=None):
     """Stochastic-monotonicity pipeline at sensitivity level ``rho``.
 
     Stage one (reusable across ``rho`` via the ``survival`` argument) fits
@@ -574,14 +662,15 @@ def fit_sm(data, rho, assume_er=True, survival=None, *, _stage=None):
     Everything that does not depend on ``rho`` (the survival surfaces over
     all units, the survivor selections and the fixed design columns) is
     built first as one stage; :func:`sensitivity_sweep` builds it once and
-    evaluates every grid point through this function.
+    evaluates every grid point through this function. ``weights`` are
+    integer frequency weights, one per unit.
     """
     if _stage is None:
         if survival is None:
-            survival = fit_survival_sm(data)
-        _stage = _SmStage(data, survival, assume_er)
+            survival = fit_survival_sm(data, weights=weights)
+        _stage = _SmStage(data, survival, assume_er, weights)
     always, harmed_mass = _stage.coupling(rho)
-    always_mass = _always_mass(always)
+    always_mass = _always_mass(always, _stage.weights)
     outcome, effect = _stage.fit(always)
     return SmFit(
         survival=_stage.survival,
@@ -624,12 +713,13 @@ class SaceEstimate:
         return asdict(self)
 
 
-def naive_estimator(data):
+def naive_estimator(data, weights=None):
     """Survivor-only regression that ignores the truncation problem.
 
     OLS of the outcome on (1, X, A, Z) among survivors; returns the Z
     coefficient. Biased whenever treatment changes the composition of the
-    surviving population.
+    surviving population. ``weights`` are integer frequency weights, one
+    per unit.
     """
     mask = data.survivor_mask()
     zs = data.z[mask]
@@ -638,11 +728,11 @@ def naive_estimator(data):
     ys = data.outcomes_at(mask)
     design = np.column_stack([np.ones(ys.size), data.x[mask], data.a[mask], zs])
     names = _design_names(data.covariate_names, ("a", "z"))
-    coef, _ = _outcome_ols(ys, design, names, {}, "the naive fit")
+    coef, _ = _outcome_ols(ys, design, names, {}, "the naive fit", _weights_at(weights, mask))
     return float(coef[-1])
 
 
-def dgyz_estimator(data):
+def dgyz_estimator(data, weights=None):
     """Covariate-free two-point mixture plug-in baseline.
 
     Requires a binary substitution variable. At each level, the ratio of
@@ -652,8 +742,13 @@ def dgyz_estimator(data):
     mean, and control survivors average to the control one. The ratios are
     used raw (they may exceed 1 in samples), which is the source of this
     baseline's documented instability when the two shares are close.
+    ``weights`` are integer frequency weights, one per unit.
     """
     z, s, a = data.z, data.s, data.a
+
+    def mean(values, sel):
+        return _mean(values, _weights_at(weights, sel))
+
     levels = np.unique(a)
     if levels.size != 2:
         raise EstimationError(
@@ -666,42 +761,45 @@ def dgyz_estimator(data):
         sel0 = (z == 0) & (a == level)
         if not sel1.any() or not sel0.any():
             raise EstimationError(f"no units in an arm at substitution level {level}")
-        p1 = float(np.mean(s[sel1]))
-        p0 = float(np.mean(s[sel0]))
+        p1 = mean(s[sel1], sel1)
+        p0 = mean(s[sel0], sel0)
         if p1 <= 0.0:
             raise EstimationError(f"no treated survivors at substitution level {level}")
         surv1 = sel1 & (s == 1)
-        means.append(float(np.mean(data.outcomes_at(surv1))))
+        means.append(mean(data.outcomes_at(surv1), surv1))
         shares.append(p0 / p1)
     mask0 = (z == 0) & (s == 1)
     if not mask0.any():
         raise EstimationError("no control-arm survivors")
     mu_treated, _ = solve_two_point_mixture(means[0], means[1], shares[0], shares[1])
-    mu_control = float(np.mean(data.outcomes_at(mask0)))
+    mu_control = mean(data.outcomes_at(mask0), mask0)
     return mu_treated - mu_control
 
 
-# The estimators of the method table: (data, survival, rho) -> (point,
-# notes). They reach the public fits through this module's global names, so a
-# wrapper installed on those names sees every call.
+# The estimators of the method table: (data, survival, rho, weights) ->
+# (point, notes). They reach the public fits through this module's global
+# names, so a wrapper installed on those names sees every call.
 
 
-def _prop_er(data, survival, rho):
-    outcome = fit_outcome_er(data, survival)
-    always = survival.always_share(data.x, data.a)
-    _always_mass(always)
-    mu1 = survival_design(data.x, np.ones(len(data))) @ outcome.treated_mix
-    mu0 = survival_design(data.x, data.a) @ outcome.control
-    return float(np.sum(always * (mu1 - mu0)) / np.sum(always)), outcome.notes
+def _prop_er(data, survival, rho, weights):
+    # one stage-one design serves the outcome fits and both plug-in means
+    v = survival_design(data.x, data.a)
+    outcome = fit_outcome_er(data, survival, weights, design=v)
+    always = survival.always_share(v)
+    _always_mass(always, weights)
+    mu0 = v @ outcome.control
+    v[:, -1] = 1.0
+    mu1 = v @ outcome.treated_mix
+    return _share_average(mu1 - mu0, always, weights), outcome.notes
 
 
-def _prop_ni(data, survival, rho):
-    outcome = fit_ni(data, survival)
+def _prop_ni(data, survival, rho, weights):
+    outcome = fit_ni(data, survival, weights)
     return float(outcome.pooled[-1]), outcome.notes
 
 
-def _prop_sm(data, survival, rho, assume_er=True):
-    fit = fit_sm(data, rho, assume_er=assume_er, survival=survival)
+def _prop_sm(data, survival, rho, weights, assume_er=True):
+    fit = fit_sm(data, rho, assume_er=assume_er, survival=survival, weights=weights)
     return fit.effect, fit.warnings
 
 
@@ -714,8 +812,8 @@ class _Method(NamedTuple):
 
 
 METHODS = {
-    "naive": _Method(False, None, lambda data, *_: (naive_estimator(data), [])),
-    "dgyz": _Method(False, None, lambda data, *_: (dgyz_estimator(data), [])),
+    "naive": _Method(False, None, lambda data, _, __, w: (naive_estimator(data, w), [])),
+    "dgyz": _Method(False, None, lambda data, _, __, w: (dgyz_estimator(data, w), [])),
     "prop-er": _Method(False, "er", _prop_er),
     "prop-ni": _Method(False, "er", _prop_ni),
     "prop-sm": _Method(True, "sm", _prop_sm),
@@ -758,7 +856,7 @@ def method_rhos(methods, rho):
     return rhos
 
 
-def _fit_stage_one(data, kind, start=None):
+def _fit_stage_one(data, kind, start=None, weights=None):
     """Stage-one survival fit of the given kind; None when ``kind`` is None.
 
     ``start`` is an earlier stage-one fit of the same kind whose parameters
@@ -767,10 +865,10 @@ def _fit_stage_one(data, kind, start=None):
     if kind is None:
         return None
     fit = fit_survival_er if kind == "er" else fit_survival_sm
-    return fit(data, init=None if start is None else start.params)
+    return fit(data, init=None if start is None else start.params, weights=weights)
 
 
-def estimate_sace(data, method, rho=None, survival=None):
+def estimate_sace(data, method, rho=None, survival=None, weights=None):
     """Estimate the always-survivor effect by any method of :data:`METHODS`.
 
     Parameters
@@ -785,6 +883,13 @@ def estimate_sace(data, method, rho=None, survival=None):
         Precomputed stage-one fit (SurvivalParamsER for the er/ni methods,
         SurvivalParamsSM for the stochastic ones) to reuse across calls;
         the baselines fit no stage one and ignore it.
+    weights : (n,) array, optional
+        Integer frequency weights of 1 or more, one per row: row i stands
+        for ``weights[i]`` copies of itself. Every fit and every plug-in
+        average counts it that many times, so the estimate equals the one
+        on the copied rows up to rounding (:func:`bootstrap` fits its
+        resamples this way). Without weights each row counts once and no
+        weight enters the arithmetic.
 
     Returns
     -------
@@ -793,11 +898,17 @@ def estimate_sace(data, method, rho=None, survival=None):
         (no bootstrap fields; see :func:`bootstrap`).
     """
     spec = check_method(method, rho)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(data),) or not np.all(
+            np.isfinite(weights) & (weights >= 1) & (weights == np.floor(weights))
+        ):
+            raise ValueError("weights must be integers of 1 or more, one per row")
     collected = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         if survival is None:
-            survival = _fit_stage_one(data, spec.stage_one)
+            survival = _fit_stage_one(data, spec.stage_one, weights=weights)
         elif spec.stage_one is not None:
             expected = _SURVIVAL_TYPES[spec.stage_one]
             if not isinstance(survival, expected):
@@ -812,7 +923,7 @@ def estimate_sace(data, method, rho=None, survival=None):
                     else ""
                 )
             )
-        point, notes = spec.estimate(data, survival, rho)
+        point, notes = spec.estimate(data, survival, rho, weights)
         collected.extend(notes)
     collected.extend(str(w.message) for w in caught)
     return SaceEstimate(
@@ -820,12 +931,14 @@ def estimate_sace(data, method, rho=None, survival=None):
     )
 
 
-def _replicate(data, methods, rhos, starts=None):
+def _replicate(data, methods, rhos, starts=None, weights=None):
     """{method: its point, or the :data:`FAILURE_REASONS` entry that drops it}.
 
     The replicate step of :func:`bootstrap` and ``run_benchmark``. Each
     stage-one kind is fitted once, from ``starts[kind]`` if given, and
     shared among the methods; ``rhos`` maps each method to its ``rho``.
+    ``weights`` are the integer frequency weights of a resample's distinct
+    rows (see :func:`_resample`).
     """
     starts = starts or {}
     fits = {}  # kind -> this replicate's stage-one fit
@@ -834,8 +947,8 @@ def _replicate(data, methods, rhos, starts=None):
         kind = METHODS[m].stage_one
         try:
             if kind not in fits:
-                fits[kind] = _fit_stage_one(data, kind, starts.get(kind))
-            est = estimate_sace(data, m, rho=rhos[m], survival=fits[kind])
+                fits[kind] = _fit_stage_one(data, kind, starts.get(kind), weights)
+            est = estimate_sace(data, m, rho=rhos[m], survival=fits[kind], weights=weights)
         except EstimationError:
             outcomes[m] = "estimation_error"
             continue
@@ -848,12 +961,31 @@ def _replicate(data, methods, rhos, starts=None):
     return outcomes
 
 
+def _resample(data, seed, b):
+    """Bootstrap replicate ``b``: (its distinct rows as a dataset, their counts).
+
+    The replicate draws ``n`` row indices with replacement from
+    ``rng_stream(seed, b)``. It keeps each drawn row once, in ascending
+    order, with the number of times it was drawn as a float frequency
+    weight (1 or more).
+    """
+    n = len(data)
+    counts = np.bincount(rng_stream(seed, b).integers(0, n, size=n), minlength=n)
+    rows = np.flatnonzero(counts)
+    return data.subset(rows), counts[rows].astype(float)
+
+
 def bootstrap(data, method, n_boot=200, seed=0, rho=None):
     """Nonparametric bootstrap of any method's point estimate.
 
     Resamples units with replacement; replicate ``b`` uses the derived
     stream ``rng_stream(seed, b)`` so any single replicate can be
-    reproduced. The stage-one survival fit of a model-based method runs
+    reproduced. A replicate is fitted on its distinct rows, about 63% of
+    them, each weighted by the number of times it was drawn
+    (:func:`_resample`); that is the fit on the resample with its rows
+    copied, up to summation order (measured within 1e-12 relative), and
+    every screen that reads which rows are present sees the same rows.
+    The stage-one survival fit of a model-based method runs
     once on the full data, from the usual cold start, and gives the point
     estimate; when it converged, every replicate's stage-one fit starts
     from it, which reaches the replicate's own optimum in about half the
@@ -871,12 +1003,11 @@ def bootstrap(data, method, n_boot=200, seed=0, rho=None):
     full = _fit_stage_one(data, spec.stage_one)
     first = estimate_sace(data, method, rho=rho, survival=full)
     starts = {spec.stage_one: full} if first.converged else None
-    n = len(data)
     estimates = []
     failed = dict.fromkeys(FAILURE_REASONS, 0)
     for b in range(n_boot):
-        sample = data.subset(rng_stream(seed, b).integers(0, n, size=n))
-        outcome = _replicate(sample, (method,), {method: rho}, starts)[method]
+        sample, weights = _resample(data, seed, b)
+        outcome = _replicate(sample, (method,), {method: rho}, starts, weights)[method]
         if isinstance(outcome, str):
             failed[outcome] += 1
         else:

@@ -41,16 +41,7 @@ def expit(t):
     return out
 
 
-def logit(p):
-    """Inverse of :func:`expit`."""
-    p = np.asarray(p, dtype=float)
-    out = np.log(p) - np.log1p(-p)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def fit_ols(design, response, column_names=None):
+def fit_ols(design, response, column_names=None, weights=None):
     """Least-squares coefficients of ``response`` on ``design``.
 
     Parameters
@@ -60,6 +51,12 @@ def fit_ols(design, response, column_names=None):
     column_names : sequence of str, optional
         Used in the rank-deficiency error message. Defaults to column
         indices.
+    weights : (n,) array, optional
+        Integer frequency weights: row i stands for ``weights[i]`` copies
+        of itself. Rows are scaled by the square root of their weight, and
+        the row count in the checks below is the weight sum, so the fit
+        equals the fit on the copied rows up to rounding; fewer distinct
+        rows than coefficients is then a rank deficiency, as it is there.
 
     Returns
     -------
@@ -72,8 +69,8 @@ def fit_ols(design, response, column_names=None):
         columns that a pivoted QR factorization leaves without a pivot,
         i.e. the ones expressible through the others.
     ValueError
-        On mismatched shapes, fewer rows than columns, or a non-finite
-        entry in ``design`` or ``response``.
+        On mismatched shapes, fewer rows (weighted) than columns, or a
+        non-finite entry in ``design`` or ``response``.
 
     Notes
     -----
@@ -86,6 +83,11 @@ def fit_ols(design, response, column_names=None):
     if design.ndim != 2 or design.shape[0] != response.shape[0]:
         raise ValueError("design must be (n, p) with response of length n")
     n, p = design.shape
+    if weights is not None:
+        root = np.sqrt(weights)
+        design = design * root[:, None]
+        response = response * root
+        n = int(np.sum(weights))
     if n < p:
         raise ValueError(f"need at least {p} rows to fit {p} coefficients, got {n}")
     if p == 0:
@@ -258,11 +260,12 @@ def check_gradient(objective, point, step=1e-6):
     return worst
 
 
-def bernoulli_objective(design, response):
+def bernoulli_objective(design, response, weights=None):
     """Log-likelihood triple for a logistic regression.
 
     Returns a callable suitable for :func:`maximize_loglik` together with
-    the probability probe for boundary detection.
+    the probability probe for boundary detection. ``weights`` are integer
+    frequency weights, one per row; without them every row counts once.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
@@ -271,10 +274,16 @@ def bernoulli_objective(design, response):
         t = design @ beta
         p = expit(t)
         with np.errstate(divide="ignore"):
-            ll = float(np.sum(np.where(response == 1, np.log(p), np.log1p(-p))))
+            terms = np.where(response == 1, np.log(p), np.log1p(-p))
         resid = response - p
-        grad = design.T @ resid
         w = p * (1.0 - p)
+        if weights is None:
+            ll = float(np.sum(terms))
+        else:
+            ll = float(weights @ terms)
+            resid *= weights
+            w *= weights
+        grad = design.T @ resid
         hess = -(design.T * w) @ design
         return ll, grad, hess
 
@@ -284,12 +293,15 @@ def bernoulli_objective(design, response):
     return objective, probabilities
 
 
-def fit_logistic(design, response, init=None):
-    """Maximum-likelihood logistic regression via :func:`maximize_loglik`."""
+def fit_logistic(design, response, init=None, weights=None):
+    """Maximum-likelihood logistic regression via :func:`maximize_loglik`.
+
+    ``weights`` are integer frequency weights, one per row.
+    """
     design = np.asarray(design, dtype=float)
     if init is None:
         init = np.zeros(design.shape[1])
-    objective, probabilities = bernoulli_objective(design, response)
+    objective, probabilities = bernoulli_objective(design, response, weights)
     return maximize_loglik(objective, init, probabilities=probabilities)
 
 

@@ -164,7 +164,7 @@ def test_unexpected_value_error_is_not_an_exit_code(tmp_path, capsys, monkeypatc
 
     data = make_data(tmp_path, capsys, n=200)
 
-    def broken(data):
+    def broken(data, weights=None):
         raise ValueError("a bug, not a numerical failure")
 
     monkeypatch.setattr(models, "naive_estimator", broken)

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from sacekit.data import (
     Dataset,
     Schema,
-    StratumLabel,
     _read_layout,
     _row_problem,
     load_dataset,
@@ -29,19 +28,6 @@ def small_dataset():
     s = np.array([1, 1, 1, 0, 0, 1])
     y = np.array([2.5, -0.25, 1.0, np.nan, np.nan, 0.125])
     return Dataset.from_arrays(z, x, a, s, y, covariate_names=("age", "bmi"))
-
-
-def test_stratum_label_roundtrip():
-    assert StratumLabel.from_potential(1, 1) is StratumLabel.ALWAYS
-    assert StratumLabel.from_potential(1, 0) is StratumLabel.PROTECTED
-    assert StratumLabel.from_potential(0, 1) is StratumLabel.HARMED
-    assert StratumLabel.from_potential(0, 0) is StratumLabel.NEVER
-    assert StratumLabel.ALWAYS.survives_treated
-    assert StratumLabel.ALWAYS.survives_control
-    assert StratumLabel.PROTECTED.survives_treated
-    assert not StratumLabel.PROTECTED.survives_control
-    with pytest.raises(ValueError):
-        StratumLabel.from_potential(2, 0)
 
 
 def test_from_arrays_accessors():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sacekit.data import Dataset
 from sacekit.errors import EstimationError
 from sacekit.identify import strata_probs_stochastic
 from sacekit.models import (
@@ -18,6 +19,8 @@ from sacekit.models import (
     PROP_METHODS,
     SurvivalParamsER,
     SurvivalParamsSM,
+    _replicate,
+    _resample,
     bootstrap,
     estimate_sace,
     fit_ni,
@@ -26,6 +29,7 @@ from sacekit.models import (
     fit_survival_er,
     fit_survival_sm,
     joint_survival_objective,
+    method_rhos,
     sensitivity_sweep,
     stochastic_always_share,
     survival_design,
@@ -243,6 +247,9 @@ def test_method_and_rho_validation():
         estimate_sace(data, "prop-sm", rho=1.5)
     with pytest.raises(TypeError):
         estimate_sace(data, "prop-sm", rho=0.5, survival=true_survival_er(0))
+    for weights in (np.ones(len(data) - 1), np.zeros(len(data)), np.full(len(data), 1.5)):
+        with pytest.raises(ValueError, match="weights must be integers"):
+            estimate_sace(data, "naive", weights=weights)
 
 
 def test_stochastic_share_matches_scalar_route():
@@ -349,8 +356,6 @@ def test_bootstrap_counts_dropped_replicates():
     s = np.ones(n, dtype=int)
     a = rng.integers(0, 2, size=n)
     y = rng.normal(size=n)
-    from sacekit.data import Dataset
-
     data = Dataset.from_arrays(z, rng.normal(size=(n, 1)), a, s, y)
     est = bootstrap(data, "naive", n_boot=40, seed=11)
     assert est.n_failed > 0
@@ -458,10 +463,85 @@ def test_warm_start_through_an_indefinite_hessian_converges():
     assert warm.optimizer.iterations < 10
 
 
+def _weighted_and_copied(data, seed, b, draw=None):
+    """``_replicate`` of all six methods on resample ``b``, both ways.
+
+    Returns (weighted, copied): the outcomes on the resample's distinct rows
+    with frequency weights, as :func:`bootstrap` fits it, and on the
+    resample with its rows copied. Stage one starts where
+    :func:`bootstrap` starts it: at the converged full-data fits. ``draw``
+    replaces the drawn row indices with hand-picked ones.
+    """
+    n = len(data)
+    if draw is None:
+        draw = rng_stream(seed, b).integers(0, n, size=n)
+        sample, weights = _resample(data, seed, b)
+    else:
+        counts = np.bincount(draw, minlength=n)
+        rows = np.flatnonzero(counts)
+        sample, weights = data.subset(rows), counts[rows].astype(float)
+    starts = {}
+    for kind, fit in (("er", fit_survival_er), ("sm", fit_survival_sm)):
+        full = fit(data)
+        if full.converged:
+            starts[kind] = full
+    rhos = method_rhos(ALL_METHODS, 0.5)
+    weighted = _replicate(sample, ALL_METHODS, rhos, starts, weights)
+    copied = _replicate(data.subset(draw), ALL_METHODS, rhos, starts)
+    return weighted, copied
+
+
+def _assert_same_replicate(weighted, copied):
+    for m in ALL_METHODS:
+        w, c = weighted[m], copied[m]
+        if isinstance(c, str) or isinstance(w, str):
+            assert w == c, m  # the same failure reason
+        else:
+            assert abs(w - c) <= 1e-12 * abs(c), (m, w, c)
+
+
+@pytest.mark.parametrize("n, delta1, delta2, cell", [
+    (200, 0, 0, 0), (200, 0, 1, 1), (200, 1, 0, 2), (200, 1, 1, 3), (2000, 1, 1, 0),
+])
+def test_weighted_distinct_rows_replicate_the_copied_rows(n, delta1, delta2, cell):
+    # the n=200 datasets are the first two draws of the acceptance grid's
+    # cells, where prop-er and prop-ni lose 8-30% of their replicates
+    setting = SimulationSetting(n=n, delta1=delta1, delta2=delta2)
+    dropped = 0
+    for r in range(2):
+        data, _ = gen_dataset(setting, rng=rng_stream(2024, cell, r))
+        for b in range(12):
+            weighted, copied = _weighted_and_copied(data, 5, b)
+            _assert_same_replicate(weighted, copied)
+            dropped += sum(isinstance(v, str) for v in copied.values())
+    if n == 200:
+        assert dropped > 0  # failure reasons were compared, not only points
+
+
+def test_too_few_distinct_survivors_fail_both_ways():
+    # the control arm has two distinct survivors, fewer than the three
+    # coefficients of its outcome fit (1, x, a); drawn three times each
+    # they are six rows, enough for the count guard, and the copied design
+    # is rank deficient. The weighted fit must fail the same way instead
+    # of tripping the row check of fit_ols.
+    rng = rng_stream(70)
+    n = 80
+    z = np.repeat([1, 0], n // 2)
+    a = rng.integers(0, 2, size=n)
+    s = np.where(z == 1, rng.integers(0, 2, size=n), 0)
+    s[[40, 41]] = 1
+    a[[40, 41]] = [0, 1]
+    y = np.where(s == 1, rng.normal(size=n), np.nan)
+    data = Dataset.from_arrays(z, rng.normal(size=(n, 1)), a, s, y)
+    draw = np.concatenate([np.arange(40), np.arange(42, 76), [40, 40, 40, 41, 41, 41]])
+    assert draw.size == n
+    weighted, copied = _weighted_and_copied(data, None, None, draw=draw)
+    _assert_same_replicate(weighted, copied)
+    assert weighted["prop-er"] == copied["prop-er"] == "estimation_error"
+
+
 def test_bootstrap_replicates_start_from_a_converged_full_fit(monkeypatch):
     import sacekit.models as models
-
-    from sacekit.data import Dataset
 
     inits = []
     original = models.fit_survival_er

@@ -13,7 +13,6 @@ from sacekit.numerics import (
     expit,
     fit_logistic,
     fit_ols,
-    logit,
     maximize_loglik,
     rng_stream,
 )
@@ -54,11 +53,6 @@ def test_expit_saturation_nan_and_scalar_type():
 def test_expit_matches_the_two_branch_formula():
     t = np.linspace(-40.0, 40.0, 100_001)
     assert_allclose(expit(t), _two_branch_expit(t), rtol=1e-15, atol=0)
-
-
-def test_logit_inverts_expit():
-    p = np.array([0.01, 0.3, 0.5, 0.77, 0.999])
-    assert_allclose(expit(logit(p)), p, rtol=1e-12)
 
 
 def test_fit_ols_exact_on_noiseless_data():
@@ -162,6 +156,36 @@ def test_fit_ols_shape_checks():
     with pytest.raises(ValueError):
         fit_ols(np.eye(3), np.array([1.0, np.nan, 0.0]))
     assert fit_ols(np.ones((4, 0)), np.ones(4)).shape == (0,)
+
+
+def test_frequency_weights_equal_copied_rows():
+    rng = rng_stream(16)
+    n = 300
+    design = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+    y = design @ np.array([1.0, -0.5, 2.0]) + rng.normal(size=n)
+    s = rng.binomial(1, expit(design @ np.array([0.2, 1.0, -0.5]))).astype(float)
+    weights = rng.integers(1, 5, size=n).astype(float)
+    copied = np.repeat(np.arange(n), weights.astype(int))
+    assert_allclose(
+        fit_ols(design, y, weights=weights), fit_ols(design[copied], y[copied]), rtol=1e-12
+    )
+    got = fit_logistic(design, s, weights=weights)
+    want = fit_logistic(design[copied], s[copied])
+    assert got.converged and want.converged
+    assert_allclose(got.params, want.params, rtol=1e-12)
+    assert_allclose(got.loglik, want.loglik, rtol=1e-12)
+
+
+def test_fit_ols_counts_weighted_rows():
+    # two distinct rows drawn three times each: enough rows for three
+    # coefficients, but a rank-deficient design, as the copied rows are
+    design = np.array([[1.0, 0.5, 2.0], [1.0, -1.0, 0.0]])
+    with pytest.raises(CollinearityError):
+        fit_ols(design, np.ones(2), weights=np.array([3.0, 3.0]))
+    with pytest.raises(CollinearityError):
+        fit_ols(np.repeat(design, 3, axis=0), np.ones(6))
+    with pytest.raises(ValueError, match="got 2"):
+        fit_ols(design, np.ones(2), weights=np.array([1.0, 1.0]))
 
 
 def test_maximize_loglik_quadratic():

@@ -8,6 +8,12 @@ than 4e-15 relative, and an affine rescaling of the covariates moved
 prop-er, prop-ni and naive by at most 8e-11. The cell routes see the
 substitution levels only through their order, so an order-preserving
 relabeling of the levels must leave them bit-identical.
+
+Without covariates and with a binary substitution variable every
+stage-one and stage-two model is saturated, so each parametric estimator
+reduces to its nonparametric route on the covariate-free cell table.
+Measured on 20 n=3000 draws, the largest relative gap was 3.3e-11; the
+tests hold it to 1e-9.
 """
 
 import warnings
@@ -18,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sacekit.data import Dataset
-from sacekit.errors import EstimationError
+from sacekit.errors import CollinearityError, EstimationError
 from sacekit.identify import (
     CellTable,
     IdentificationWarning,
@@ -30,9 +36,12 @@ from sacekit.models import (
     ALL_METHODS,
     FAILURE_REASONS,
     METHODS,
+    _replicate,
+    _resample,
     bootstrap,
     dgyz_estimator,
     estimate_sace,
+    fit_survival_er,
     naive_estimator,
 )
 from sacekit.numerics import rng_stream
@@ -241,3 +250,67 @@ def test_level_relabeling_changes_no_sample_route(seed):
     assert list(moved.cells) == list(relabel_levels(table).cells)
     for rho in (0.0, 0.3, 1.0):
         assert route_values(moved, rho) == route_values(table, rho)
+
+
+SATURATED_TOL = 1e-9
+
+
+def covariate_free(seed, n):
+    """A ``gen_dataset`` draw with its covariates removed."""
+    data = gen_dataset(SimulationSetting(n=n, delta1=1, delta2=1, seed=seed))[0]
+    return Dataset.from_arrays(data.z, np.empty((n, 0)), data.a, data.s, full_outcomes(data))
+
+
+def relative_gap(got, want):
+    return abs(got - want) / abs(want)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(1500, 5000))
+def test_saturated_estimators_equal_their_routes(seed, n):
+    data = covariate_free(seed, n)
+    table = CellTable.from_dataset(data, use_x=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IdentificationWarning)
+        routes = {
+            "prop-er": sace_monotone_exclusion(table),
+            "prop-ni": sace_no_interaction(table),
+        }
+        for rho in (0.0, 0.3, 0.7, 1.0):
+            routes[("prop-sm", rho)] = sace_stochastic_monotone(table, rho)
+    for key, want in routes.items():
+        method, rho = key if isinstance(key, tuple) else (key, None)
+        est = estimate_sace(data, method, rho=rho)
+        assert est.converged, key
+        assert relative_gap(est.point, want) <= SATURATED_TOL, key
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), n=st.integers(1500, 5000))
+def test_each_weighted_resample_equals_its_route(seed, n):
+    # the bootstrap's own replicate: distinct rows with frequency weights,
+    # started at the full-data fit; the route reads the copied rows' table
+    data = covariate_free(seed, n)
+    starts = {"er": fit_survival_er(data)}
+    dropped = {}
+    for b in range(10):
+        sample, weights = _resample(data, seed, b)
+        point = _replicate(sample, ("prop-er",), {"prop-er": None}, starts, weights)["prop-er"]
+        if isinstance(point, str):
+            dropped[b] = point
+            continue
+        copied = data.subset(rng_stream(seed, b).integers(0, n, size=n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentificationWarning)
+            want = sace_monotone_exclusion(CellTable.from_dataset(copied, use_x=False))
+        assert relative_gap(point, want) <= SATURATED_TOL, b
+    assert dropped == {}
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_prop_sm_ni_needs_covariates(rho):
+    # five outcome coefficients for four (z, a) cells: without covariates
+    # the pooled relaxed design is rank deficient
+    data = covariate_free(3, 3000)
+    with pytest.raises(CollinearityError):
+        estimate_sace(data, "prop-sm-ni", rho=rho)
