@@ -390,10 +390,15 @@ def save_dataset(data, path, schema=None):
     """Write a dataset to CSV, inverse of :func:`load_dataset`.
 
     Floats are written with shortest round-trip repr, so save/load is exact
-    and repeated saves of the same dataset are byte-identical.
+    and repeated saves of the same dataset are byte-identical. A schema's
+    ``covariates`` renames the covariate columns and must name each one.
     """
     schema = schema or Schema()
-    names = list(schema.covariates) if schema.covariates else list(data.covariate_names)
+    names = list(data.covariate_names if schema.covariates is None else schema.covariates)
+    if len(names) != data.n_covariates:
+        raise ValueError(
+            f"schema names {len(names)} covariates, the data has {data.n_covariates}"
+        )
     header = [schema.z, schema.s, schema.y, schema.a] + names
     with open(path, "w", newline="") as fh:
         # Names may need quoting; data fields never do (numbers and empty

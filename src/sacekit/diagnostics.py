@@ -22,25 +22,28 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import chi2
 
-from .identify import CellTable, check_rho, gmm_overidentified, strata_probs_stochastic
+from .identify import (
+    SEPARATION_EPS,
+    CellTable,
+    check_rho,
+    gmm_overidentified,
+    strata_probs_stochastic,
+)
 from .errors import RelevanceError
 from .models import SurvivalParamsER, SurvivalParamsSM
 
 # A monotonicity cell fails when its one-sided z statistic exceeds this.
 MONOTONE_FAIL_Z = 2.0
 
-# A relevance cell fails only when its dispersion statistic is this small:
-# the observed ratios are numerically identical across levels.
+# A relevance cell fails only when its dispersion statistic is this small
+# and its ratio spread is at most identify.SEPARATION_EPS, the separation
+# guard of the mixture solver: the observed ratios are numerically
+# identical across levels.
 RELEVANCE_FAIL_Q = 1e-4
 
 # A mean-structure cell fails when its J statistic exceeds this quantile of
 # the chi-square distribution with its degrees of freedom.
 J_LEVEL = 0.99
-
-# A ratio spread at or below this is treated as numerically constant. Kept
-# equal to the separation guard of the two-point mixture solver so the
-# screen and the estimator agree on what "no variation" means.
-RELEVANCE_SPREAD_FLOOR = 1e-8
 
 
 @dataclass
@@ -188,6 +191,36 @@ def check_monotone(source, *, x=None, a=None):
     return {"status": _aggregate(cells), "cells": cells}
 
 
+def _group_screen(table, level_entry, min_levels, score):
+    """Screen each covariate group of ``table``: one report cell per group.
+
+    The levels of a group are walked in ascending order, and
+    ``level_entry(cell)`` gives a usable level's entry or None. A group
+    with fewer than ``min_levels`` usable levels is vacuous. Otherwise
+    ``score(entries)`` returns ``(stats, failed)``, and the cell reports
+    the level count, the stats and a pass/fail status. A score that finds
+    the mixing weights constant (``RelevanceError``) is vacuous too, with
+    a note.
+    """
+    cells = []
+    for xkey, group in table.x_groups().items():
+        entries = [level_entry(group[a]) for a in sorted(group)]
+        entries = [e for e in entries if e is not None]
+        cell = {"x": list(xkey)}
+        if len(entries) < min_levels:
+            cell.update(status="vacuous", levels=len(entries))
+        else:
+            try:
+                stats, failed = score(entries)
+            except RelevanceError:
+                note = "constant mixing weights"
+                cell.update(status="vacuous", levels=len(entries), note=note)
+            else:
+                cell.update(levels=len(entries), **stats, status="fail" if failed else "pass")
+        cells.append(cell)
+    return cells
+
+
 def check_relevance(table):
     """Screen: the control/treated survival ratio must vary across levels.
 
@@ -202,49 +235,36 @@ def check_relevance(table):
     Fewer than two usable levels is vacuous.
     """
     sample = table.mode == "sample"
-    cells = []
-    for xkey, group in table.x_groups().items():
-        entry = {"x": list(xkey)}
-        ratios = []
-        variances = []
-        levels = []
-        for a, c in sorted(group.items()):
-            if (
-                c.p_surv_treated is None
-                or c.p_surv_control is None
-                or c.p_surv_treated <= 0.0
-                or c.p_surv_control <= 0.0
-                or (sample and (c.n_treated == 0 or c.n_control == 0))
-            ):
-                continue
-            p1, p0 = c.p_surv_treated, c.p_surv_control
-            if sample:
-                var = (1 - p1) / (c.n_treated * p1) + (1 - p0) / (c.n_control * p0)
-            else:
-                var = 1.0
-            ratios.append(np.log(p0) - np.log(p1))
-            variances.append(max(var, 1e-300))
-            levels.append(a)
-        if len(levels) < 2:
-            entry.update(status="vacuous", levels=len(levels))
-            cells.append(entry)
-            continue
-        w = 1.0 / np.array(variances)
-        l = np.array(ratios)
+
+    def log_ratio(c):
+        """(log survival ratio, its variance) of a level; None if unusable."""
+        if (
+            c.p_surv_treated is None
+            or c.p_surv_control is None
+            or c.p_surv_treated <= 0.0
+            or c.p_surv_control <= 0.0
+            or (sample and (c.n_treated == 0 or c.n_control == 0))
+        ):
+            return None
+        p1, p0 = c.p_surv_treated, c.p_surv_control
+        if sample:
+            var = (1 - p1) / (c.n_treated * p1) + (1 - p0) / (c.n_control * p0)
+        else:
+            var = 1.0
+        return np.log(p0) - np.log(p1), max(var, 1e-300)
+
+    def q_score(entries):
+        l, variances = (np.array(v) for v in zip(*entries))
+        w = 1.0 / variances
         center = float(np.sum(w * l) / np.sum(w))
         q = float(np.sum(w * (l - center) ** 2))
-        df = len(levels) - 1
+        df = len(entries) - 1
         spread = float(np.ptp(np.exp(l)))
-        entry.update(
-            levels=len(levels),
-            q_stat=q,
-            df=df,
-            chi2_95=float(chi2.ppf(0.95, df)),
-            ratio_spread=spread,
-        )
-        constant = q <= RELEVANCE_FAIL_Q and spread <= RELEVANCE_SPREAD_FLOOR
-        entry["status"] = "fail" if constant else "pass"
-        cells.append(entry)
+        chi2_95 = float(chi2.ppf(0.95, df))
+        stats = {"q_stat": q, "df": df, "chi2_95": chi2_95, "ratio_spread": spread}
+        return stats, q <= RELEVANCE_FAIL_Q and spread <= SEPARATION_EPS
+
+    cells = _group_screen(table, log_ratio, 2, q_score)
     return {"status": _aggregate(cells), "cells": cells}
 
 
@@ -256,64 +276,31 @@ def _j_test_cells(table, which, rho=None):
     covariate group; with two the structure is exactly identified and the
     restriction has no observable content (vacuous).
     """
-    cells = []
-    for xkey, group in table.x_groups().items():
-        entry = {"x": list(xkey)}
-        means = []
-        mixes = []
-        counts = []
-        for a, c in sorted(group.items()):
-            if (
-                c.p_surv_treated is None
-                or c.p_surv_control is None
-                or c.p_surv_treated <= 0.0
-            ):
-                continue
-            if which == "treated":
-                if c.mean_treated is None:
-                    continue
-                mix = c.p_surv_control / c.p_surv_treated
-                means.append(c.mean_treated)
-                counts.append(max(c.n_surv_treated, 1))
-            elif which == "control":
-                if c.mean_control is None or c.p_surv_control <= 0.0:
-                    continue
-                always = strata_probs_stochastic(
-                    c.p_surv_treated, c.p_surv_control, rho
-                )[0]
-                mix = always / c.p_surv_control
-                means.append(c.mean_control)
-                counts.append(max(c.n_surv_control, 1))
-            else:
-                if c.mean_treated is None or c.mean_control is None:
-                    continue
-                mix = c.p_surv_control / c.p_surv_treated
-                means.append(c.mean_treated - c.mean_control)
-                counts.append(
-                    1.0
-                    / (
-                        1.0 / max(c.n_surv_treated, 1)
-                        + 1.0 / max(c.n_surv_control, 1)
-                    )
-                )
-            mixes.append(mix)
-        if len(means) < 3:
-            entry.update(status="vacuous", levels=len(means))
-            cells.append(entry)
-            continue
-        try:
-            _, _, j_stat, df = gmm_overidentified(means, mixes, counts)
-        except RelevanceError:
-            entry.update(status="vacuous", levels=len(means), note="constant mixing weights")
-            cells.append(entry)
-            continue
+
+    def mixture_entry(c):
+        """(mean, mixing weight, count) of a level; None if unusable."""
+        if c.p_surv_treated is None or c.p_surv_control is None or c.p_surv_treated <= 0.0:
+            return None
+        if which == "treated":
+            if c.mean_treated is None:
+                return None
+            return c.mean_treated, c.p_surv_control / c.p_surv_treated, max(c.n_surv_treated, 1)
+        if which == "control":
+            if c.mean_control is None or c.p_surv_control <= 0.0:
+                return None
+            always = strata_probs_stochastic(c.p_surv_treated, c.p_surv_control, rho)[0]
+            return c.mean_control, always / c.p_surv_control, max(c.n_surv_control, 1)
+        if c.mean_treated is None or c.mean_control is None:
+            return None
+        count = 1.0 / (1.0 / max(c.n_surv_treated, 1) + 1.0 / max(c.n_surv_control, 1))
+        return c.mean_treated - c.mean_control, c.p_surv_control / c.p_surv_treated, count
+
+    def j_score(entries):
+        _, _, j_stat, df = gmm_overidentified(*zip(*entries))
         crit = float(chi2.ppf(J_LEVEL, df))
-        entry.update(
-            levels=len(means), j_stat=float(j_stat), df=df, critical=crit
-        )
-        entry["status"] = "fail" if j_stat > crit else "pass"
-        cells.append(entry)
-    return cells
+        return {"j_stat": float(j_stat), "df": df, "critical": crit}, j_stat > crit
+
+    return _group_screen(table, mixture_entry, 3, j_score)
 
 
 def _mean_structure(table, which, rho=None):

@@ -41,6 +41,9 @@ SEPARATION_EPS = 1e-8
 # In sample mode, separation below this only warns: the solve is performed
 # but its output is noise-amplified.
 WEAK_THRESHOLD = 0.02
+# Mixing weights or fitted always-survivor shares within this of 1 mark a
+# pure always-survivor sample.
+PURE_SHARE_TOL = 1e-6
 
 
 class IdentificationWarning(UserWarning):
@@ -338,7 +341,7 @@ def _solve_mixture_levels(entries, sample, where):
     cs = np.array([e[2] for e in entries])
     spread = float(np.ptp(ws))
     if spread < SEPARATION_EPS:
-        if np.all(np.abs(ws - 1.0) < 1e-6):
+        if np.all(np.abs(ws - 1.0) < PURE_SHARE_TOL):
             return float(np.average(ys, weights=cs))
         raise RelevanceError(
             f"{where}: mixing weights constant at {ws[0]:.6g}; "

@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import CollinearityError, EstimationError
 from .identify import (
+    PURE_SHARE_TOL,
     WEAK_THRESHOLD,
     IdentificationWarning,
     _warn,
@@ -435,7 +436,7 @@ def _outcome_ols(ys, design, names, shares, what, weights=None):
                     f"{what}: {names[j]} spread {spread:.3g} is weak; "
                     "coefficients are noise-amplified"
                 )
-        elif abs(float(col[0]) - 1.0) < 1e-6:
+        elif abs(float(col[0]) - 1.0) < PURE_SHARE_TOL:
             keep.remove(j)
             notes.append(
                 f"{what}: {names[j]} dropped, its survivors are a pure "
@@ -512,13 +513,13 @@ def fit_ni(data, survival, weights=None):
     integer frequency weights, one per unit.
     """
     mask = data.survivor_mask()
-    xs, as_, zs = data.x[mask], data.a[mask], data.z[mask]
+    xs, as_, zs = _rows(data.x, mask), data.a[mask], data.z[mask]
     ys = data.outcomes_at(mask)
     if not (zs == 1).any() or not (zs == 0).any():
         raise EstimationError("survivors are required in both arms")
     share = np.ones(ys.size)
     treated = zs == 1
-    share[treated] = survival.theta_ratio(xs[treated], as_[treated])
+    share[treated] = survival.theta_ratio(_rows(xs, treated), as_[treated])
     names = _design_names(data.covariate_names, ("a", "always_share", "z"))
     design = np.column_stack([np.ones(ys.size), xs, as_, share, zs])
     pooled, notes = _outcome_ols(
@@ -575,7 +576,7 @@ class _SmStage:
                 ys = data.outcomes_at(mask)
                 design = np.empty((ys.size, d + 2), order="F")
                 design[:, 0] = 1.0
-                design[:, 1:-1] = data.x[mask]
+                design[:, 1:-1] = _rows(data.x, mask)
                 floor = np.maximum(th_arm[mask], tiny)
                 what = f"the {'treated' if arm else 'control'}-arm outcome fit"
                 self.arms.append((what, mask, ys, floor, design, _weights_at(weights, mask)))
@@ -595,7 +596,7 @@ class _SmStage:
             self.shares = {d + 2: zs == 1, d + 4: zs == 0}
             design = np.empty((self.ys.size, d + 5), order="F")
             design[:, 0] = 1.0
-            design[:, 1 : d + 1] = data.x[mask]
+            design[:, 1 : d + 1] = _rows(data.x, mask)
             design[:, d + 1] = data.a[mask]
             design[:, d + 3] = zs
             self.design = design
@@ -726,7 +727,7 @@ def naive_estimator(data, weights=None):
     if not (zs == 1).any() or not (zs == 0).any():
         raise EstimationError("survivors are required in both arms")
     ys = data.outcomes_at(mask)
-    design = np.column_stack([np.ones(ys.size), data.x[mask], data.a[mask], zs])
+    design = np.column_stack([np.ones(ys.size), _rows(data.x, mask), data.a[mask], zs])
     names = _design_names(data.covariate_names, ("a", "z"))
     coef, _ = _outcome_ols(ys, design, names, {}, "the naive fit", _weights_at(weights, mask))
     return float(coef[-1])
@@ -1055,21 +1056,16 @@ class SensitivityCurve:
     assume_er: bool
     rows: list
 
-    def to_csv(self, path_or_handle):
-        """Write the curve with the pinned header ``rho,pi_dl,delta``.
+    def to_csv(self, path):
+        """Write the curve to ``path`` with the pinned header ``rho,pi_dl,delta``.
 
         A failed grid point keeps its row with an empty effect field.
         """
-        own = isinstance(path_or_handle, (str, bytes))
-        fh = open(path_or_handle, "w", newline="") if own else path_or_handle
-        try:
+        with open(path, "w", newline="") as fh:
             fh.write("rho,pi_dl,delta\n")
             for row in self.rows:
                 effect = "" if not np.isfinite(row.effect) else repr(row.effect)
                 fh.write(f"{row.rho!r},{row.harmed_mass!r},{effect}\n")
-        finally:
-            if own:
-                fh.close()
 
 
 def sensitivity_sweep(data, rho_grid, assume_er=True, survival=None):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, StratumLabel
-from .errors import DataError
 from .models import FAILURE_REASONS, _replicate, method_rhos
 # fit_ols is no longer called here, but the binding stays: the tracing test
 # in perfbench/test_tracing.py patches and checks sacekit.simulate.fit_ols.
@@ -88,28 +87,6 @@ class OracleTable:
                         "" if np.isnan(self.y_control[i]) else repr(float(self.y_control[i])),
                     ]
                 )
-
-    @classmethod
-    def load(cls, path):
-        strata, s1, s0, y1, y0 = [], [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:1] != ["stratum"]:
-                raise DataError(f"{path}: not an oracle side-file")
-            for row in reader:
-                strata.append(row[0])
-                s1.append(int(row[1]))
-                s0.append(int(row[2]))
-                y1.append(float(row[3]) if row[3] != "" else np.nan)
-                y0.append(float(row[4]) if row[4] != "" else np.nan)
-        return cls(
-            stratum=np.array(strata),
-            s_treated=np.array(s1),
-            s_control=np.array(s0),
-            y_treated=np.array(y1),
-            y_control=np.array(y0),
-        )
 
 
 def gen_dataset(setting, rng=None):
@@ -282,8 +259,7 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
     Parameters
     ----------
     settings : sequence
-        ``(delta1, delta2, er_violation)`` triples or SimulationSetting
-        instances (their n/seed fields are ignored).
+        ``(delta1, delta2, er_violation)`` triples.
     sizes : sequence of int
     methods : sequence of str
         Any of naive, dgyz, prop-er, prop-ni, prop-sm, prop-sm-ni.
@@ -307,12 +283,9 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
     rhos = method_rhos(methods, rho)
 
     # every setting is checked before the first dataset is drawn
-    norm_settings = []
-    for s in settings:
-        if not isinstance(s, SimulationSetting):
-            d1, d2, er = s
-            s = SimulationSetting(0, int(d1), int(d2), bool(er))
-        norm_settings.append(s)
+    norm_settings = [
+        SimulationSetting(0, int(d1), int(d2), bool(er)) for d1, d2, er in settings
+    ]
 
     started = time.monotonic()
     cells = []

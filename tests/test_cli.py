@@ -5,6 +5,7 @@ JSON envelopes and output files. Exit convention: 0 success, 2 usage
 error, 3 data error, 4 numerical failure.
 """
 
+import csv
 import json
 import shlex
 from pathlib import Path
@@ -14,7 +15,6 @@ import pytest
 
 from sacekit.cli import UsageError, build_parser, main, parse_rho_grid
 from sacekit.data import load_dataset
-from sacekit.simulate import OracleTable
 
 
 def run_cli(capsys, *argv):
@@ -52,8 +52,11 @@ def test_simulate_writes_loadable_csv_and_envelope(tmp_path, capsys):
     data = load_dataset(out)
     assert len(data) == 250
     assert data.covariate_names == ("x1", "x2", "x3")
-    oracle = OracleTable.load(oracle_out)
-    assert oracle.stratum.shape == (250,)
+    with open(oracle_out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["stratum", "s_treated", "s_control", "y_treated", "y_control"]
+    assert len(rows) == 250
+    assert {row[0] for row in rows} <= {"LL", "LD", "DL", "DD"}
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):

@@ -104,6 +104,23 @@ def test_save_load_roundtrip(tmp_path):
     assert p.read_bytes() == p2.read_bytes()
 
 
+def test_save_with_a_covariate_schema(tmp_path):
+    data = small_dataset()
+    p = tmp_path / "renamed.csv"
+    for names in (("age",), ("age", "bmi", "sex"), ()):
+        with pytest.raises(ValueError, match="the data has 2"):
+            save_dataset(data, p, Schema(covariates=names))
+        assert not p.exists()
+    schema = Schema(z="treat", covariates=("height", "weight"))
+    save_dataset(data, p, schema)
+    back = load_dataset(p, schema)
+    assert back.covariate_names == ("height", "weight")
+    for column in ("z", "x", "a", "s"):
+        assert np.array_equal(getattr(back, column), getattr(data, column))
+    survivors = data.survivor_mask()
+    assert np.array_equal(back.outcomes_at(survivors), data.outcomes_at(survivors))
+
+
 def test_load_with_custom_schema(tmp_path):
     p = tmp_path / "renamed.csv"
     p.write_text("treat,alive,outcome,marker,age\n1,1,3.5,0,44\n0,0,,1,51\n")

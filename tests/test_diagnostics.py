@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import chi2
 
 from sacekit.data import Dataset
 from sacekit.diagnostics import (
+    J_LEVEL,
     RELEVANCE_FAIL_Q,
     _mean_structure,
     check_monotone,
@@ -13,7 +15,7 @@ from sacekit.diagnostics import (
     quantile_binner,
     run_diagnostics,
 )
-from sacekit.identify import CellStats, CellTable
+from sacekit.identify import CellStats, CellTable, gmm_overidentified
 from sacekit.models import fit_survival_er, fit_survival_sm
 from sacekit.numerics import rng_stream
 from sacekit.simulate import SimulationSetting, gen_dataset
@@ -164,6 +166,63 @@ def test_mean_structure_j_test_consistent_population():
     report_cells = _mean_structure(table, "treated", 0.99)
     assert report_cells["status"] == "pass"
     assert report_cells["cells"][0]["j_stat"] < 1e-18
+
+
+def test_mean_structure_cells_pin_every_group_outcome():
+    # three levels, three covariate groups: x=0 is scored; x=1 has no
+    # treated survivors at level 2, so two usable levels; x=2 has equal
+    # control and treated survival everywhere, so constant mixing weights
+    p0s, means = (0.2, 0.4, 0.6), (1.0, 1.5, 1.7)
+    cells = {}
+    for a, (p0, m1) in enumerate(zip(p0s, means)):
+        cells[((0.0,), a)] = sample_cell(200, 0.8, p0, 100, 100, m1, 0.5)
+        if a < 2:
+            cells[((1.0,), a)] = sample_cell(200, 0.8, p0, 100, 100, m1, 0.5)
+        else:
+            cells[((1.0,), a)] = sample_cell(200, 0.0, p0, 100, 100, None, 0.5)
+        cells[((2.0,), a)] = sample_cell(200, 0.5, 0.5, 100, 100, m1, 0.5)
+    out = _mean_structure(CellTable(cells, mode="sample"), "treated")
+    _, _, j_stat, df = gmm_overidentified(means, [p0 / 0.8 for p0 in p0s], [80, 80, 80])
+    expected = [
+        {
+            "x": [0.0],
+            "levels": 3,
+            "j_stat": j_stat,
+            "df": 1,
+            "critical": float(chi2.ppf(J_LEVEL, 1)),
+            "status": "pass",
+        },
+        {"x": [1.0], "status": "vacuous", "levels": 2},
+        {"x": [2.0], "status": "vacuous", "levels": 3, "note": "constant mixing weights"},
+    ]
+    assert out == {"status": "pass", "cells": expected}
+    assert [list(c) for c in out["cells"]] == [list(c) for c in expected]
+
+
+def test_relevance_cells_pin_scored_and_vacuous_groups():
+    # x=0 has two usable levels; x=1 has no control survivors at level 1
+    table = CellTable(
+        {
+            ((0.0,), 0): sample_cell(200, 0.8, 0.4, 100, 100),
+            ((0.0,), 1): sample_cell(200, 0.8, 0.6, 100, 100),
+            ((1.0,), 0): sample_cell(200, 0.8, 0.4, 100, 100),
+            ((1.0,), 1): sample_cell(200, 0.8, 0.0, 100, 100),
+        },
+        mode="sample",
+    )
+    out = check_relevance(table)
+    scored, single = out["cells"]
+    assert list(scored) == ["x", "levels", "q_stat", "df", "chi2_95", "ratio_spread", "status"]
+    var = [0.2 / 80 + 0.6 / 40, 0.2 / 80 + 0.4 / 60]
+    logs = np.log([0.5, 0.75])
+    center = np.average(logs, weights=1 / np.array(var))
+    assert_allclose(scored["q_stat"], np.sum((logs - center) ** 2 / var), rtol=1e-12)
+    assert_allclose(scored["ratio_spread"], 0.25, rtol=1e-12)
+    assert (scored["x"], scored["levels"], scored["df"], scored["status"]) == ([0.0], 2, 1, "pass")
+    assert scored["chi2_95"] == float(chi2.ppf(0.95, 1))
+    assert single == {"x": [1.0], "status": "vacuous", "levels": 1}
+    assert list(single) == ["x", "status", "levels"]
+    assert out["status"] == "pass"
 
 
 def test_mean_structure_j_test_detects_injected_misfit():

@@ -1,0 +1,242 @@
+"""Compare what two trees compute on one fixed battery of library calls.
+
+Usage, from the root of a checkout::
+
+    python3 tools/compare_outputs.py --parent HEAD
+
+Two clean copies are made in a temporary directory, exactly as
+``tools/bench_pairs.py`` makes them: the parent from ``git archive`` of
+``--parent``, the change from the files of the working tree that git
+tracks or would track. In each copy this script runs the battery below in
+a subprocess that imports that copy's ``src/sacekit``, and dumps every
+result as JSON (floats written by ``repr``, dict keys in their own order).
+The battery:
+
+- ``estimate_sace`` for all six methods (rho = 0.5 where a method needs
+  it) on six ``gen_dataset`` draws from n=200 to n=20000, one with
+  ``er_violation``;
+- ``bootstrap`` with B=20 for prop-er and prop-sm on each of those draws;
+- both 21-point ``sensitivity_sweep`` variants on each draw;
+- ``run_diagnostics(...).to_dict()`` on 2-5-level data at bins 1-3, with
+  rho None, 0.3 and 1;
+- the three ``sace_*`` routes on those data's cell tables, binned as for
+  the diagnostics and with the covariates pooled;
+- a 2x2 ``run_benchmark`` grid with reps=6 (``duration_s`` left out).
+
+A library error (``SacekitError`` or ``ValueError``) is recorded as its
+type and message, and warnings as their category and message; any other
+exception stops the run. Every key whose result differs is printed with the
+maximum relative difference over its numbers ("text" when only text,
+types or shapes differ). The exit status is 1 if any key differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+
+import numpy as np
+from bench_pairs import export_parent, export_worktree, git
+
+RHO = 0.5
+DRAWS = [  # (n, delta1, delta2, er_violation, seed)
+    (200, 0, 0, False, 901),
+    (500, 1, 0, False, 902),
+    (1000, 0, 1, False, 903),
+    (3000, 1, 1, False, 904),
+    (8000, 1, 1, True, 905),
+    (20000, 1, 1, False, 906),
+]
+LEVEL_DATA = [  # (levels, n, seed) of the multi-level diagnostics data
+    (2, 3000, 911),
+    (3, 3000, 912),
+    (3, 8000, 913),
+    (4, 5000, 914),
+    (5, 6000, 915),
+    (5, 800, 916),
+]
+
+
+def plain(value):
+    """``value`` with numpy scalars, arrays and tuples made JSON-native."""
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if hasattr(value, "tolist"):
+        return plain(value.tolist())
+    return value
+
+
+def record(call, *args, **kwargs):
+    """``call``'s result (through ``plain``) or library error, and its warnings.
+
+    Any other exception is a fault of the battery and stops the run.
+    """
+    from sacekit.errors import SacekitError
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = {"value": plain(call(*args, **kwargs))}
+        except (SacekitError, ValueError) as exc:
+            out = {"error": f"{type(exc).__name__}: {exc}"}
+    out["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return out
+
+
+def levels_dataset(sk, k, n, seed):
+    """``k``-level data whose always-survivor share grows with the level.
+
+    Units with ``x2 = 1`` all survive in both arms, so their cells have
+    constant mixing weights.
+    """
+    rng = sk.rng_stream(seed)
+    z = rng.integers(0, 2, size=n)
+    x = [rng.normal(size=n), rng.integers(0, 2, size=n).astype(float)]
+    a = rng.integers(0, k, size=n)
+    always = 0.3 + 0.4 * a / max(k - 1, 1) + 0.1 * (x[0] > 0)
+    u = rng.uniform(size=n)
+    stratum = (u < always).astype(int) + ((u >= always) & (u < always + 0.3)) * 2
+    survives = (x[1] == 1) | (stratum == 1) | ((stratum == 2) & (z == 1))
+    y = 1.0 + z + 2.0 * (stratum == 1) + 0.5 * x[0] + rng.normal(size=n)
+    y[~survives] = float("nan")
+    return sk.Dataset.from_arrays(z, np.column_stack(x), a, survives.astype(int), y)
+
+
+def battery():
+    import sacekit as sk
+    from sacekit.models import ALL_METHODS
+
+    results = {}
+    grid = np.linspace(0.0, 1.0, 21)
+    for n, d1, d2, er, seed in DRAWS:
+        data, _ = sk.gen_dataset(sk.SimulationSetting(n, d1, d2, er, seed))
+        tag = f"n={n},d=({d1},{d2}),er={int(er)}"
+        for method in ALL_METHODS:
+            rho = RHO if method in ("prop-sm", "prop-sm-ni") else None
+            est = record(lambda: sk.estimate_sace(data, method, rho=rho).to_dict())
+            results[f"estimate/{tag}/{method}"] = est
+        for method, rho in (("prop-er", None), ("prop-sm", RHO)):
+            results[f"bootstrap/{tag}/{method}"] = record(
+                lambda: sk.bootstrap(data, method, n_boot=20, seed=seed, rho=rho).to_dict()
+            )
+        for assume_er in (True, False):
+            results[f"sweep/{tag}/assume_er={assume_er}"] = record(
+                lambda: [vars(row) for row in sk.sensitivity_sweep(data, grid, assume_er).rows]
+            )
+    for k, n, seed in LEVEL_DATA:
+        data = levels_dataset(sk, k, n, seed)
+        tag = f"levels={k},n={n}"
+        tables = {"pooled": sk.CellTable.from_dataset(data, use_x=False)}
+        for bins in (1, 2, 3):
+            for rho in (None, 0.3, 1.0):
+                report = record(lambda: sk.run_diagnostics(data, bins=bins, rho=rho).to_dict())
+                results[f"diagnostics/{tag}/bins={bins}/rho={rho}"] = report
+            transform = sk.quantile_binner(data.x, bins)
+            tables[f"bins={bins}"] = sk.CellTable.from_dataset(data, x_transform=transform)
+        for cells, table in tables.items():
+            for route in (sk.sace_monotone_exclusion, sk.sace_no_interaction):
+                results[f"routes/{tag}/{cells}/{route.__name__}"] = record(route, table)
+            results[f"routes/{tag}/{cells}/sace_stochastic_monotone"] = record(
+                sk.sace_stochastic_monotone, table, RHO
+            )
+    bench = sk.run_benchmark(
+        [(0, 0, False), (1, 1, True)], [200, 1000], ALL_METHODS, reps=6, seed=77, rho=RHO
+    ).to_dict()
+    bench.pop("duration_s")
+    results["benchmark/2x2"] = {"value": plain(bench), "warnings": []}
+    return results
+
+
+def max_rel_diff(a, b):
+    """Largest relative difference between the numbers of ``a`` and ``b``.
+
+    None when the two differ in anything but numbers: text, types, keys or
+    lengths.
+    """
+    if isinstance(a, bool) or isinstance(b, bool) or type(a) is not type(b):
+        return 0.0 if a == b and type(a) is type(b) else None
+    if isinstance(a, (int, float)):
+        if a == b or (a != a and b != b):
+            return 0.0
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return None
+        return abs(a - b) / max(abs(a), abs(b))
+    if isinstance(a, dict):
+        if list(a) != list(b):
+            return None
+        diffs = [max_rel_diff(a[k], b[k]) for k in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return None
+        diffs = [max_rel_diff(u, v) for u, v in zip(a, b)]
+    else:
+        return 0.0 if a == b else None
+    return None if None in diffs else max(diffs, default=0.0)
+
+
+def run_battery(tree, out):
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--dump", out, "--tree", tree],
+        cwd=tree, env=env, check=True,
+    )
+    with open(out) as fh:
+        return json.load(fh)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    parser.add_argument("--tree", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.dump:
+        import sacekit
+
+        where = os.path.realpath(sacekit.__file__)
+        if not where.startswith(os.path.realpath(args.tree) + os.sep):
+            raise SystemExit(f"imported {where}, not the copy in {args.tree}")
+        with open(args.dump, "w") as fh:
+            json.dump(battery(), fh)
+        return 0
+
+    parent_rev = git("rev-parse", args.parent).decode().strip()
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        parent_tree, change_tree = os.path.join(tmp, "parent"), os.path.join(tmp, "change")
+        export_parent(parent_rev, parent_tree)
+        export_worktree(change_tree)
+        parent = run_battery(parent_tree, os.path.join(tmp, "parent.json"))
+        change = run_battery(change_tree, os.path.join(tmp, "change.json"))
+
+    keys = list(dict.fromkeys([*parent, *change]))
+    differ = 0
+    for key in keys:
+        if key not in parent or key not in change:
+            print(f"DIFFERS {key}: only in the {'change' if key in change else 'parent'}")
+            differ += 1
+        elif json.dumps(parent[key]) != json.dumps(change[key]):
+            rel = max_rel_diff(parent[key], change[key])
+            print(f"DIFFERS {key}: " + ("text" if rel is None else f"max rel diff {rel:.3g}"))
+            differ += 1
+    sections = collections.Counter(key.split("/")[0] for key in keys)
+    errors = sum("error" in r for r in change.values())
+    warned = sum(bool(r["warnings"]) for r in change.values())
+    print(f"parent {parent_rev[:12]} against the working tree: {len(keys)} keys "
+          f"({', '.join(f'{s} {c}' for s, c in sections.items())}); "
+          f"{errors} record an error and {warned} warnings; "
+          + (f"{differ} differ" if differ else "every output identical"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
