@@ -30,7 +30,6 @@ from .identify import (
     strata_probs_stochastic,
 )
 from .errors import RelevanceError
-from .models import SurvivalParamsER, SurvivalParamsSM
 
 # A monotonicity cell fails when its one-sided z statistic exceeds this.
 MONOTONE_FAIL_Z = 2.0
@@ -94,8 +93,7 @@ def quantile_binner(x, bins):
 
     Returns a transform for use as the ``x_transform`` of
     :meth:`CellTable.from_dataset`. It maps the whole (n, d) covariate
-    matrix to an (n, d) integer array of bin indices, or one covariate row
-    to a tuple of bin indices.
+    matrix to an (n, d) integer array of bin indices.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -113,8 +111,8 @@ def quantile_binner(x, bins):
         rows = np.asarray(rows, dtype=float)
         keys = np.empty(rows.shape, dtype=np.int64)
         for j, (side, arr) in enumerate(rules):
-            keys[..., j] = np.searchsorted(arr, rows[..., j], side=side)
-        return keys if keys.ndim == 2 else tuple(int(k) for k in keys)
+            keys[:, j] = np.searchsorted(arr, rows[:, j], side=side)
+        return keys
 
     return transform
 
@@ -128,41 +126,14 @@ def _aggregate(cells):
     return "vacuous"
 
 
-def check_monotone(source, *, x=None, a=None):
+def check_monotone(table):
     """Screen: control-arm survival must not exceed treated-arm survival.
 
-    ``source`` is either a :class:`CellTable` (sample mode: one-sided
-    two-proportion z comparison per cell) or a fitted survival model (model
-    mode). An arm-wise :class:`SurvivalParamsSM` fit is evaluated pointwise
-    at covariates ``x`` and level codes ``a``, which it requires. The
-    ratio-parameterized joint fit satisfies the restriction by construction,
-    so no data is tested and it is reported vacuous.
+    One-sided two-proportion z comparison per cell of a sample-mode
+    :class:`CellTable`; a cell missing an arm is vacuous.
     """
-    if isinstance(source, SurvivalParamsER):
-        return {
-            "status": "vacuous",
-            "cells": [],
-            "note": "holds by construction of the ratio parameterization",
-        }
-    if isinstance(source, SurvivalParamsSM):
-        if x is None or a is None:
-            raise TypeError("an arm-wise survival model needs x= and a=")
-        th1 = source.theta_treated(x, a)
-        th0 = source.theta_control(x, a)
-        bad = th0 > th1 + 1e-12
-        frac = float(np.mean(bad)) if len(np.atleast_1d(bad)) else 0.0
-        status = "fail" if frac > 0 else "pass"
-        return {
-            "status": status,
-            "cells": [],
-            "note": f"pointwise model check: {frac:.1%} of units have fitted "
-            "control survival above treated survival",
-        }
-    if not isinstance(source, CellTable):
-        raise TypeError("expected a CellTable or a fitted survival model")
-
     cells = []
-    for (xkey, a), c in source.cells.items():
+    for (xkey, a), c in table.cells.items():
         entry = {"x": list(xkey), "a": a}
         if (
             c.p_surv_treated is None
@@ -328,7 +299,7 @@ def _mean_structure(table, which, rho=None):
     return out
 
 
-def run_diagnostics(data, bins=2, survival=None, rho=None):
+def run_diagnostics(data, bins=2, rho=None):
     """Run every observable-implication screen on a dataset.
 
     Parameters
@@ -337,9 +308,6 @@ def run_diagnostics(data, bins=2, survival=None, rho=None):
     bins : int
         Quantile bins per covariate for cell formation (continuous
         covariates only; discrete ones keep their levels).
-    survival : optional
-        A fitted survival model; switches the monotonicity screen to model
-        mode (the empirical mode runs otherwise).
     rho : float, optional
         Sensitivity level enabling the control-arm mean-structure screen.
 
@@ -355,16 +323,8 @@ def run_diagnostics(data, bins=2, survival=None, rho=None):
     table = CellTable.from_dataset(
         data, use_x=data.n_covariates > 0, x_transform=transform
     )
-
-    if survival is not None:
-        if not isinstance(survival, (SurvivalParamsER, SurvivalParamsSM)):
-            raise TypeError("survival must be a fitted survival model")
-        monotone = check_monotone(survival, x=data.x, a=data.a)
-    else:
-        monotone = check_monotone(table)
-
     constraints = {
-        "survival_monotonicity": monotone,
+        "survival_monotonicity": check_monotone(table),
         "treated_mean_structure": _mean_structure(table, "treated"),
         "substitution_relevance": check_relevance(table),
         "control_mean_structure": _mean_structure(table, "control", rho=rho),

@@ -222,23 +222,32 @@ def check_rho(rho):
     return rho
 
 
-def strata_probs_stochastic(p_surv_treated, p_surv_control, rho):
-    """Stratum shares under stochastic monotonicity of degree ``rho``.
+def stochastic_always_share(theta_treated, theta_control, rho):
+    """Always-survivor share under stochastic monotonicity of degree ``rho``.
 
-    ``rho = 0`` makes potential survival statuses independent (always share
-    is the product of marginals); ``rho = 1`` gives the maximal coupling
-    (always share is the smaller marginal, recovering the deterministic
-    case when control survival is the smaller one). Returns
-    ``(always, protected, harmed, never)``, which is an exact probability
-    vector for every ``rho`` in [0, 1].
+    ``rho = 0`` makes potential survival statuses independent (the share is
+    the product of the marginals); ``rho = 1`` gives the maximal coupling
+    (the share is the smaller marginal). Elementwise over arrays of
+    survival probabilities; a zero control survival gives a zero share.
+    """
+    th1 = np.asarray(theta_treated, dtype=float)
+    th0 = np.asarray(theta_control, dtype=float)
+    rho = check_rho(rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = th1 + rho * (np.minimum(1.0, th1 / th0) - th1)
+    return np.where(th0 > 0.0, th0 * np.where(th0 > 0.0, cond, 0.0), 0.0)
+
+
+def strata_probs_stochastic(p_surv_treated, p_surv_control, rho):
+    """Stratum shares of one cell under stochastic monotonicity of degree ``rho``.
+
+    The always share is :func:`stochastic_always_share`, which recovers the
+    deterministic case at ``rho = 1`` when control survival is the smaller
+    marginal. Returns ``(always, protected, harmed, never)``, which is an
+    exact probability vector for every ``rho`` in [0, 1].
     """
     p1, p0 = _survival_probs(p_surv_treated, p_surv_control)
-    rho = check_rho(rho)
-    if p0 <= 0.0:
-        always = 0.0
-    else:
-        cond = p1 + rho * (min(1.0, p1 / p0) - p1)
-        always = p0 * cond
+    always = float(stochastic_always_share(p1, p0, rho))
     protected = max(0.0, p1 - always)
     harmed = max(0.0, p0 - always)
     never = max(0.0, 1.0 - p1 - p0 + always)
@@ -359,15 +368,13 @@ def _solve_mixture_levels(entries, sample, where):
     return float(mu)
 
 
-def _arm_mixture(group, shares, arm, table, xkey):
-    """Always-survivor mean of one arm's survivors in one covariate group.
+def _arm_entries(group, shares, tag, sample):
+    """``{a: (survivor mean, share / survival, count)}`` of one arm.
 
-    Each level with survivors gives the entry (survivor mean, share /
-    survival, survivor count in sample mode or else the cell mass).
+    One entry per level with survivors in the arm; the count is the
+    survivor count in sample mode, or else the cell mass.
     """
-    sample = table.mode == "sample"
-    tag = "treated" if arm == 1 else "control"
-    entries = []
+    entries = {}
     for a, share in shares.items():
         c = group[a]
         mean, p = getattr(c, f"mean_{tag}"), getattr(c, f"p_surv_{tag}")
@@ -376,7 +383,15 @@ def _arm_mixture(group, shares, arm, table, xkey):
         count = getattr(c, f"n_surv_{tag}") if sample else c.mass
         if count <= 0:
             count = c.mass
-        entries.append((mean, share / p, count))
+        entries[a] = (mean, share / p, count)
+    return entries
+
+
+def _arm_mixture(group, shares, arm, table, xkey):
+    """Always-survivor mean of one arm's survivors in one covariate group."""
+    sample = table.mode == "sample"
+    tag = "treated" if arm == 1 else "control"
+    entries = list(_arm_entries(group, shares, tag, sample).values())
     where = f"{tag}-arm mixture at {_cell_label(xkey)}"
     return _solve_mixture_levels(entries, sample, where)
 
@@ -492,51 +507,32 @@ def sace_no_interaction(table):
     The exclusion restriction is dropped: substitution levels may shift
     outcomes, but by the same additive amount in every stratum and arm.
     Control survivors are pure always survivors, so the between-level shift
-    is read off the control arm; subtracting it from the treated-arm means
-    restores a solvable two-point system at two reference levels (the first
-    two sufficiently separated levels in code order). The per-cell contrast
+    is read off the control arm; adding it to the treated-arm means moves
+    every level to the reference level (the first in code order), where
+    the shifted means form one two-point mixture. It is solved at the
+    reference level and the first level separated from it, with the
+    exclusion route's drop, pure and singular policy. The per-cell contrast
     is then constant across levels within a covariate group.
     """
     sample = table.mode == "sample"
 
     def contrasts(xkey, group, shares):
-        # the mixing weights of the levels with both survivor means
-        mixes = {
-            a: share / group[a].p_surv_treated
-            for a, share in shares.items()
-            if group[a].p_surv_treated > 0.0
-            and group[a].mean_treated is not None
-            and group[a].mean_control is not None
+        treated = _arm_entries(group, shares, "treated", sample)
+        control = {
+            a: group[a].mean_control for a in treated if group[a].mean_control is not None
         }
-        if len(mixes) < 2:
-            _warn(
-                f"group {_cell_label(xkey)}: fewer than two usable levels, "
-                "group dropped"
-            )
+        ref = next(iter(control), None)
+        entries = [
+            (mean + (control[ref] - control[a]), w, count)
+            for a, (mean, w, count) in treated.items()
+            if a in control
+        ]
+        separated = [e for e in entries if abs(e[1] - entries[0][1]) >= SEPARATION_EPS]
+        if separated:
+            entries = [entries[0], separated[0]]
+        mu = _solve_mixture_levels(entries, sample, f"group {_cell_label(xkey)}")
+        if mu is None:
             return {}
-        ref, *rest = mixes
-        other = next(
-            (a for a in rest if abs(mixes[a] - mixes[ref]) >= SEPARATION_EPS), None
-        )
-        if other is None:
-            raise RelevanceError(
-                f"group {_cell_label(xkey)}: mixing weights constant across "
-                "levels; components are not identified"
-            )
-        spread = abs(mixes[other] - mixes[ref])
-        if sample and spread < WEAK_THRESHOLD:
-            _warn(
-                f"group {_cell_label(xkey)}: mixing-weight spread "
-                f"{spread:.3g} is weak; the solve is noise-amplified"
-            )
-        shift = group[ref].mean_control - group[other].mean_control
-        mu_always_ref, _ = solve_two_point_mixture(
-            group[ref].mean_treated,
-            group[other].mean_treated + shift,
-            mixes[ref],
-            mixes[other],
-        )
-        contrast = mu_always_ref - group[ref].mean_control
-        return {a: contrast for a in shares if group[a].mean_control is not None}
+        return {a: mu - control[ref] for a in shares if group[a].mean_control is not None}
 
     return _sace_by_group(table, strata_probs_monotone, contrasts)

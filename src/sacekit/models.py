@@ -51,6 +51,7 @@ from .identify import (
     _warn,
     check_rho,
     solve_two_point_mixture,
+    stochastic_always_share,
 )
 from .numerics import (
     OptimizerResult,
@@ -361,16 +362,6 @@ def fit_survival_sm(data, init=None, weights=None):
         opt_control=opt0,
         column_names=_design_names(data.covariate_names, ("a",)),
     )
-
-
-def stochastic_always_share(theta_treated, theta_control, rho):
-    """Vectorized always-survivor share under stochastic monotonicity."""
-    th1 = np.asarray(theta_treated, dtype=float)
-    th0 = np.asarray(theta_control, dtype=float)
-    rho = check_rho(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = th1 + rho * (np.minimum(1.0, th1 / th0) - th1)
-    return np.where(th0 > 0.0, th0 * np.where(th0 > 0.0, cond, 0.0), 0.0)
 
 
 @dataclass

@@ -19,6 +19,10 @@ from .errors import CollinearityError
 # boundary-saturated: the likelihood is flat there although the parameters
 # are still drifting, so such fits are reported as not converged.
 BOUNDARY_EPS = 1e-6
+# Newton ascent stops once the max-norm gradient is at most NEWTON_TOL, or
+# after NEWTON_MAX_ITER accepted steps; both are read at call time.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 100
 
 
 def expit(t):
@@ -162,7 +166,7 @@ def _ascent_direction(g, h):
     return None
 
 
-def maximize_loglik(objective, init, tol=1e-8, max_iter=100, probabilities=None):
+def maximize_loglik(objective, init, probabilities=None):
     """Maximize a twice-differentiable log-likelihood by damped Newton ascent.
 
     Parameters
@@ -171,10 +175,6 @@ def maximize_loglik(objective, init, tol=1e-8, max_iter=100, probabilities=None)
         ``objective(params) -> (value, gradient, hessian)``.
     init : (p,) array
         Starting point.
-    tol : float
-        Max-norm gradient tolerance.
-    max_iter : int
-        Maximum number of accepted steps.
     probabilities : callable, optional
         ``probabilities(params) -> array`` of fitted probabilities, probed
         at the final point to set ``boundary_flag``.
@@ -187,16 +187,18 @@ def maximize_loglik(objective, init, tol=1e-8, max_iter=100, probabilities=None)
     ends the iterations. Step halving enforces a non-decreasing objective
     across accepted steps, up to a slack of a few units in the last place
     of the objective, so that full Newton steps are still taken once
-    improvements fall below floating-point resolution. The routine is
-    deterministic: equal inputs give bit-identical results.
+    improvements fall below floating-point resolution. It stops at
+    :data:`NEWTON_TOL` or after :data:`NEWTON_MAX_ITER` accepted steps. The
+    routine is deterministic: equal inputs give bit-identical results.
     """
     x = np.asarray(init, dtype=float).copy()
     f, g, h = objective(x)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the initial point")
 
+    tol = NEWTON_TOL
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         grad_norm = float(np.max(np.abs(g))) if g.size else 0.0
         if grad_norm <= tol:
             break

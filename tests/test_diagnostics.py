@@ -16,7 +16,6 @@ from sacekit.diagnostics import (
     run_diagnostics,
 )
 from sacekit.identify import CellStats, CellTable, gmm_overidentified
-from sacekit.models import fit_survival_er, fit_survival_sm
 from sacekit.numerics import rng_stream
 from sacekit.simulate import SimulationSetting, gen_dataset
 
@@ -41,7 +40,7 @@ def test_quantile_binner_splits_continuous_keeps_discrete():
     rng = rng_stream(81)
     x = np.column_stack([rng.normal(size=500), rng.integers(0, 2, size=500) * 2.0 - 1.0])
     transform = quantile_binner(x, bins=2)
-    keys = np.array([transform(row) for row in x])
+    keys = transform(x)
     # first column: median split into exactly two nonempty bins
     assert set(keys[:, 0]) == {0, 1}
     counts = np.bincount(keys[:, 0])
@@ -68,29 +67,6 @@ def test_check_monotone_sample_pass_fail_and_noise():
         mode="sample",
     )
     assert check_monotone(vacuous)["status"] == "vacuous"
-
-
-def test_check_monotone_model_modes():
-    data, _ = gen_dataset(SimulationSetting(n=1500, delta1=0, delta2=1, seed=82))
-    joint = fit_survival_er(data)
-    out = check_monotone(joint)
-    assert out["status"] == "vacuous"
-    assert "by construction" in out["note"]
-
-    arms = fit_survival_sm(data)
-    out = check_monotone(arms, x=data.x, a=data.a)
-    assert out["status"] in ("pass", "fail")
-    assert "pointwise" in out["note"]
-    with pytest.raises(TypeError):
-        check_monotone(42)
-
-
-def test_check_monotone_arm_model_needs_covariates_and_levels():
-    data, _ = gen_dataset(SimulationSetting(n=400, delta1=0, delta2=1, seed=83))
-    arms = fit_survival_sm(data)
-    for kwargs in ({}, {"x": data.x}, {"a": data.a}):
-        with pytest.raises(TypeError, match="needs x= and a="):
-            check_monotone(arms, **kwargs)
 
 
 def test_check_relevance_population_examples():
@@ -280,18 +256,6 @@ def test_run_diagnostics_reports_all_five_constraints():
     assert text.splitlines()[-1].startswith("overall:")
     d = report.to_dict()
     assert d["n"] == 2000 and d["bins"] == 2 and isinstance(d["ok"], bool)
-
-
-def test_run_diagnostics_with_fitted_survival_models():
-    data, _ = gen_dataset(SimulationSetting(n=1200, delta1=0, delta2=1, seed=86))
-    report = run_diagnostics(data, survival=fit_survival_er(data))
-    monotone = report.constraints["survival_monotonicity"]
-    assert monotone["status"] == "vacuous"
-    assert "by construction" in monotone["note"]
-    report = run_diagnostics(data, survival=fit_survival_sm(data), rho=0.5)
-    assert "pointwise" in report.constraints["survival_monotonicity"]["note"]
-    with pytest.raises(TypeError):
-        run_diagnostics(data, survival="nope")
 
 
 def test_run_diagnostics_checks_rho():

@@ -28,6 +28,7 @@ from sacekit.identify import (
     sace_no_interaction,
     sace_stochastic_monotone,
     solve_two_point_mixture,
+    stochastic_always_share,
     strata_probs_monotone,
     strata_probs_stochastic,
 )
@@ -59,6 +60,18 @@ def test_strata_probs_stochastic_endpoints():
         strata_probs_stochastic(p1, p0, 1.5)
     # degenerate control survival
     assert strata_probs_stochastic(0.5, 0.0, 0.5)[0] == 0.0
+
+
+def test_stochastic_share_matches_scalar_route():
+    rng = rng_stream(50)
+    th1 = rng.uniform(0.05, 0.95, size=40)
+    th0 = rng.uniform(0.05, 0.95, size=40)
+    for rho in (0.0, 0.25, 0.8, 1.0):
+        vec = stochastic_always_share(th1, th0, rho)
+        scalar = [strata_probs_stochastic(a, b, rho)[0] for a, b in zip(th1, th0)]
+        assert vec.tolist() == scalar
+    with pytest.raises(ValueError):
+        stochastic_always_share(th1, th0, -0.1)
 
 
 def test_strata_probs_stochastic_harmed_share_shrinks_with_rho():
@@ -178,6 +191,8 @@ def test_pure_cells_when_weights_all_one():
         mode="population",
     )
     assert_allclose(sace_monotone_exclusion(table), 1.0, atol=1e-12)
+    assert_allclose(sace_no_interaction(table), 1.0, atol=1e-12)
+    assert_allclose(sace_stochastic_monotone(table, 1.0), 1.0, atol=1e-12)
 
 
 def test_monotone_route_flags_violating_cell():
@@ -275,14 +290,10 @@ def reference_tabulation(data, use_x=True, x_transform=None):
     z, s, a, x = data.z, data.s, data.a, data.x
     y = np.full(len(data), np.nan)
     y[data.survivor_mask()] = data.outcomes_at(data.survivor_mask())
+    keys = x_transform(x) if x_transform is not None else x
     rows = {}
     for i in range(len(data)):
-        if not use_x:
-            xkey = ()
-        elif x_transform is not None:
-            xkey = tuple(x_transform(x[i]))
-        else:
-            xkey = tuple(x[i])
+        xkey = tuple(keys[i]) if use_x else ()
         rows.setdefault((xkey, int(a[i])), []).append(i)
     cells = {}
     for key in sorted(rows):

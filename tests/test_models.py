@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from sacekit.data import Dataset
 from sacekit.errors import EstimationError
-from sacekit.identify import strata_probs_stochastic
+from sacekit.identify import stochastic_always_share
 from sacekit.models import (
     ALL_METHODS,
     FAILURE_REASONS,
@@ -31,7 +31,6 @@ from sacekit.models import (
     joint_survival_objective,
     method_rhos,
     sensitivity_sweep,
-    stochastic_always_share,
     survival_design,
 )
 from sacekit.numerics import OptimizerResult, check_gradient, expit, rng_stream
@@ -250,18 +249,6 @@ def test_method_and_rho_validation():
     for weights in (np.ones(len(data) - 1), np.zeros(len(data)), np.full(len(data), 1.5)):
         with pytest.raises(ValueError, match="weights must be integers"):
             estimate_sace(data, "naive", weights=weights)
-
-
-def test_stochastic_share_matches_scalar_route():
-    rng = rng_stream(50)
-    th1 = rng.uniform(0.05, 0.95, size=40)
-    th0 = rng.uniform(0.05, 0.95, size=40)
-    for rho in (0.0, 0.25, 0.8, 1.0):
-        vec = stochastic_always_share(th1, th0, rho)
-        scalar = [strata_probs_stochastic(a, b, rho)[0] for a, b in zip(th1, th0)]
-        assert_allclose(vec, scalar, rtol=1e-13)
-    with pytest.raises(ValueError):
-        stochastic_always_share(th1, th0, -0.1)
 
 
 def test_fit_sm_interior_and_endpoint_rho():

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from sacekit import numerics
 from sacekit.errors import CollinearityError
 from sacekit.models import joint_survival_objective, survival_design
 from sacekit.numerics import (
@@ -235,11 +236,12 @@ def test_maximize_loglik_separated_data_is_not_converged():
     assert not res.converged
 
 
-def test_maximize_loglik_respects_max_iter():
+def test_maximize_loglik_respects_max_iter(monkeypatch):
     def slow(x):
         return -float(x[0] ** 2), np.array([-2.0 * x[0]]), np.array([[-1e-6]])
 
-    res = maximize_loglik(slow, np.array([5.0]), max_iter=3)
+    monkeypatch.setattr(numerics, "NEWTON_MAX_ITER", 3)
+    res = maximize_loglik(slow, np.array([5.0]))
     assert res.iterations <= 3
     assert not res.converged
 
