@@ -233,9 +233,18 @@ def stochastic_always_share(theta_treated, theta_control, rho):
     th1 = np.asarray(theta_treated, dtype=float)
     th0 = np.asarray(theta_control, dtype=float)
     rho = check_rho(rho)
+    # th0 * (th1 + rho * (min(1, th1 / th0) - th1)), computed in place in
+    # one buffer; a sensitivity sweep evaluates it once per grid point
+    share = np.empty(np.broadcast_shapes(th1.shape, th0.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = th1 + rho * (np.minimum(1.0, th1 / th0) - th1)
-    return np.where(th0 > 0.0, th0 * np.where(th0 > 0.0, cond, 0.0), 0.0)
+        np.divide(th1, th0, out=share)
+        np.minimum(share, 1.0, out=share)
+        share -= th1
+        share *= rho
+        share += th1
+        share *= th0
+    np.copyto(share, 0.0, where=~(th0 > 0.0))
+    return share
 
 
 def strata_probs_stochastic(p_surv_treated, p_surv_control, rho):

@@ -54,6 +54,7 @@ from .identify import (
     stochastic_always_share,
 )
 from .numerics import (
+    FixedBlockOLS,
     OptimizerResult,
     expit,
     fit_logistic,
@@ -396,53 +397,97 @@ class OutcomeParams:
     notes: list = field(default_factory=list)
 
 
-def _outcome_ols(ys, design, names, shares, what, weights=None):
-    """Least-squares survivor outcome regression: (coefficients, notes).
+class _SurvivorFit(NamedTuple):
+    """One survivor outcome regression, as :func:`_survivor_fit` builds it."""
 
-    The one stage-two fit of every model-based method. ``shares`` maps the
-    index of each fitted-share column to the rows it is screened on. A
-    column whose spread there is below ``WEAK_THRESHOLD`` warns; one
-    constant at 1 marks a pure always-survivor sample and is dropped with
-    coefficient 0 and a note; one constant anywhere else carries no
-    information and raises CollinearityError. Errors and notes start with
-    ``what``, the fit's name, and the coefficients come in ``names`` order.
-    With integer frequency ``weights`` the survivor count is their sum.
+    what: str  # the fit's name, which starts its errors and notes
+    ys: np.ndarray
+    design: np.ndarray
+    weights: np.ndarray | None
+    shares: dict  # fitted-share column -> the rows it is screened on
+    fixed: list  # the other columns
+    solver: FixedBlockOLS | None  # the fixed columns, factored once
+    error: str | None  # the survivor-count failure, decided once
+
+
+def _survivor_fit(what, ys, design, shares, weights=None, factor=False):
+    """A survivor regression of ``ys`` on ``design``, for :func:`_outcome_ols`.
+
+    ``shares`` maps the index of each fitted-share column to the rows it is
+    screened on. The survivor-count failures depend on no share value and
+    are decided here: fewer survivors (with integer frequency ``weights``,
+    their sum) than coefficients, or a share column with no rows to screen.
+    With ``factor`` the columns outside ``shares`` are factored once, by
+    :class:`~sacekit.numerics.FixedBlockOLS`, for a fit that is evaluated at
+    many share values; the share columns may then be filled later.
     """
     n, p = design.shape
     if weights is not None:
         n = int(np.sum(weights))
+    error = None
     if n < p:
-        raise EstimationError(
-            f"{what}: {n} survivors, fewer than the {p} outcome coefficients"
-        )
-    screened = {j: design[rows, j] for j, rows in shares.items()}
-    if any(col.size == 0 for col in screened.values()):
-        raise EstimationError(f"{what}: survivors are required in both arms")
-    keep, notes = list(range(p)), []
-    for j, col in screened.items():
+        error = f"{what}: {n} survivors, fewer than the {p} outcome coefficients"
+    elif any(design[rows, j].size == 0 for j, rows in shares.items()):
+        error = f"{what}: survivors are required in both arms"
+    fixed = [j for j in range(p) if j not in shares]
+    solver = FixedBlockOLS(design, fixed, ys, weights) if factor and not error else None
+    return _SurvivorFit(what, ys, design, weights, shares, fixed, solver, error)
+
+
+def _outcome_ols(fit, names):
+    """Least-squares survivor outcome regression: (coefficients, notes).
+
+    The one stage-two fit of every model-based method, of a
+    :func:`_survivor_fit` at the current values of its share columns. A
+    share column whose spread on its rows is below ``WEAK_THRESHOLD``
+    warns; one constant at 1 marks a pure always-survivor sample and is
+    dropped with coefficient 0 and a note; one constant anywhere else
+    carries no information and raises CollinearityError. Errors and notes
+    start with ``fit.what``, and the coefficients come in ``names`` order.
+
+    With a solver the kept share columns S are solved against the factored
+    fixed columns F by block elimination. Where that factor, or the one
+    assembled with S, does not clear the rank tolerance of ``fit_ols`` by
+    ``numerics.RANK_MARGIN``, or S is not finite, and always without a
+    solver, the fit is :func:`fit_ols` on the full design, so every
+    ``CollinearityError`` and ``ValueError`` is that of ``fit_ols``.
+    """
+    if fit.error is not None:
+        raise EstimationError(fit.error)
+    design = fit.design
+    keep, notes = list(range(design.shape[1])), []
+    for j, rows in fit.shares.items():
+        col = design[rows, j]
         spread = float(np.ptp(col))
         if spread >= CONSTANT_EPS:
             if spread < WEAK_THRESHOLD:
                 _warn(
-                    f"{what}: {names[j]} spread {spread:.3g} is weak; "
+                    f"{fit.what}: {names[j]} spread {spread:.3g} is weak; "
                     "coefficients are noise-amplified"
                 )
         elif abs(float(col[0]) - 1.0) < PURE_SHARE_TOL:
             keep.remove(j)
             notes.append(
-                f"{what}: {names[j]} dropped, its survivors are a pure "
+                f"{fit.what}: {names[j]} dropped, its survivors are a pure "
                 "always-survivor sample"
             )
         else:
             raise CollinearityError(
                 [names[j]],
-                f"{what}: fitted always-survivor share {names[j]} is numerically "
+                f"{fit.what}: fitted always-survivor share {names[j]} is numerically "
                 f"constant at {float(col[0]):.6g}; the substitution variable "
                 "carries no information there",
             )
-    coef = np.zeros(p)
-    fit = design if len(keep) == p else design[:, keep]
-    coef[keep] = fit_ols(fit, ys, column_names=[names[j] for j in keep], weights=weights)
+    coef = np.zeros(design.shape[1])
+    varying = [j for j in fit.shares if j in keep]
+    solved = None if fit.solver is None else fit.solver.solve(design, varying)
+    if solved is None:
+        kept = design if len(keep) == coef.size else design[:, keep]
+        coef[keep] = fit_ols(
+            kept, fit.ys, column_names=[names[j] for j in keep], weights=fit.weights
+        )
+    else:
+        coef[fit.fixed + varying] = solved
     return coef, notes
 
 
@@ -473,18 +518,22 @@ def fit_outcome_er(data, survival, weights=None, *, design=None):
     mask0, mask1 = data.survivor_mask(0), data.survivor_mask(1)
     w0, w1 = _weights_at(weights, mask0), _weights_at(weights, mask1)
     control, _ = _outcome_ols(
-        data.outcomes_at(mask0), _rows(v, mask0), names_control, {},
-        "the control-arm outcome fit", w0,
+        _survivor_fit(
+            "the control-arm outcome fit", data.outcomes_at(mask0), _rows(v, mask0), {}, w0
+        ),
+        names_control,
     )
     v1 = _rows(v, mask1)
     v1[:, -1] = survival.theta_ratio(v1)
     treated_mix, notes = _outcome_ols(
-        data.outcomes_at(mask1),
-        v1,
+        _survivor_fit(
+            "the treated-arm outcome fit",
+            data.outcomes_at(mask1),
+            v1,
+            {len(names_treated) - 1: slice(None)},
+            w1,
+        ),
         names_treated,
-        {len(names_treated) - 1: slice(None)},
-        "the treated-arm outcome fit",
-        w1,
     )
     return OutcomeParams(
         control=control,
@@ -514,8 +563,11 @@ def fit_ni(data, survival, weights=None):
     names = _design_names(data.covariate_names, ("a", "always_share", "z"))
     design = np.column_stack([np.ones(ys.size), xs, as_, share, zs])
     pooled, notes = _outcome_ols(
-        ys, design, names, {len(names) - 2: treated}, "the pooled outcome fit",
-        _weights_at(weights, mask),
+        _survivor_fit(
+            "the pooled outcome fit", ys, design, {len(names) - 2: treated},
+            _weights_at(weights, mask),
+        ),
+        names,
     )
     return OutcomeParams(pooled=pooled, names={"pooled": names}, notes=notes)
 
@@ -539,13 +591,21 @@ class _SmStage:
 
     Built once per :func:`sensitivity_sweep` (and once per stand-alone
     :func:`fit_sm` call) for one outcome variant. It holds the two fitted
-    survival surfaces over all units, the survivors' outcomes, the divisors
-    that turn the always-survivor probability into a share, and each
-    outcome design as a Fortran-ordered buffer whose intercept, covariate,
-    ``a`` and ``z`` columns are filled here; evaluating at a ``rho``
-    overwrites only the share columns. Every data check runs when a fit is
-    evaluated, so in a sweep each grid point fails alone. ``weights`` are
-    integer frequency weights, one per unit.
+    survival surfaces over all units, the divisors that turn the
+    always-survivor probability into a share, the survivors' row indices,
+    and one factored :func:`_survivor_fit` per outcome regression, whose
+    design is a Fortran-ordered buffer with the intercept, covariate, ``a``
+    and ``z`` columns filled here. Those fixed columns F are factored once
+    (:class:`~sacekit.numerics.FixedBlockOLS`), and the survivor-count
+    failures, which no ``rho`` changes, are decided once. Evaluating at a
+    ``rho`` overwrites only the one or two share columns S, and
+    :func:`_outcome_ols` screens them and solves ``[F | S]`` by block
+    elimination, or by ``fit_ols`` on the full design where the factor is
+    too near rank deficiency, so its errors are exactly ``fit_ols``'s. A
+    stored survivor-count failure is raised where a full fit would raise
+    it: after the zero-mass check of :func:`fit_sm`, and in an arm-wise
+    fit after the treated arm's. In a sweep each grid point thus still
+    fails alone. ``weights`` are integer frequency weights, one per unit.
     """
 
     def __init__(self, data, survival, assume_er, weights=None):
@@ -556,47 +616,66 @@ class _SmStage:
         v = survival_design(data.x, data.a)
         self.th1 = survival.theta_treated(v)
         self.th0 = survival.theta_control(v)
+        del v  # freed before the outcome designs are built and factored
+        self._last = None
         tiny = 1e-300
         d = data.n_covariates
         if assume_er:
             self.names = _design_names(data.covariate_names, ("always_share",))
-            self.shares = {d + 1: slice(None)}
-            self.arms = []
+            self.rows, self.floors, self.fits = [], [], []
             for arm, th_arm in ((1, self.th1), (0, self.th0)):
-                mask = data.survivor_mask(arm)
-                ys = data.outcomes_at(mask)
-                design = np.empty((ys.size, d + 2), order="F")
+                rows = np.flatnonzero(data.survivor_mask(arm))
+                design = np.empty((rows.size, d + 2), order="F")
                 design[:, 0] = 1.0
-                design[:, 1:-1] = _rows(data.x, mask)
-                floor = np.maximum(th_arm[mask], tiny)
-                what = f"the {'treated' if arm else 'control'}-arm outcome fit"
-                self.arms.append((what, mask, ys, floor, design, _weights_at(weights, mask)))
+                design[:, 1:-1] = data.x.take(rows, axis=0)
+                self.rows.append(rows)
+                self.floors.append(np.maximum(th_arm[rows], tiny))
+                self.fits.append(
+                    _survivor_fit(
+                        f"the {'treated' if arm else 'control'}-arm outcome fit",
+                        data.outcomes_at(rows),
+                        design,
+                        {d + 1: slice(None)},
+                        _weights_at(weights, rows),
+                        factor=True,
+                    )
+                )
         else:
-            self.mask = mask = data.survivor_mask()
-            self.w = _weights_at(weights, mask)
-            self.z = zs = data.z[mask]
+            self.rows = rows = np.flatnonzero(data.survivor_mask())
+            self.z = zs = data.z[rows]
             self.cz = 1 - zs
-            self.ys = data.outcomes_at(mask)
-            self.floor1 = np.maximum(self.th1[mask], tiny)
-            self.floor0 = np.maximum(self.th0[mask], tiny)
+            self.floor1 = np.maximum(self.th1[rows], tiny)
+            self.floor0 = np.maximum(self.th0[rows], tiny)
             # (1, X, A, Z*share1, Z, (1-Z)*share0); the share columns are per
             # rho and each is screened on its own arm's rows
             self.names = _design_names(
                 data.covariate_names, ("a", "z_x_treated_share", "z", "cz_x_control_share")
             )
-            self.shares = {d + 2: zs == 1, d + 4: zs == 0}
-            design = np.empty((self.ys.size, d + 5), order="F")
+            design = np.empty((rows.size, d + 5), order="F")
             design[:, 0] = 1.0
-            design[:, 1 : d + 1] = _rows(data.x, mask)
-            design[:, d + 1] = data.a[mask]
+            design[:, 1 : d + 1] = data.x.take(rows, axis=0)
+            design[:, d + 1] = data.a[rows]
             design[:, d + 3] = zs
-            self.design = design
+            shares = {d + 2: np.flatnonzero(zs == 1), d + 4: np.flatnonzero(zs == 0)}
+            self.fits = [
+                _survivor_fit(
+                    "the pooled outcome fit", data.outcomes_at(rows), design, shares,
+                    _weights_at(weights, rows), factor=True,
+                )
+            ]
 
     def coupling(self, rho):
-        """(always, harmed_mass) at ``rho``."""
-        always = stochastic_always_share(self.th1, self.th0, float(rho))
-        harmed_mass = _mean(self.th0 - always, self.weights) if always.size else 0.0
-        return always, harmed_mass
+        """(always, harmed_mass) at ``rho``.
+
+        The last result is kept, so asking again at the same ``rho`` (as
+        :func:`sensitivity_sweep` does for a failing point) computes nothing.
+        """
+        rho = float(rho)
+        if self._last is None or self._last[0] != rho:
+            always = stochastic_always_share(self.th1, self.th0, rho)
+            harmed_mass = _mean(self.th0 - always, self.weights) if always.size else 0.0
+            self._last = (rho, always, harmed_mass)
+        return self._last[1:]
 
     def fit(self, always):
         """(outcome, effect) of the outcome stage at the coupling ``always``.
@@ -606,9 +685,9 @@ class _SmStage:
         """
         if self.assume_er:
             coefs, notes = [], []
-            for what, mask, ys, floor, design, w in self.arms:
-                np.divide(always[mask], floor, out=design[:, -1])
-                coef, arm_notes = _outcome_ols(ys, design, self.names, self.shares, what, w)
+            for fit, rows, floor in zip(self.fits, self.rows, self.floors):
+                np.divide(always.take(rows), floor, out=fit.design[:, -1])
+                coef, arm_notes = _outcome_ols(fit, self.names)
                 coefs.append(coef)
                 notes += arm_notes
             treated_mix, control_mix = coefs
@@ -623,12 +702,11 @@ class _SmStage:
             gap = self.x @ gap_coef[1:-1] + (gap_coef[0] + gap_coef[-1])
             return outcome, _share_average(gap, always, self.weights)
         d = self.x.shape[1]
-        surv_always = always[self.mask]
-        np.multiply(self.z, surv_always / self.floor1, out=self.design[:, d + 2])
-        np.multiply(self.cz, surv_always / self.floor0, out=self.design[:, d + 4])
-        coef, notes = _outcome_ols(
-            self.ys, self.design, self.names, self.shares, "the pooled outcome fit", self.w
-        )
+        (fit,) = self.fits
+        surv_always = always.take(self.rows)
+        np.multiply(self.z, surv_always / self.floor1, out=fit.design[:, d + 2])
+        np.multiply(self.cz, surv_always / self.floor0, out=fit.design[:, d + 4])
+        coef, notes = _outcome_ols(fit, self.names)
         outcome = OutcomeParams(
             pooled_relaxed=coef, names={"pooled_relaxed": self.names}, notes=notes
         )
@@ -652,8 +730,9 @@ def fit_sm(data, rho, assume_er=True, survival=None, weights=None, *, _stage=Non
     valid.
 
     Everything that does not depend on ``rho`` (the survival surfaces over
-    all units, the survivor selections and the fixed design columns) is
-    built first as one stage; :func:`sensitivity_sweep` builds it once and
+    all units, the survivor selections, the fixed design columns and their
+    factorization, and the survivor-count checks) is built first as one
+    stage, :class:`_SmStage`; :func:`sensitivity_sweep` builds it once and
     evaluates every grid point through this function. ``weights`` are
     integer frequency weights, one per unit.
     """
@@ -720,7 +799,8 @@ def naive_estimator(data, weights=None):
     ys = data.outcomes_at(mask)
     design = np.column_stack([np.ones(ys.size), _rows(data.x, mask), data.a[mask], zs])
     names = _design_names(data.covariate_names, ("a", "z"))
-    coef, _ = _outcome_ols(ys, design, names, {}, "the naive fit", _weights_at(weights, mask))
+    fit = _survivor_fit("the naive fit", ys, design, {}, _weights_at(weights, mask))
+    coef, _ = _outcome_ols(fit, names)
     return float(coef[-1])
 
 
@@ -1064,16 +1144,21 @@ def sensitivity_sweep(data, rho_grid, assume_er=True, survival=None):
 
     The arm-wise survival models are fitted once and reused at every grid
     point. Everything else that does not depend on ``rho`` is computed once
-    per sweep too: the fitted survival surfaces over all units, the
-    survivor selections and outcomes, and the fixed columns of the outcome
-    designs. Each grid point computes the coupling (always-survivor share
-    and harmed mass), overwrites the share columns and runs the outcome
-    fits through :func:`fit_sm`; a failing point computes the coupling
-    again to record its harmed mass. The
-    harmed-stratum mass falls as ``rho`` rises (stronger positive coupling
-    leaves less room for units harmed by treatment), which gives the rho
-    axis its interpretation. A grid point whose outcome stage fails is
-    recorded with a message instead of aborting the sweep.
+    per sweep too, in one :class:`_SmStage`: the fitted survival surfaces
+    over all units, the survivor selections and outcomes, the fixed columns
+    F of the outcome designs, their one QR factorization, and the
+    survivor-count checks. Each grid point computes the coupling
+    (always-survivor share and harmed mass) once, overwrites the one or two
+    share columns S and runs the outcome fits through :func:`fit_sm`, which
+    solves ``[F | S]`` by block elimination against the stored factor (or
+    by ``fit_ols`` on the full design where the factor is too near rank
+    deficiency; see :class:`_SmStage`). The harmed-stratum mass falls as
+    ``rho`` rises (stronger positive coupling leaves less room for units
+    harmed by treatment), which gives the rho axis its interpretation. A
+    grid point whose outcome stage fails is recorded with its message and
+    harmed mass instead of aborting the sweep; a survivor-count failure
+    gives every point the same message, after a zero always-survivor mass,
+    which is checked first.
     """
     grid = np.asarray(rho_grid, dtype=float)
     if grid.size == 0:

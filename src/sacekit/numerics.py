@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import CollinearityError
 
@@ -23,6 +24,17 @@ BOUNDARY_EPS = 1e-6
 # after NEWTON_MAX_ITER accepted steps; both are read at call time.
 NEWTON_TOL = 1e-8
 NEWTON_MAX_ITER = 100
+# FixedBlockOLS solves by block elimination only when the smallest singular
+# value of its triangular factor exceeds fit_ols' rank tolerance by this
+# factor; nearer the tolerance the fit, and the rank decision, are left to
+# fit_ols on the full design. The factor caps the condition number of a
+# design solved this way at 1 / (RANK_MARGIN * max(n, p) * eps): 6e4 at
+# n = 74000, 1e8 at n = 40. Beyond about 1e4 two backward-stable solvers
+# may differ by more than 1e-10 relative; with a factor of 1e3 the sweeps of
+# 1200 small gen_dataset draws (n = 40-400) moved 204 of 25200 effects from
+# the fit_ols values by more than that (up to 1.4e-5), with 1e6 none by more
+# than 3.1e-11.
+RANK_MARGIN = 1e6
 
 
 def expit(t):
@@ -101,8 +113,7 @@ def fit_ols(design, response, column_names=None, weights=None):
         design, response[None, :], mode="right", pivoting=True
     )
     diag = np.abs(np.diag(r))
-    tol = diag[0] * max(n, p) * np.finfo(float).eps
-    rank = int(np.sum(diag > tol))
+    rank = int(np.sum(diag > _rank_tol(diag[0], n, p)))
     if rank < p:
         if column_names is None:
             column_names = [f"column {j}" for j in range(p)]
@@ -112,6 +123,112 @@ def fit_ols(design, response, column_names=None, weights=None):
     coef = np.empty(p)
     coef[piv] = scipy.linalg.solve_triangular(r, qty[0], check_finite=False)
     return coef
+
+
+def _rank_tol(scale, n, p):
+    """The rank tolerance of :func:`fit_ols` for a factor of largest scale ``scale``."""
+    return scale * max(n, p) * np.finfo(float).eps
+
+
+def _clears_rank_tol(r, n):
+    """True when the triangular factor ``r`` is full rank by a wide margin.
+
+    Its smallest singular value must exceed :data:`RANK_MARGIN` times the
+    :func:`fit_ols` tolerance taken at its largest one. A triangular
+    factor's diagonal entries are no smaller than its smallest singular
+    value and no larger than its largest, so a design whose factor clears
+    this is full rank for :func:`fit_ols` too.
+    """
+    sv = np.linalg.svd(r, compute_uv=False)
+    return bool(sv[-1] > RANK_MARGIN * _rank_tol(sv[0], n, r.shape[0]))
+
+
+class FixedBlockOLS:
+    """Least squares of one response on ``design[:, fixed + varying]``, F factored once.
+
+    F = ``design[:, fixed]``, the fixed columns, is factored here by a thin
+    QR, F = Q R, of its rows scaled by the square root of the integer
+    frequency ``weights`` when they are given, as in :func:`fit_ols`.
+    :meth:`solve` then fits ``[F | S]`` for the current values of a block S
+    of k varying columns of the same design by block elimination (the
+    Frisch-Waugh-Lovell partitioned regression): S is projected onto the
+    orthogonal complement of F's columns twice, so that no orthogonality is
+    lost, the n-by-k residual is factored, and the assembled triangular
+    factor ``[[R, Q'S], [0, R_S]]`` is solved by back substitution. A call
+    costs O(n q k) for q fixed columns instead of a factorization of the
+    whole design. ``design`` is read, never written.
+    """
+
+    def __init__(self, design, fixed, response, weights=None):
+        response = np.asarray(response, dtype=float)
+        n, q = design.shape[0], len(fixed)
+        self.n = n if weights is None else int(np.sum(weights))
+        self.q = q
+        self.root = None if weights is None else np.sqrt(weights)
+        self.basis = None
+        # one copy of F, factored in place
+        f = np.asfortranarray(design[:, fixed], dtype=float)
+        if self.n < q or not (np.all(np.isfinite(f)) and np.all(np.isfinite(response))):
+            return
+        if self.root is not None:
+            f *= self.root[:, None]
+            response = response * self.root
+        basis, r = scipy.linalg.qr(f, mode="economic", overwrite_a=True, check_finite=False)
+        if not _clears_rank_tol(r, self.n):
+            return
+        self.basis, self.r = basis, r
+        self.qty = basis.T @ response
+        self.resid = response - basis @ self.qty
+
+    def solve(self, design, varying):
+        """Coefficients of ``design[:, fixed + varying]``, or None when :func:`fit_ols` must fit it.
+
+        None when F or the assembled factor does not clear the rank
+        tolerance of :func:`fit_ols` by :data:`RANK_MARGIN`, when the
+        varying columns are not finite, or when there are fewer (weighted)
+        rows than coefficients; :func:`fit_ols` on the full design then
+        gives the coefficients or raises its exact error.
+        """
+        q, k = self.q, len(varying)
+        if self.basis is None or self.n < q + k:
+            return None
+        if k == 0:
+            return scipy.linalg.solve_triangular(self.r, self.qty, check_finite=False)
+        # S transposed, one contiguous row per column, so that both products
+        # with the basis run over contiguous memory
+        s = np.asarray(design).T[varying]
+        if not np.all(np.isfinite(s)):
+            return None
+        if self.root is not None:
+            s *= self.root
+        r = np.zeros((q + k, q + k))
+        r[:q, :q] = self.r
+        # S's residual off F, then the Gram-Schmidt factor of that residual;
+        # every projection is made twice, so that orthogonality is not lost
+        for _ in range(2):
+            c = s @ self.basis
+            # s -= c @ basis.T in one BLAS call, in place (s.T is Fortran-ordered)
+            s = scipy.linalg.blas.dgemm(
+                -1.0, self.basis, c, 1.0, s.T, trans_b=True, overwrite_c=True
+            ).T
+            r[:q, q:] += c.T
+        # the inner products of the k rows run as einsum, not as BLAS level-1
+        # calls, whose thread start-up costs more than they compute here
+        for j in range(k):
+            row = s[j]
+            for _ in range(2):
+                for i in range(j):
+                    c = np.einsum("i,i->", s[i], row)
+                    row -= c * s[i]
+                    r[q + i, q + j] += c
+            r[q + j, q + j] = np.sqrt(np.einsum("i,i->", row, row))
+            if r[q + j, q + j] == 0.0:
+                return None
+            row /= r[q + j, q + j]
+        if not _clears_rank_tol(r, self.n):
+            return None
+        rhs = np.concatenate([self.qty, np.einsum("kn,n->k", s, self.resid)])
+        return scipy.linalg.solve_triangular(r, rhs, check_finite=False)
 
 
 @dataclass

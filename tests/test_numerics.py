@@ -123,6 +123,45 @@ def test_fit_ols_is_column_scale_invariant():
     assert_allclose(fit_ols(design, response), reference, rtol=1e-10)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fixed_block_ols_matches_fit_ols(k, weighted):
+    design, response = _tall_case(26, 5_000, [1.0] * 7)
+    weights = rng_stream(26, 1).integers(1, 4, size=5_000).astype(float) if weighted else None
+    fixed, varying = [0, 2, 3, 5, 6], [4, 1][:k]
+    solver = numerics.FixedBlockOLS(design, fixed, response, weights)
+    # the same factor serves each value of the varying columns
+    for shift in (0.0, 0.5):
+        design[:, varying] += shift
+        expected = fit_ols(design[:, fixed + varying], response, weights=weights)
+        assert_allclose(solver.solve(design, varying), expected, rtol=1e-12)
+
+
+def test_fixed_block_ols_leaves_doubtful_fits_to_fit_ols():
+    design, response = _tall_case(27, 2_000, [1.0] * 4)
+    fixed = design[:, :3]
+    # a rank-deficient fixed block declines every varying block
+    doubled = np.column_stack([design, fixed[:, 1]])
+    assert numerics.FixedBlockOLS(doubled, [0, 1, 2, 4], response).solve(doubled, [3]) is None
+    solver = numerics.FixedBlockOLS(design, [0, 1, 2], response)
+    assert solver.solve(design, [3]) is not None
+    # a non-finite varying column
+    design[7, 3] = np.nan
+    assert solver.solve(design, [3]) is None
+    # a varying column within the margin of the rank tolerance: fit_ols
+    # still finds the design full rank and fits it, the solver declines it
+    rng = rng_stream(27, 1)
+    tol = numerics._rank_tol(1.0, 2_000, 4) * np.linalg.norm(fixed, 2)
+    design[:, 3] = fixed @ [0.3, -1.0, 2.0] + 10.0 * tol * rng.normal(size=2_000)
+    assert np.all(np.isfinite(fit_ols(design, response)))
+    assert solver.solve(design, [3]) is None
+    # and one in the span of F: fit_ols raises
+    design[:, 3] = fixed @ [0.3, -1.0, 2.0]
+    with pytest.raises(CollinearityError):
+        fit_ols(design, response)
+    assert solver.solve(design, [3]) is None
+
+
 def test_fit_ols_undoes_the_column_pivoting():
     # the largest column comes last, so the pivoted QR reorders the columns
     design, response = _tall_case(25, 400, [1.0, 1.0, 1e2, 1e4])

@@ -15,8 +15,12 @@ The battery:
 - ``estimate_sace`` for all six methods (rho = 0.5 where a method needs
   it) on six ``gen_dataset`` draws from n=200 to n=20000, one with
   ``er_violation``;
-- ``bootstrap`` with B=20 for prop-er and prop-sm on each of those draws;
-- both 21-point ``sensitivity_sweep`` variants on each draw;
+- ``bootstrap`` with B=20 for prop-er, prop-sm and prop-sm-ni on each of
+  those draws (prop-sm-ni fits the weighted pooled outcome stage);
+- both 21-point ``sensitivity_sweep`` variants on each draw, and on three
+  n=40 draws: two whose control arm has fewer survivors than outcome
+  coefficients, so every grid point fails the same way, and one whose
+  control-arm covariate columns are rank deficient;
 - ``run_diagnostics(...).to_dict()`` on 2-5-level data at bins 1-3, with
   rho None, 0.3 and 1;
 - the three ``sace_*`` routes on those data's cell tables, binned as for
@@ -54,6 +58,9 @@ DRAWS = [  # (n, delta1, delta2, er_violation, seed)
     (8000, 1, 1, True, 905),
     (20000, 1, 1, False, 906),
 ]
+# seeds of n=40 draws with delta1 = delta2 = 1: in 907 and 909 the control
+# arm has 4 survivors, in 903 its covariate columns are rank deficient
+SMALL_SEEDS = (907, 909, 903)
 LEVEL_DATA = [  # (levels, n, seed) of the multi-level diagnostics data
     (2, 3000, 911),
     (3, 3000, 912),
@@ -124,12 +131,18 @@ def battery():
             rho = RHO if method in ("prop-sm", "prop-sm-ni") else None
             est = record(lambda: sk.estimate_sace(data, method, rho=rho).to_dict())
             results[f"estimate/{tag}/{method}"] = est
-        for method, rho in (("prop-er", None), ("prop-sm", RHO)):
+        for method, rho in (("prop-er", None), ("prop-sm", RHO), ("prop-sm-ni", RHO)):
             results[f"bootstrap/{tag}/{method}"] = record(
                 lambda: sk.bootstrap(data, method, n_boot=20, seed=seed, rho=rho).to_dict()
             )
         for assume_er in (True, False):
             results[f"sweep/{tag}/assume_er={assume_er}"] = record(
+                lambda: [vars(row) for row in sk.sensitivity_sweep(data, grid, assume_er).rows]
+            )
+    for seed in SMALL_SEEDS:
+        data, _ = sk.gen_dataset(sk.SimulationSetting(40, 1, 1, False, seed))
+        for assume_er in (True, False):
+            results[f"sweep/n=40,seed={seed}/assume_er={assume_er}"] = record(
                 lambda: [vars(row) for row in sk.sensitivity_sweep(data, grid, assume_er).rows]
             )
     for k, n, seed in LEVEL_DATA:
