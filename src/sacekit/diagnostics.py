@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from .identify import (
     SEPARATION_EPS,
@@ -43,6 +43,13 @@ RELEVANCE_FAIL_Q = 1e-4
 # A mean-structure cell fails when its J statistic exceeds this quantile of
 # the chi-square distribution with its degrees of freedom.
 J_LEVEL = 0.99
+
+
+def _chi2_quantile(level, df):
+    """The ``level`` quantile of the chi-square law with ``df`` degrees of
+    freedom: the formula ``scipy.stats.chi2.ppf`` evaluates, without
+    importing scipy.stats."""
+    return 2.0 * gammaincinv(df / 2, level)
 
 
 @dataclass
@@ -231,7 +238,7 @@ def check_relevance(table):
         q = float(np.sum(w * (l - center) ** 2))
         df = len(entries) - 1
         spread = float(np.ptp(np.exp(l)))
-        chi2_95 = float(chi2.ppf(0.95, df))
+        chi2_95 = float(_chi2_quantile(0.95, df))
         stats = {"q_stat": q, "df": df, "chi2_95": chi2_95, "ratio_spread": spread}
         return stats, q <= RELEVANCE_FAIL_Q and spread <= SEPARATION_EPS
 
@@ -268,7 +275,7 @@ def _j_test_cells(table, which, rho=None):
 
     def j_score(entries):
         _, _, j_stat, df = gmm_overidentified(*zip(*entries))
-        crit = float(chi2.ppf(J_LEVEL, df))
+        crit = float(_chi2_quantile(J_LEVEL, df))
         return {"j_stat": float(j_stat), "df": df, "critical": crit}, j_stat > crit
 
     return _group_screen(table, mixture_entry, 3, j_score)

@@ -9,6 +9,7 @@ from sacekit.data import Dataset
 from sacekit.diagnostics import (
     J_LEVEL,
     RELEVANCE_FAIL_Q,
+    _chi2_quantile,
     _mean_structure,
     check_monotone,
     check_relevance,
@@ -173,6 +174,12 @@ def test_mean_structure_cells_pin_every_group_outcome():
     ]
     assert out == {"status": "pass", "cells": expected}
     assert [list(c) for c in out["cells"]] == [list(c) for c in expected]
+
+
+@pytest.mark.parametrize("level", [0.95, J_LEVEL])
+def test_chi2_quantile_equals_scipy_stats_exactly(level):
+    df = np.arange(1, 201)
+    assert np.array_equal(_chi2_quantile(level, df), chi2.ppf(level, df))
 
 
 def test_relevance_cells_pin_scored_and_vacuous_groups():
