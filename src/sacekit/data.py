@@ -66,7 +66,7 @@ class Dataset:
         if int(self._s.sum()) != self._y.shape[0]:
             raise DataError("outcome store length must equal the survivor count")
         self._ypos = np.full(n, -1, dtype=np.int64)
-        self._ypos[self._s == 1] = np.arange(self._y.shape[0])
+        self._ypos[np.flatnonzero(self._s == 1)] = np.arange(self._y.shape[0])
         self.covariate_names = tuple(covariate_names)
         if len(self.covariate_names) != self._x.shape[1]:
             raise DataError("covariate_names must match the covariate columns")
@@ -77,8 +77,10 @@ class Dataset:
     def from_arrays(cls, z, x, a, s, y, covariate_names=None):
         """Build a dataset from full-length arrays.
 
-        ``y`` must be NaN at every truncated unit (``s == 0``) and finite at
-        every survivor; anything else is a :class:`DataError`.
+        ``z`` and ``s`` must be 0 or 1, ``a`` must hold non-negative integer
+        level codes below 2**63, and ``y`` must be NaN at every truncated
+        unit (``s == 0``) and finite at every survivor; anything else is a
+        :class:`DataError`.
         """
         z = np.asarray(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -87,20 +89,26 @@ class Dataset:
         a = np.asarray(a)
         s = np.asarray(s)
         y = np.asarray(y, dtype=float)
-        if not np.isin(z, (0, 1)).all():
+        # v == 0 | v == 1 is np.isin(v, (0, 1)), str arrays included
+        if not np.all((z == 0) | (z == 1)):
             raise DataError("z must be 0 or 1")
-        if not np.isin(s, (0, 1)).all():
+        if not np.all((s == 0) | (s == 1)):
             raise DataError("s must be 0 or 1")
         if np.any(a != np.floor(a)) or np.any(np.asarray(a, dtype=float) < 0):
             raise DataError("a must hold non-negative integer level codes")
+        # the int64 codes of Dataset must not wrap around; integer codes are
+        # compared as integers, since 2**63 - 1 rounds to 2**63 as a float
+        codes = a if a.dtype.kind in "iu" else np.asarray(a, dtype=float)
+        if np.any(codes >= 2**63):
+            raise DataError("a must hold level codes below 2**63")
         surv = s == 1
-        if np.any(~np.isfinite(y[surv])):
+        if np.any(surv & ~np.isfinite(y)):
             raise DataError("outcome missing or non-finite for a survivor")
-        if np.any(~np.isnan(y[~surv])):
+        if np.any(~surv & ~np.isnan(y)):
             raise DataError("outcome present for a truncated unit")
         if covariate_names is None:
             covariate_names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
-        return cls(z, x, a, s, y[surv], covariate_names)
+        return cls(z, x, a, s, y.take(np.flatnonzero(surv)), covariate_names)
 
     def __len__(self):
         return self._z.shape[0]
@@ -153,7 +161,8 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         s = self._s[idx]
         y = np.full(idx.shape[0], np.nan)
-        keep = s == 1
+        # index arrays, not masks: numpy gathers and scatters by them faster
+        keep = np.flatnonzero(s == 1)
         y[keep] = self._y[self._ypos[idx[keep]]]
         return Dataset.from_arrays(
             self._z[idx], self._x.take(idx, axis=0), self._a[idx], s, y, self.covariate_names

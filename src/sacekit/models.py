@@ -90,9 +90,9 @@ def _rows(array, mask):
     return array.take(np.flatnonzero(mask), axis=0)
 
 
-def _weights_at(weights, mask):
-    """The weights of the rows ``mask`` selects; None without weights."""
-    return None if weights is None else weights[mask]
+def _weights_at(weights, rows):
+    """The weights of the rows that a mask or index array selects; None without weights."""
+    return None if weights is None else weights[rows]
 
 
 def _mean(values, weights=None):
@@ -213,36 +213,54 @@ def joint_survival_objective(
     Bernoulli terms in the product ``q`` of the two logistic surfaces.
     Gradient and Hessian are analytic.
 
-    A control survivor's log q is the sum of two logistic log-successes, one
-    in ``b`` and one in ``g``, so the rows are sorted once, when the closure
-    is built: treated units and control survivors form one logistic block in
-    ``b``, control survivors another in ``g``, and only the control deaths,
-    through log(1 - q), couple the two blocks.
-
     ``w_treated`` and ``w_control`` are integer frequency weights, one per
     row of each arm, given together or not at all; each row's terms are
     multiplied by its weight. Without them every row counts once.
     """
     v1 = np.asarray(design_treated, dtype=float)
-    s1 = np.asarray(s_treated, dtype=float)
-    v0 = np.asarray(design_control, dtype=float)
     s0 = np.asarray(s_control, dtype=float)
-    p = v1.shape[1]
     n1 = v1.shape[0]
     lived = s0 == 1
-    # columns: treated units, control survivors, control deaths; stored as
-    # one C-ordered (p, n) array so that every product below runs over
+    weights = None
+    if w_treated is not None:
+        weights = np.concatenate([w_treated, w_control])
+    return _joint_objective(
+        np.concatenate([v1, np.asarray(design_control, dtype=float)]),
+        np.arange(n1),
+        n1 + np.flatnonzero(lived),
+        n1 + np.flatnonzero(~lived),
+        s_treated,
+        weights,
+    )
+
+
+def _joint_objective(design, treated, lived, dead, s_treated, weights=None):
+    """:func:`joint_survival_objective` of the rows of ``design`` that three index arrays pick.
+
+    ``treated``, ``lived`` and ``dead`` index the treated units, the control
+    survivors and the control deaths, each ascending; ``s_treated`` is the
+    survival of the treated rows and ``weights``, if given, holds one
+    integer frequency weight per row of ``design``.
+
+    A control survivor's log q is the sum of two logistic log-successes, one
+    in ``b`` and one in ``g``, so the rows are gathered once, in that order,
+    when the closure is built: treated units and control survivors form one
+    logistic block in ``b``, control survivors another in ``g``, and only
+    the control deaths, through log(1 - q), couple the two blocks.
+    """
+    order = np.concatenate([treated, lived, dead])
+    # one C-ordered (p, n) array, so that every product below runs over
     # contiguous rows
-    vt = np.empty((p, n1 + v0.shape[0]))
-    np.concatenate([v1.T, _rows(v0, lived).T, _rows(v0, ~lived).T], axis=1, out=vt)
-    m = int(np.count_nonzero(lived))
+    vt = np.asarray(design, dtype=float).T.take(order, axis=1)
+    p = vt.shape[0]
+    n1, m = treated.size, lived.size
     nb = n1 + m
     vg, vd = vt[:, n1:], vt[:, nb:]
-    target = np.concatenate([s1, np.ones(m)])
+    target = np.concatenate([np.asarray(s_treated, dtype=float), np.ones(m)])
     flip = 1.0 - 2.0 * target
     w = None
-    if w_treated is not None:
-        w = np.concatenate([w_treated, w_control[lived], w_control[~lived]])
+    if weights is not None:
+        w = np.asarray(weights).take(order)
         # the weights of the rows in vg and vd, and of the two logistic blocks
         wg, wd, wb = w[n1:], w[nb:], w[:nb]
 
@@ -314,15 +332,15 @@ def fit_survival_er(data, init=None, weights=None):
     if not np.any(z == 1) or not np.any(z == 0):
         raise EstimationError("both treatment arms are required to fit survival")
     v = survival_design(data.x, data.a)
-    treated, control = z == 1, z == 0
-    v1, s1 = _rows(v, treated), s[treated]
-    v0, s0 = _rows(v, control), s[control]
-    w1, w0 = _weights_at(weights, treated), _weights_at(weights, control)
+    treated = np.flatnonzero(z == 1)
+    s1 = s[treated]
     p = v.shape[1]
     if init is None:
-        warm = fit_logistic(v1, s1, weights=w1)
+        warm = fit_logistic(v.take(treated, axis=0), s1, weights=_weights_at(weights, treated))
         init = np.concatenate([warm.params, np.zeros(p)])
-    objective = joint_survival_objective(v1, s1, v0, s0, w1, w0)
+    lived = np.flatnonzero((z == 0) & (s == 1))
+    dead = np.flatnonzero((z == 0) & (s != 1))
+    objective = _joint_objective(v, treated, lived, dead, s1, weights)
 
     def probabilities(theta):
         return np.concatenate([expit(v @ theta[:p]), expit(v @ theta[p:])])
@@ -515,20 +533,24 @@ def fit_outcome_er(data, survival, weights=None, *, design=None):
     v = survival_design(data.x, data.a) if design is None else design
     names_control = _design_names(data.covariate_names, ("a",))
     names_treated = _design_names(data.covariate_names, ("always_share",))
-    mask0, mask1 = data.survivor_mask(0), data.survivor_mask(1)
-    w0, w1 = _weights_at(weights, mask0), _weights_at(weights, mask1)
+    rows0, rows1 = (np.flatnonzero(data.survivor_mask(arm)) for arm in (0, 1))
+    w0, w1 = _weights_at(weights, rows0), _weights_at(weights, rows1)
     control, _ = _outcome_ols(
         _survivor_fit(
-            "the control-arm outcome fit", data.outcomes_at(mask0), _rows(v, mask0), {}, w0
+            "the control-arm outcome fit",
+            data.outcomes_at(rows0),
+            v.take(rows0, axis=0),
+            {},
+            w0,
         ),
         names_control,
     )
-    v1 = _rows(v, mask1)
+    v1 = v.take(rows1, axis=0)
     v1[:, -1] = survival.theta_ratio(v1)
     treated_mix, notes = _outcome_ols(
         _survivor_fit(
             "the treated-arm outcome fit",
-            data.outcomes_at(mask1),
+            data.outcomes_at(rows1),
             v1,
             {len(names_treated) - 1: slice(None)},
             w1,

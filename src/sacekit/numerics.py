@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+from scipy.linalg import lapack
 
 from .errors import CollinearityError
 
@@ -90,29 +91,41 @@ def fit_ols(design, response, column_names=None, weights=None):
 
     Notes
     -----
-    The design is factored once, by a column-pivoted QR that applies the
-    reflectors to the response instead of forming Q. The same R serves the
-    rank test and the triangular solve, whose solution is then un-pivoted.
+    The design is factored once, by LAPACK's column-pivoted QR, whose
+    reflectors are applied to the response instead of forming Q. The same
+    R serves the rank test and the triangular solve, whose solution is
+    then un-pivoted. The routines are called directly, without
+    scipy.linalg's per-call checks, so the finiteness check is made here.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
     if design.ndim != 2 or design.shape[0] != response.shape[0]:
         raise ValueError("design must be (n, p) with response of length n")
     n, p = design.shape
+    # one Fortran-ordered copy, which LAPACK factors in place
+    a = np.array(design, order="F")
     if weights is not None:
         root = np.sqrt(weights)
-        design = design * root[:, None]
+        a *= root[:, None]
         response = response * root
         n = int(np.sum(weights))
     if n < p:
         raise ValueError(f"need at least {p} rows to fit {p} coefficients, got {n}")
     if p == 0:
         return np.zeros(0)
+    if not (np.all(np.isfinite(response)) and np.all(np.isfinite(a))):
+        raise ValueError("array must not contain infs or NaNs")
 
-    qty, r, piv = scipy.linalg.qr_multiply(
-        design, response[None, :], mode="right", pivoting=True
-    )
-    diag = np.abs(np.diag(r))
+    # the LAPACK calls of scipy.linalg.qr_multiply(design, response,
+    # pivoting=True), workspace queries included, so the bits are its
+    lwork = int(lapack.dgeqp3(a, lwork=-1, overwrite_a=1)[3][0])
+    qr, piv, tau = lapack.dgeqp3(a, lwork=lwork, overwrite_a=1)[:3]
+    piv -= 1
+    # a wide (weighted) design has as many reflectors as rows
+    reflectors, rhs = qr[:, : min(qr.shape)], response[:, None]
+    lwork = int(lapack.dormqr("L", "T", reflectors, tau, rhs, lwork=-1)[1][0])
+    qty = lapack.dormqr("L", "T", reflectors, tau, rhs, lwork=lwork)[0]
+    diag = np.abs(np.diagonal(qr))
     rank = int(np.sum(diag > _rank_tol(diag[0], n, p)))
     if rank < p:
         if column_names is None:
@@ -121,8 +134,19 @@ def fit_ols(design, response, column_names=None, weights=None):
         raise CollinearityError(offending)
 
     coef = np.empty(p)
-    coef[piv] = scipy.linalg.solve_triangular(r, qty[0], check_finite=False)
+    coef[piv] = _solve_upper(qr[:p], qty[:p, 0])
     return coef
+
+
+def _solve_upper(r, b):
+    """x with ``triu(r) @ x = b``, by LAPACK's ``dtrtrs``; ``r`` is square.
+
+    Only the upper triangle of ``r`` is read. The system is solved as
+    scipy.linalg.solve_triangular solves a C-ordered factor, transposed
+    and lower triangular, so the bits are the same as its. ``r`` must
+    clear the rank tolerance: singularity is not checked here.
+    """
+    return lapack.dtrtrs(r.T, b, lower=1, trans=1)[0]
 
 
 def _rank_tol(scale, n, p):
@@ -193,7 +217,7 @@ class FixedBlockOLS:
         if self.basis is None or self.n < q + k:
             return None
         if k == 0:
-            return scipy.linalg.solve_triangular(self.r, self.qty, check_finite=False)
+            return _solve_upper(self.r, self.qty)
         # S transposed, one contiguous row per column, so that both products
         # with the basis run over contiguous memory
         s = np.asarray(design).T[varying]
@@ -228,7 +252,7 @@ class FixedBlockOLS:
         if not _clears_rank_tol(r, self.n):
             return None
         rhs = np.concatenate([self.qty, np.einsum("kn,n->k", s, self.resid)])
-        return scipy.linalg.solve_triangular(r, rhs, check_finite=False)
+        return _solve_upper(r, rhs)
 
 
 @dataclass
@@ -268,18 +292,23 @@ def _ascent_direction(g, h):
 
     ``c`` is 1e-8 times the largest absolute diagonal entry of -h, at least
     1e-8; ``lam = 0`` gives the Newton step. None if ``h`` is not finite or
-    no tried ``lam`` factors.
+    no tried ``lam`` factors. The Cholesky factor and solve are LAPACK's
+    ``dpotrf`` and ``dpotrs``, called as scipy.linalg's ``cho_factor`` and
+    ``cho_solve`` call them, so the bits are theirs.
     """
     neg = np.negative(h)
-    if np.all(np.isfinite(neg)):
-        lam = 0.0
-        for _ in range(40):
-            damped = neg + lam * np.eye(g.size) if lam else neg
-            try:
-                return scipy.linalg.cho_solve(scipy.linalg.cho_factor(damped), g)
-            except scipy.linalg.LinAlgError:
-                c = 1e-8 * max(1.0, float(np.max(np.abs(np.diagonal(neg)))))
-                lam = 10.0 * lam if lam else c
+    if not np.all(np.isfinite(neg)):
+        return None
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient is not finite")
+    lam = 0.0
+    for _ in range(40):
+        damped = neg + lam * np.eye(g.size) if lam else neg
+        factor, info = lapack.dpotrf(damped, clean=0)
+        if info == 0:
+            return lapack.dpotrs(factor, g)[0]
+        c = 1e-8 * max(1.0, float(np.max(np.abs(np.diagonal(neg)))))
+        lam = 10.0 * lam if lam else c
     return None
 
 

@@ -58,6 +58,103 @@ def test_from_arrays_rejects_bad_inputs():
         Dataset.from_arrays(z, x, [0, 0], [1, 0], np.array([1.0, 2.0]))
 
 
+def test_from_arrays_rejects_level_codes_beyond_int64():
+    z, x, s, y = [1, 0], np.zeros((2, 1)), [0, 0], [np.nan, np.nan]
+    for a in (
+        [1e20, 2**63],
+        [2.0**63, 0],
+        [np.inf, 0],
+        np.array([2**64 - 1, 0], dtype=np.uint64),
+        np.array([2**63, 0], dtype=np.uint64),
+    ):
+        with pytest.raises(DataError, match=r"a must hold level codes below 2\*\*63"):
+            Dataset.from_arrays(z, x, a, s, y)
+    for a in (
+        [2**62, 0],
+        [2.0**62, 1.0],
+        np.array([2**63 - 1, 0]),
+        np.array([2**63 - 1, 0], dtype=np.uint64),
+        np.array([True, False]),
+    ):
+        data = Dataset.from_arrays(z, x, a, s, y)
+        assert data.a.tolist() == [int(v) for v in a]
+
+
+# Dataset.from_arrays' checks in their order, each with its message
+_Z, _S = "z must be 0 or 1", "s must be 0 or 1"
+_A = "a must hold non-negative integer level codes"
+_ALIVE = "outcome missing or non-finite for a survivor"
+_DEAD = "outcome present for a truncated unit"
+_FAULTS = {  # name -> (column, row, bad value, message of the check that catches it)
+    "z": ("z", 0, 2, _Z),
+    "s": ("s", 3, 3, _S),
+    "a negative": ("a", 1, -1, _A),
+    "a fractional": ("a", 2, 0.5, _A),
+    "alive nan": ("y", 0, np.nan, _ALIVE),
+    "alive inf": ("y", 1, -np.inf, _ALIVE),
+    "dead": ("y", 2, 0.0, _DEAD),
+}
+_FAULT_SETS = [  # no fault, each alone, and pairs, which the earlier check reports
+    (),
+    *((name,) for name in _FAULTS),
+    ("z", "s"),
+    ("s", "a negative"),
+    ("a fractional", "alive nan"),
+    ("alive inf", "dead"),
+    ("z", "dead"),
+    ("s", "alive nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "dtype, faults",
+    [
+        (dtype, faults)
+        for dtype in (float, bool, int, str)
+        for faults in _FAULT_SETS
+        # a bool array holds no value but 0 and 1
+        if not (dtype is bool and {"z", "s"} & set(faults))
+    ],
+)
+def test_from_arrays_reports_the_first_failing_check(dtype, faults):
+    cols = {
+        "z": np.array([1, 0, 1, 0], dtype=float),
+        "s": np.array([1, 1, 0, 0], dtype=float),
+        "a": np.array([0.0, 1.0, 2.0, 0.0]),
+        "y": np.array([1.0, 2.0, np.nan, np.nan]),
+    }
+    for name in faults:
+        column, row, value, _ = _FAULTS[name]
+        cols[column][row] = value
+    z, s = (cols[k].astype(int).astype(dtype) for k in "zs")
+    x = np.zeros((4, 1))
+    # np.isin(v, (0, 1)) holds for no str entry, so str-typed z always fails
+    messages = [_Z] if dtype is str else [_FAULTS[name][3] for name in faults]
+    order = [_Z, _S, _A, _ALIVE, _DEAD]
+    if not messages:
+        data = Dataset.from_arrays(z, x, cols["a"], s, cols["y"])
+        assert data.z.tolist() == [1, 0, 1, 0] and data.s.tolist() == [1, 1, 0, 0]
+        return
+    with pytest.raises(DataError) as err:
+        Dataset.from_arrays(z, x, cols["a"], s, cols["y"])
+    assert str(err.value) == min(messages, key=order.index)
+
+
+def test_subset_equals_from_arrays_on_the_same_rows():
+    data = small_dataset()
+    y = np.full(len(data), np.nan)
+    y[data.s == 1] = data.outcomes_at(data.s == 1)
+    # duplicates, reordered rows, no rows, only truncated units
+    for rows in ([0, 0, 5, 2, 2], [5, 4, 3, 2, 1, 0], [], [3, 4, 4]):
+        idx = np.array(rows, dtype=np.int64)
+        want = Dataset.from_arrays(
+            data.z[idx], data.x[idx], data.a[idx], data.s[idx], y[idx], data.covariate_names
+        )
+        got = data.subset(rows)
+        assert got == want and len(got) == len(rows)
+        assert got.outcomes_at(got.s == 1).tolist() == y[idx][data.s[idx] == 1].tolist()
+
+
 def test_outcomes_at_rejects_truncated_units():
     data = small_dataset()
     mask = np.zeros(len(data), dtype=bool)

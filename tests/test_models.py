@@ -156,6 +156,44 @@ def test_joint_objective_matches_the_reference_kernel():
         assert check_gradient(objective, points[name]) < 1e-6, name
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("control", ["mixed", "no deaths", "no survivors"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fit_survival_er_objective_is_joint_survival_objective(control, weighted, monkeypatch):
+    # fit_survival_er gathers its rows in one take, by index; the public
+    # objective stacks the two arms' rows; both must give the same bits
+    data, _ = gen_dataset(SimulationSetting(n=800, delta1=1, delta2=1, seed=64))
+    rng = rng_stream(64)
+    z, s = data.z, data.s.copy()
+    if control != "mixed":
+        s[z == 0] = int(control == "no deaths")
+    y = np.where(s == 1, rng.normal(size=z.size), np.nan)
+    data = Dataset.from_arrays(z, data.x, data.a, s, y)
+    weights = rng.integers(1, 4, size=z.size).astype(float) if weighted else None
+    captured = []
+
+    def capture(objective, init, probabilities=None):
+        captured.append(objective)
+        raise _Captured
+
+    monkeypatch.setattr("sacekit.models.maximize_loglik", capture)
+    v = survival_design(data.x, data.a)
+    p = v.shape[1]
+    with pytest.raises(_Captured):
+        fit_survival_er(data, init=np.zeros(2 * p), weights=weights)
+    t, c = z == 1, z == 0
+    arms = (v[t], s[t], v[c], s[c])
+    if weighted:
+        arms += (weights[t], weights[c])
+    public = joint_survival_objective(*arms)
+    for theta in (np.zeros(2 * p), rng.uniform(-0.8, 0.8, size=2 * p)):
+        for got, want in zip(captured[0](theta), public(theta)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_fit_survival_er_recovers_truth():
     data, _ = gen_dataset(SimulationSetting(n=40_000, delta1=1, delta2=1, seed=41))
     fit = fit_survival_er(data)

@@ -198,6 +198,84 @@ def test_fit_ols_shape_checks():
     assert fit_ols(np.ones((4, 0)), np.ones(4)).shape == (0,)
 
 
+def _scipy_fit_ols(design, response, weights=None):
+    """``fit_ols`` as written on scipy.linalg's checked wrappers.
+
+    A pivoted ``qr_multiply`` and ``solve_triangular``; returns the
+    coefficients, or the column indices a ``CollinearityError`` names.
+    """
+    n, p = design.shape
+    if weights is not None:
+        root = np.sqrt(weights)
+        design, response = design * root[:, None], response * root
+        n = int(np.sum(weights))
+    qty, r, piv = scipy.linalg.qr_multiply(
+        design, response[None, :], mode="right", pivoting=True
+    )
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag[0] * max(n, p) * np.finfo(float).eps))
+    if rank < p:
+        return sorted(piv[rank:])
+    coef = np.empty(p)
+    coef[piv] = scipy.linalg.solve_triangular(r, qty[0], check_finite=False)
+    return coef
+
+
+def test_fit_ols_is_scipys_pivoted_qr_bit_for_bit():
+    rng = rng_stream(17)
+    solved = collinear = 0
+    for i in range(320):
+        shape = ("tall", "square", "wide", "weighted")[i % 4]
+        p = int(rng.integers(1, 9))
+        n = {"tall": p + int(rng.integers(1, 300)), "square": p}.get(shape)
+        weights = None
+        if shape == "wide":
+            # fewer distinct rows than coefficients, but enough weighted rows
+            n = int(rng.integers(1, p + 1))
+            weights = rng.integers(1, 4, size=n) + float(p)
+        elif shape == "weighted":
+            n = p + int(rng.integers(1, 300))
+            weights = rng.integers(1, 5, size=n).astype(float)
+        # column scales far apart, so the pivoting reorders the columns
+        design = rng.normal(size=(n, p)) * np.exp(3.0 * rng.normal(size=p))
+        if p > 1 and rng.uniform() < 0.25:
+            design[:, -1] = design[:, 0] - 2.0 * design[:, p // 2]
+        response = rng.normal(size=n)
+        names = [f"c{j}" for j in range(p)]
+        want = _scipy_fit_ols(design, response, weights)
+        if isinstance(want, list):
+            with pytest.raises(CollinearityError) as err:
+                fit_ols(design, response, column_names=names, weights=weights)
+            assert err.value.columns == tuple(names[j] for j in want), (i, shape)
+            collinear += 1
+        else:
+            got = fit_ols(design, response, column_names=names, weights=weights)
+            assert got.tobytes() == want.tobytes(), (i, shape, n, p)
+            solved += 1
+    assert solved > 150 and collinear > 80
+
+
+def test_fit_ols_rejects_non_finite_inputs_and_negative_weights():
+    rng = rng_stream(18)
+    design = np.column_stack([np.ones(40), rng.normal(size=(40, 2))])
+    response = rng.normal(size=40)
+    weights = rng.integers(1, 4, size=40).astype(float)
+    for bad in (np.nan, np.inf, -np.inf):
+        for w in (None, weights):
+            broken = design.copy()
+            broken[7, 1] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit_ols(broken, response, weights=w)
+            broken = response.copy()
+            broken[3] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                fit_ols(design, broken, weights=w)
+    negative = weights.copy()
+    negative[5] = -1.0
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        fit_ols(design, response, weights=negative)
+
+
 def test_frequency_weights_equal_copied_rows():
     rng = rng_stream(16)
     n = 300
@@ -337,6 +415,47 @@ def test_maximize_loglik_is_plain_newton_where_the_hessian_is_definite(case):
     assert np.array_equal(res.params, params)
     assert res.loglik == loglik
     assert res.iterations == iterations
+
+
+def _scipy_ascent_direction(g, h):
+    """``numerics._ascent_direction`` on scipy's ``cho_factor``/``cho_solve``: (d, lam)."""
+    neg = -h
+    if not np.all(np.isfinite(neg)):
+        return None, None
+    lam = 0.0
+    for _ in range(40):
+        damped = neg + lam * np.eye(g.size) if lam else neg
+        try:
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(damped), g), lam
+        except scipy.linalg.LinAlgError:
+            c = 1e-8 * max(1.0, float(np.max(np.abs(np.diagonal(neg)))))
+            lam = 10.0 * lam if lam else c
+    return None, lam
+
+
+def test_ascent_direction_is_scipys_cholesky_bit_for_bit():
+    rng = rng_stream(19)
+    damped = 0
+    for i in range(300):
+        p = int(rng.integers(1, 13))
+        a = rng.normal(size=(p, p))
+        g = rng.normal(size=p)
+        # negative definite, symmetric indefinite, negative semi-definite
+        h = (-(a @ a.T) - 1e-3 * np.eye(p), a + a.T, -np.outer(a[0], a[0]))[i % 3]
+        want, lam = _scipy_ascent_direction(g, h)
+        got = numerics._ascent_direction(g, h)
+        assert want is not None
+        assert got.tobytes() == want.tobytes(), (i, p, lam)
+        damped += lam > 0
+    assert damped > 150
+    for bad in (np.nan, np.inf):
+        h = -np.eye(3)
+        h[1, 2] = bad
+        assert _scipy_ascent_direction(np.ones(3), h) == (None, None)
+        assert numerics._ascent_direction(np.ones(3), h) is None
+    # a non-finite gradient at a finite Hessian raises, as cho_solve does
+    with pytest.raises(ValueError):
+        numerics._ascent_direction(np.array([np.nan, 1.0]), -np.eye(2))
 
 
 def test_maximize_loglik_damps_an_indefinite_hessian():

@@ -15,8 +15,9 @@ The battery:
 - ``estimate_sace`` for all six methods (rho = 0.5 where a method needs
   it) on six ``gen_dataset`` draws from n=200 to n=20000, one with
   ``er_violation``;
-- ``bootstrap`` with B=20 for prop-er, prop-sm and prop-sm-ni on each of
-  those draws (prop-sm-ni fits the weighted pooled outcome stage);
+- ``bootstrap`` with B=20 for prop-er, prop-ni, prop-sm and prop-sm-ni on
+  each of those draws (prop-ni and prop-sm-ni fit the weighted pooled
+  outcome stage on the joint and the arm-wise survival fit);
 - both 21-point ``sensitivity_sweep`` variants on each draw, and on three
   n=40 draws: two whose control arm has fewer survivors than outcome
   coefficients, so every grid point fails the same way, and one whose
@@ -26,6 +27,9 @@ The battery:
 - the three ``sace_*`` routes on those data's cell tables, binned as for
   the diagnostics and with the covariates pooled;
 - a 2x2 ``run_benchmark`` grid with reps=6 (``duration_s`` left out).
+
+That is 205 keys: estimate 36, bootstrap 24, sweep 18, diagnostics 54,
+routes 72 and benchmark 1.
 
 A library error (``SacekitError`` or ``ValueError``) is recorded as its
 type and message, and warnings as their category and message; any other
@@ -131,7 +135,9 @@ def battery():
             rho = RHO if method in ("prop-sm", "prop-sm-ni") else None
             est = record(lambda: sk.estimate_sace(data, method, rho=rho).to_dict())
             results[f"estimate/{tag}/{method}"] = est
-        for method, rho in (("prop-er", None), ("prop-sm", RHO), ("prop-sm-ni", RHO)):
+        for method, rho in (
+            ("prop-er", None), ("prop-ni", None), ("prop-sm", RHO), ("prop-sm-ni", RHO)
+        ):
             results[f"bootstrap/{tag}/{method}"] = record(
                 lambda: sk.bootstrap(data, method, n_boot=20, seed=seed, rho=rho).to_dict()
             )
