@@ -78,9 +78,9 @@ class Dataset:
         """Build a dataset from full-length arrays.
 
         ``z`` and ``s`` must be 0 or 1, ``a`` must hold non-negative integer
-        level codes below 2**63, and ``y`` must be NaN at every truncated
-        unit (``s == 0``) and finite at every survivor; anything else is a
-        :class:`DataError`.
+        level codes below 2**63, and ``y`` must have one entry per unit, NaN
+        at every truncated unit (``s == 0``) and finite at every survivor;
+        anything else is a :class:`DataError`.
         """
         z = np.asarray(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -101,6 +101,8 @@ class Dataset:
         codes = a if a.dtype.kind in "iu" else np.asarray(a, dtype=float)
         if np.any(codes >= 2**63):
             raise DataError("a must hold level codes below 2**63")
+        if y.shape != s.shape:
+            raise DataError("y must have one entry per unit")
         surv = s == 1
         if np.any(surv & ~np.isfinite(y)):
             raise DataError("outcome missing or non-finite for a survivor")
@@ -184,6 +186,9 @@ class Dataset:
 # np.loadtxt settings for the data rows. Latin-1 maps every byte to one
 # character, so text in columns that are not read never fails to decode.
 _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="latin1")
+# Bytes of a CSV file searched at once by :func:`_scan_records`; bounds the
+# masks and index arrays built per search.
+_SCAN_BLOCK = 1 << 18
 # Rows formatted per ``writerows`` call in :func:`save_dataset`; bounds the
 # number of field strings alive at once.
 _SAVE_BLOCK_ROWS = 8192
@@ -238,6 +243,7 @@ def load_dataset(path, schema=None):
     # loadtxt skips physical lines, and a quoted header name may hold line
     # breaks, so the header's lines are counted up to its record's end.
     head = np.fromfile(path, dtype=np.uint8, count=int(records.starts[1])).tobytes()
+    del records  # the offsets are not needed by the parse, which allocates its own
     skip = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
     try:
         rows = np.loadtxt(
@@ -257,26 +263,23 @@ def load_dataset(path, schema=None):
         y_surv = y[surv].astype(float)
     except (ValueError, OverflowError) as exc:
         raise _row_error(path, layout, schema, reason=str(exc)) from None
-    x = np.ascontiguousarray(rows["x"])
     bad = (
         ((z != b"0") & (z != b"1"))
         | ((s != b"0") & (s != b"1"))
         | (a < 0)
-        | ~np.isfinite(x).all(axis=1)
+        | ~np.isfinite(rows["x"]).all(axis=1)
         | (~surv & (y != b""))
     )
     bad[surv] |= ~np.isfinite(y_surv)
     if bad.any():
         raise _row_error(path, layout, schema, stop=int(np.argmax(bad)) + 2)
+    # the parsed text is freed as the dataset's own arrays are built
+    del y
+    z, s = (z == b"1").astype(np.int64), surv.astype(np.int64)
+    x = np.ascontiguousarray(rows["x"])
+    del rows
     # Every check of Dataset.from_arrays has passed above.
-    return Dataset(
-        (z == b"1").astype(np.int64),
-        x,
-        a,
-        surv.astype(np.int64),
-        y_surv,
-        layout.x_names,
-    )
+    return Dataset(z, x, a, s, y_surv, layout.x_names)
 
 
 def _read_layout(path, schema):
@@ -302,6 +305,15 @@ def _read_layout(path, schema):
     return _Layout(len(header), text, x, [header[j] for j in x])
 
 
+def _position_dtype(size):
+    """The integer type of byte offsets into a file of ``size`` bytes.
+
+    int32 holds every offset up to and including ``size`` when the file is
+    under 2 GiB, at half the memory of int64.
+    """
+    return np.int32 if size < 2**31 else np.int64
+
+
 def _scan_records(path):
     """Record and delimiter offsets of a CSV file, the header included.
 
@@ -309,26 +321,53 @@ def _scan_records(path):
     :func:`csv.reader`, and an empty record has no fields. A delimiter or
     line break after an odd number of quote characters is inside a quoted
     field and does not count.
+
+    The file's bytes are searched :data:`_SCAN_BLOCK` bytes at a time, so
+    no full-length mask is built; quote parity is tracked only when the
+    file holds a quote character. Offsets are stored as
+    :func:`_position_dtype`, and the file's bytes are freed before the
+    delimiter offsets are joined into one array.
     """
-    buf = np.fromfile(path, dtype=np.uint8)
-    quotes = np.flatnonzero(buf == ord('"'))
-
-    def unquoted(pos):
-        return pos[np.searchsorted(quotes, pos) % 2 == 0]
-
-    lf = np.flatnonzero(buf == ord("\n"))
-    cr = np.flatnonzero(buf == ord("\r"))
-    crlf = buf[np.minimum(cr + 1, buf.size - 1)] == ord("\n")
-    ends = unquoted(np.sort(np.concatenate((lf, cr[~crlf]))))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    quoted = b'"' in raw
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    del raw
+    size = buf.size
+    dtype = _position_dtype(size)
+    commas, ends = [np.empty(0, dtype)], [np.empty(0, dtype)]
+    quotes_before = 0
+    for lo in range(0, size, _SCAN_BLOCK):
+        block = buf[lo : lo + _SCAN_BLOCK]
+        comma = np.flatnonzero(block == ord(",")) + lo
+        lf = np.flatnonzero(block == ord("\n")) + lo
+        cr = np.flatnonzero(block == ord("\r")) + lo
+        quotes = np.flatnonzero(block == ord('"')) + lo if quoted else None
+        del block  # no view of the file's bytes outlives the loop
+        crlf = buf[np.minimum(cr + 1, size - 1)] == ord("\n")
+        end = np.sort(np.concatenate((lf, cr[~crlf])))
+        if quoted:
+            comma, end = (
+                pos[(quotes_before + np.searchsorted(quotes, pos)) % 2 == 0]
+                for pos in (comma, end)
+            )
+            quotes_before += quotes.size
+        commas.append(comma.astype(dtype))
+        ends.append(end.astype(dtype))
+    ends = np.concatenate(ends)
     # Where each terminator starts: one byte earlier for "\r\n".
     term_starts = ends - (
         (ends > 0) & (buf[ends] == ord("\n")) & (buf[ends - 1] == ord("\r"))
     )
-    if buf.size and (ends.size == 0 or ends[-1] != buf.size - 1):
-        ends = np.append(ends, buf.size)
-        term_starts = np.append(term_starts, buf.size)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    commas = unquoted(np.flatnonzero(buf == ord(",")))
+    del buf
+    if size and (ends.size == 0 or ends[-1] != size - 1):
+        # the last record has no terminator: it ends where the file does
+        tail = np.array([size], dtype=dtype)
+        ends, term_starts = np.concatenate((ends, tail)), np.concatenate((term_starts, tail))
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    commas = np.concatenate(commas)
     fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
     return _Records(np.where(term_starts > starts, fields, 0), starts, term_starts, commas)
 

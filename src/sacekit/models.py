@@ -90,6 +90,11 @@ def _rows(array, mask):
     return array.take(np.flatnonzero(mask), axis=0)
 
 
+def _arm_design(data, mask):
+    """The stage-one design of the units where ``mask`` holds."""
+    return survival_design(_rows(data.x, mask), data.a[mask])
+
+
 def _weights_at(weights, rows):
     """The weights of the rows that a mask or index array selects; None without weights."""
     return None if weights is None else weights[rows]
@@ -224,7 +229,7 @@ def joint_survival_objective(
     weights = None
     if w_treated is not None:
         weights = np.concatenate([w_treated, w_control])
-    return _joint_objective(
+    objective, _ = _joint_objective(
         np.concatenate([v1, np.asarray(design_control, dtype=float)]),
         np.arange(n1),
         n1 + np.flatnonzero(lived),
@@ -232,6 +237,7 @@ def joint_survival_objective(
         s_treated,
         weights,
     )
+    return objective
 
 
 def _joint_objective(design, treated, lived, dead, s_treated, weights=None):
@@ -240,7 +246,9 @@ def _joint_objective(design, treated, lived, dead, s_treated, weights=None):
     ``treated``, ``lived`` and ``dead`` index the treated units, the control
     survivors and the control deaths, each ascending; ``s_treated`` is the
     survival of the treated rows and ``weights``, if given, holds one
-    integer frequency weight per row of ``design``.
+    integer frequency weight per row of ``design``. Returns the objective
+    and the (p, n) array of the rows it reads, one column per picked row in
+    the order treated, lived, dead; the caller need not keep ``design``.
 
     A control survivor's log q is the sum of two logistic log-successes, one
     in ``b`` and one in ``g``, so the rows are gathered once, in that order,
@@ -312,7 +320,7 @@ def _joint_objective(design, treated, lived, dead, s_treated, weights=None):
         hess[p:, :p] = hess[:p, p:].T
         return ll, grad, np.negative(hess, out=hess)
 
-    return objective
+    return objective, vt
 
 
 def fit_survival_er(data, init=None, weights=None):
@@ -340,10 +348,13 @@ def fit_survival_er(data, init=None, weights=None):
         init = np.concatenate([warm.params, np.zeros(p)])
     lived = np.flatnonzero((z == 0) & (s == 1))
     dead = np.flatnonzero((z == 0) & (s != 1))
-    objective = _joint_objective(v, treated, lived, dead, s1, weights)
+    objective, vt = _joint_objective(v, treated, lived, dead, s1, weights)
+    # the objective holds what it reads of these, every row of v gathered once
+    del v, treated, s1, lived, dead
 
     def probabilities(theta):
-        return np.concatenate([expit(v @ theta[:p]), expit(v @ theta[p:])])
+        # both surfaces at every unit, in the objective's row order
+        return np.concatenate([expit(theta[:p] @ vt), expit(theta[p:] @ vt)])
 
     result = maximize_loglik(objective, init, probabilities=probabilities)
     names = _design_names(data.covariate_names, ("a",))
@@ -367,13 +378,13 @@ def fit_survival_sm(data, init=None, weights=None):
     z, s = data.z, data.s
     if not np.any(z == 1) or not np.any(z == 0):
         raise EstimationError("both treatment arms are required to fit survival")
-    v = survival_design(data.x, data.a)
-    p = v.shape[1]
+    p = data.n_covariates + 2
     init1, init0 = (None, None) if init is None else (init[:p], init[p:])
     treated, control = z == 1, z == 0
     w1, w0 = _weights_at(weights, treated), _weights_at(weights, control)
-    opt1 = fit_logistic(_rows(v, treated), s[treated], init=init1, weights=w1)
-    opt0 = fit_logistic(_rows(v, control), s[control], init=init0, weights=w0)
+    # each arm's design is built from its own rows; no design of all units is held
+    opt1 = fit_logistic(_arm_design(data, treated), s[treated], init=init1, weights=w1)
+    opt0 = fit_logistic(_arm_design(data, control), s[control], init=init0, weights=w0)
     return SurvivalParamsSM(
         beta_treated=opt1.params,
         beta_control=opt0.params,
@@ -608,22 +619,35 @@ class SmFit:
     warnings: list = field(default_factory=list)
 
 
+def _share_divisor(th, rows, out):
+    """``max(th[rows], 1e-300)``, written into ``out`` and returned.
+
+    The always-survivor share of a survivor is its always-survivor
+    probability over this; the floor keeps a zero survival probability from
+    dividing by zero. ``rows`` are valid indices, so ``take`` may write
+    into ``out`` directly ("clip" mode) instead of through a buffer.
+    """
+    np.take(th, rows, out=out, mode="clip")
+    return np.maximum(out, 1e-300, out=out)
+
+
 class _SmStage:
     """The part of the stochastic-monotonicity pipeline that no ``rho`` changes.
 
     Built once per :func:`sensitivity_sweep` (and once per stand-alone
     :func:`fit_sm` call) for one outcome variant. It holds the two fitted
-    survival surfaces over all units, the divisors that turn the
-    always-survivor probability into a share, the survivors' row indices,
-    and one factored :func:`_survivor_fit` per outcome regression, whose
+    survival surfaces over all units, the survivors' row indices, and one
+    factored :func:`_survivor_fit` per outcome regression, whose
     design is a Fortran-ordered buffer with the intercept, covariate, ``a``
     and ``z`` columns filled here. Those fixed columns F are factored once
     (:class:`~sacekit.numerics.FixedBlockOLS`), and the survivor-count
     failures, which no ``rho`` changes, are decided once. Evaluating at a
-    ``rho`` overwrites only the one or two share columns S, and
-    :func:`_outcome_ols` screens them and solves ``[F | S]`` by block
-    elimination, or by ``fit_ols`` on the full design where the factor is
-    too near rank deficiency, so its errors are exactly ``fit_ols``'s. A
+    ``rho`` overwrites only the one or two share columns S, each computed
+    in its own column (its divisor first, :func:`_share_divisor`), so no
+    share-length array is held between points. :func:`_outcome_ols` then
+    screens them and solves ``[F | S]`` by block elimination, or by
+    ``fit_ols`` on the full design where the factor is too near rank
+    deficiency, so its errors are exactly ``fit_ols``'s. A
     stored survivor-count failure is raised where a full fit would raise
     it: after the zero-mass check of :func:`fit_sm`, and in an arm-wise
     fit after the treated arm's. In a sweep each grid point thus still
@@ -640,18 +664,16 @@ class _SmStage:
         self.th0 = survival.theta_control(v)
         del v  # freed before the outcome designs are built and factored
         self._last = None
-        tiny = 1e-300
         d = data.n_covariates
         if assume_er:
             self.names = _design_names(data.covariate_names, ("always_share",))
-            self.rows, self.floors, self.fits = [], [], []
-            for arm, th_arm in ((1, self.th1), (0, self.th0)):
+            self.rows, self.fits = [], []
+            for arm in (1, 0):
                 rows = np.flatnonzero(data.survivor_mask(arm))
                 design = np.empty((rows.size, d + 2), order="F")
                 design[:, 0] = 1.0
                 design[:, 1:-1] = data.x.take(rows, axis=0)
                 self.rows.append(rows)
-                self.floors.append(np.maximum(th_arm[rows], tiny))
                 self.fits.append(
                     _survivor_fit(
                         f"the {'treated' if arm else 'control'}-arm outcome fit",
@@ -664,10 +686,7 @@ class _SmStage:
                 )
         else:
             self.rows = rows = np.flatnonzero(data.survivor_mask())
-            self.z = zs = data.z[rows]
-            self.cz = 1 - zs
-            self.floor1 = np.maximum(self.th1[rows], tiny)
-            self.floor0 = np.maximum(self.th0[rows], tiny)
+            zs = data.z[rows]
             # (1, X, A, Z*share1, Z, (1-Z)*share0); the share columns are per
             # rho and each is screened on its own arm's rows
             self.names = _design_names(
@@ -707,8 +726,9 @@ class _SmStage:
         """
         if self.assume_er:
             coefs, notes = [], []
-            for fit, rows, floor in zip(self.fits, self.rows, self.floors):
-                np.divide(always.take(rows), floor, out=fit.design[:, -1])
+            for fit, rows, th in zip(self.fits, self.rows, (self.th1, self.th0)):
+                share = fit.design[:, -1]
+                np.divide(always.take(rows), _share_divisor(th, rows, share), out=share)
                 coef, arm_notes = _outcome_ols(fit, self.names)
                 coefs.append(coef)
                 notes += arm_notes
@@ -725,9 +745,14 @@ class _SmStage:
             return outcome, _share_average(gap, always, self.weights)
         d = self.x.shape[1]
         (fit,) = self.fits
+        # Z * share1 and (1 - Z) * share0 in place, with Z the design's own column
+        share1, z, share0 = fit.design[:, d + 2 :].T
         surv_always = always.take(self.rows)
-        np.multiply(self.z, surv_always / self.floor1, out=fit.design[:, d + 2])
-        np.multiply(self.cz, surv_always / self.floor0, out=fit.design[:, d + 4])
+        np.divide(surv_always, _share_divisor(self.th1, self.rows, share1), out=share1)
+        share1 *= z
+        np.divide(surv_always, _share_divisor(self.th0, self.rows, share0), out=share0)
+        share0 *= np.subtract(1.0, z, out=surv_always)
+        del surv_always  # freed before the outcome fit
         coef, notes = _outcome_ols(fit, self.names)
         outcome = OutcomeParams(
             pooled_relaxed=coef, names={"pooled_relaxed": self.names}, notes=notes

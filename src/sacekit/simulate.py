@@ -101,19 +101,25 @@ def gen_dataset(setting, rng=None):
     n = setting.n
     d1, d2 = float(setting.delta1), float(setting.delta2)
 
+    # Each temporary is deleted after its last use, which bounds how many
+    # n-long arrays are alive at once; the draws and the formulas are unchanged.
     x1 = rng.integers(0, 2, size=n) * 2.0 - 1.0
     x23 = _X23_MEAN + rng.standard_normal((n, 2)) @ _X23_CHOL.T
     x = np.column_stack([x1, x23])
+    del x1, x23
     xu = x @ _U
     a = (rng.random(n) < expit(xu)).astype(np.int64)
     z = (rng.random(n) < expit(d1 * xu + d1 * a)).astype(np.int64)
 
     surv_lin = 2.0 + (d2 / 2.0) * (x[:, 0] + x[:, 1] + x[:, 2]) + a
-    ratio_lin = (-1.5 * d2) * x[:, 0] + (d2 / 2.0) * (x[:, 1] + x[:, 2]) + a
     p_surv_treated = expit(surv_lin)
+    del surv_lin
+    ratio_lin = (-1.5 * d2) * x[:, 0] + (d2 / 2.0) * (x[:, 1] + x[:, 2]) + a
     ratio = expit(ratio_lin)
+    del ratio_lin
     pr_always = ratio * p_surv_treated
     pr_protected = (1.0 - ratio) * p_surv_treated
+    del ratio, p_surv_treated
 
     ug = rng.random(n)
     stratum = np.where(
@@ -121,6 +127,7 @@ def gen_dataset(setting, rng=None):
         StratumLabel.ALWAYS.value,
         np.where(ug < pr_always + pr_protected, StratumLabel.PROTECTED.value, StratumLabel.NEVER.value),
     )
+    del ug, pr_always, pr_protected
     s_treated = (stratum != StratumLabel.NEVER.value).astype(np.int64)
     s_control = (stratum == StratumLabel.ALWAYS.value).astype(np.int64)
 
@@ -132,14 +139,18 @@ def gen_dataset(setting, rng=None):
         mean_treated_always = xu
         mean_treated_protected = 1.0 + xu
         mean_control_always = -1.0 + xu
+    del xu
 
     eps1 = rng.standard_normal(n)
     eps0 = rng.standard_normal(n)
     mean_treated = np.where(
         stratum == StratumLabel.ALWAYS.value, mean_treated_always, mean_treated_protected
     )
+    del mean_treated_always, mean_treated_protected
     y_treated = np.where(s_treated == 1, mean_treated + _NOISE_SD * eps1, np.nan)
+    del mean_treated, eps1
     y_control = np.where(s_control == 1, mean_control_always + _NOISE_SD * eps0, np.nan)
+    del mean_control_always, eps0
 
     s = np.where(z == 1, s_treated, s_control)
     y = np.where(s == 1, np.where(z == 1, y_treated, y_control), np.nan)

@@ -1,6 +1,7 @@
 """Tests for the dataset container, CSV round trip and structural checks."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from sacekit import data as data_module
 from sacekit.data import (
     Dataset,
     Schema,
+    _position_dtype,
     _read_layout,
+    _Records,
     _row_problem,
+    _scan_records,
     load_dataset,
     save_dataset,
     validate,
 )
 from sacekit.errors import DataError
 from sacekit.numerics import rng_stream
+from sacekit.simulate import SimulationSetting, gen_dataset
 
 
 def small_dataset():
@@ -56,6 +62,13 @@ def test_from_arrays_rejects_bad_inputs():
         Dataset.from_arrays(z, x, [0, 0], [1, 1], np.array([1.0, np.nan]))
     with pytest.raises(DataError, match="outcome present for a truncated unit"):
         Dataset.from_arrays(z, x, [0, 0], [1, 0], np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("y", [[1.0, np.nan, 2.0], [1.0], [[1.0, np.nan]]])
+def test_from_arrays_rejects_an_outcome_of_the_wrong_length(y):
+    # y must line up with s: one entry per unit, NaN where s == 0
+    with pytest.raises(DataError, match="y must have one entry per unit"):
+        Dataset.from_arrays([1, 0], np.zeros((2, 1)), [0, 0], [1, 0], y)
 
 
 def test_from_arrays_rejects_level_codes_beyond_int64():
@@ -561,3 +574,116 @@ def test_load_matches_the_reference_on_rendered_files(tmp_path_factory, case):
     path = tmp_path_factory.mktemp("dialect") / "d.csv"
     path.write_bytes(body)
     assert assert_loads_like_reference(path) == data
+
+
+def whole_buffer_scan(path):
+    """The record scan as one pass over the whole file, every mask full length."""
+    buf = np.fromfile(path, dtype=np.uint8)
+    quotes = np.flatnonzero(buf == ord('"'))
+
+    def unquoted(pos):
+        return pos[np.searchsorted(quotes, pos) % 2 == 0]
+
+    lf = np.flatnonzero(buf == ord("\n"))
+    cr = np.flatnonzero(buf == ord("\r"))
+    crlf = buf[np.minimum(cr + 1, buf.size - 1)] == ord("\n")
+    ends = unquoted(np.sort(np.concatenate((lf, cr[~crlf]))))
+    term_starts = ends - (
+        (ends > 0) & (buf[ends] == ord("\n")) & (buf[ends - 1] == ord("\r"))
+    )
+    if buf.size and (ends.size == 0 or ends[-1] != buf.size - 1):
+        ends = np.append(ends, buf.size)
+        term_starts = np.append(term_starts, buf.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = unquoted(np.flatnonzero(buf == ord(",")))
+    fields = np.diff(np.searchsorted(commas, ends), prepend=0) + 1
+    return _Records(np.where(term_starts > starts, fields, 0), starts, term_starts, commas)
+
+
+_SCAN_FILES = {
+    "quoted delimiters and line breaks": (
+        b'z,s,"y",a,"x,1"\r\n"1","1","2,5",0,"1\r\n5"\r\n0,0,,"3",",\n,"\r\n'
+    ),
+    "crlf at every offset": b"z,s,y,a,x1\r\n1,1,0.5,0,1.5\r\n0,0,,1,2.5\r\n10,1,,22,3\r\n",
+    "lone cr": b"z,s,y,a,x1\r1,1,0.5,0,1.5\r0,0,,1,2.5\r",
+    "lone cr before lf": b"z,s,y,a,x1\r\r\n1,1,0.5,0,1.5\n\r0,0,,1,2.5",
+    "blank lines": b"z,s,y,a,x1\n\n1,1,0.5,0,1.5\n\n\n0,0,,1,2.5\n",
+    "no terminator": b"z,s,y,a,x1\n1,1,0.5,0,1.5\n0,0,,1,2.5",
+    "ends in cr": b'z,s,y,a,x1\n1,1,0.5,0,"1.5"\r',
+    "no quotes, many fields": b"z,s,y,a,x1,x2\n" + b"1,1,-0.5,0,1.5,,\n" * 5 + b"0,0,,1,2,3\n",
+    "open quote": b'z,s,y,a,x1\n1,1,0.5,0,"1.5\n0,0,,1,2.5\n',
+    "header only": b"z,s,y,a,x1\r\n",
+}
+
+
+def _load_outcome(path):
+    try:
+        return load_dataset(path)
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_FILES))
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 20])
+def test_block_scan_matches_the_whole_buffer_scan(tmp_path, monkeypatch, name, block):
+    # Block edges fall inside quoted fields, between "\r" and "\n", and on
+    # every delimiter; the offsets, and what load_dataset makes of them, must
+    # not depend on where they fall.
+    path = tmp_path / "scan.csv"
+    path.write_bytes(_SCAN_FILES[name])
+    expected = _load_outcome(path)
+    want = whole_buffer_scan(path)
+    monkeypatch.setattr(data_module, "_SCAN_BLOCK", block)
+    got = _scan_records(path)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    for offsets in got[1:]:
+        assert offsets.dtype == np.int32
+    monkeypatch.setattr(data_module, "_scan_records", whole_buffer_scan)
+    reference = _load_outcome(path)
+    monkeypatch.undo()
+    monkeypatch.setattr(data_module, "_SCAN_BLOCK", block)
+    assert _load_outcome(path) == reference == expected
+
+
+def test_block_scan_matches_on_a_generated_file(tmp_path, monkeypatch):
+    data, _ = gen_dataset(SimulationSetting(n=300, delta1=1, delta2=1, seed=17))
+    path = tmp_path / "gen.csv"
+    save_dataset(data, path)
+    want = whole_buffer_scan(path)
+    for block in (7, 64, 4099):
+        monkeypatch.setattr(data_module, "_SCAN_BLOCK", block)
+        for a, b in zip(_scan_records(path), want):
+            assert np.array_equal(a, b)
+        assert load_dataset(path) == data
+
+
+def test_position_dtype_is_int32_below_2_gib():
+    # offsets run from 0 to the file size itself, which int32 must hold
+    assert _position_dtype(0) is np.int32
+    assert _position_dtype(2**31 - 1) is np.int32
+    assert np.iinfo(np.int32).max == 2**31 - 1
+    assert _position_dtype(2**31) is np.int64
+    assert _position_dtype(5 * 2**31) is np.int64
+
+
+# load_dataset's tracemalloc peak over the file size at n=50000: the record
+# scan holds the file's bytes and int32 offsets, and the parse starts after
+# they are freed (1.65 measured; a scan with full-length masks peaks at 3.84)
+LOAD_PEAK_PER_FILE_BYTE = 2.0
+
+
+def test_load_peak_memory_is_bounded_by_the_file_size(tmp_path):
+    data, _ = gen_dataset(SimulationSetting(n=50_000, seed=29))
+    path = tmp_path / "big.csv"
+    save_dataset(data, path)
+    del data
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 50_000
+    assert peak < LOAD_PEAK_PER_FILE_BYTE * path.stat().st_size

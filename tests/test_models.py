@@ -33,7 +33,14 @@ from sacekit.models import (
     sensitivity_sweep,
     survival_design,
 )
-from sacekit.numerics import OptimizerResult, check_gradient, expit, rng_stream
+from sacekit.numerics import (
+    BOUNDARY_EPS,
+    NEWTON_TOL,
+    OptimizerResult,
+    check_gradient,
+    expit,
+    rng_stream,
+)
 from sacekit.simulate import SimulationSetting, gen_dataset
 
 TRUE_U = np.array([0.5, 0.5, 0.5])
@@ -192,6 +199,58 @@ def test_fit_survival_er_objective_is_joint_survival_objective(control, weighted
     for theta in (np.zeros(2 * p), rng.uniform(-0.8, 0.8, size=2 * p)):
         for got, want in zip(captured[0](theta), public(theta)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _probe_on_the_design(data, result):
+    """(boundary_flag, converged) of the boundary probe on the (n, p) design."""
+    v = survival_design(data.x, data.a)
+    p = v.shape[1]
+    probs = np.concatenate([expit(v @ result.params[:p]), expit(v @ result.params[p:])])
+    boundary = bool(np.any(probs <= BOUNDARY_EPS) or np.any(probs >= 1.0 - BOUNDARY_EPS))
+    return boundary, result.grad_norm <= NEWTON_TOL and not boundary
+
+
+def _separated(seed, control):
+    """A small draw whose survival one covariate or arm separates."""
+    data, _ = gen_dataset(SimulationSetting(n=400, delta1=1, delta2=1, seed=seed))
+    z, x = data.z, data.x
+    s = data.s.copy()
+    if control == "separated":
+        s[z == 0] = (x[z == 0, 1] > 1.0).astype(int)
+    elif control == "treated all survive":
+        s[z == 1] = 1
+    else:  # no control deaths at all
+        s[z == 0] = 1
+    y = np.where(s == 1, 0.5, np.nan)
+    return Dataset.from_arrays(z, x, data.a, s, y)
+
+
+@pytest.mark.parametrize("control", ["separated", "treated all survive", "no control deaths"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_boundary_probe_on_the_gathered_rows_matches_the_design(control, seed):
+    # the probe reads the objective's gathered rows, not a second design;
+    # on data that drive the fit to the boundary its flags are the same
+    data = _separated(seed, control)
+    result = fit_survival_er(data).optimizer
+    assert (result.boundary_flag, result.converged) == _probe_on_the_design(data, result)
+
+
+def test_boundary_probe_matches_on_weighted_bootstrap_replicates():
+    # criterion 7's dataset r=11, whose resamples often end at the boundary,
+    # fitted as bootstrap fits them: distinct rows weighted, warm started
+    data, _ = gen_dataset(
+        SimulationSetting(n=1000, delta1=0, delta2=1), rng=rng_stream(808, 11)
+    )
+    full = fit_survival_er(data)
+    flags = []
+    for b in range(40):
+        sample, weights = _resample(data, 11, b)
+        for init in (full.params, None):
+            result = fit_survival_er(sample, init=init, weights=weights).optimizer
+            got = (result.boundary_flag, result.converged)
+            assert got == _probe_on_the_design(sample, result)
+            flags.append(result.boundary_flag)
+    assert any(flags) and not all(flags)
 
 
 def test_fit_survival_er_recovers_truth():

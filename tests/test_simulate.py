@@ -1,6 +1,7 @@
 """Tests for the synthetic process, baseline estimators and benchmark."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,3 +214,24 @@ def test_format_table_uses_times_hundred_convention():
     assert "100 x bias" in text.splitlines()[0]
     cell = rep.cell(300, 0, 0, False, "naive")
     assert f"{100 * cell.mean_bias:.1f}" in text
+
+
+# gen_dataset's tracemalloc peak over what it returns (the dataset and the
+# oracle arrays) at n=50000: each temporary is freed after its last use
+# (1.21 measured; 2.47 with every temporary alive until the return)
+GEN_PEAK_PER_RETURNED_BYTE = 1.5
+
+
+@pytest.mark.parametrize("er_violation", [False, True])
+def test_gen_dataset_peak_memory_is_bounded_by_its_output(er_violation):
+    setting = SimulationSetting(n=50_000, delta1=1, delta2=1, er_violation=er_violation)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = gen_dataset(setting)
+        returned, peak = (v - base for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == 50_000
+    assert peak < GEN_PEAK_PER_RETURNED_BYTE * returned
