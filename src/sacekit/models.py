@@ -81,20 +81,6 @@ def _design(x, a):
     return x if a is None else survival_design(x, a)
 
 
-def _rows(array, mask):
-    """The rows of a 2-D ``array`` where ``mask`` holds, as a C-ordered copy.
-
-    The same array as ``array[mask]``; ``take`` gathers the rows several
-    times faster than boolean indexing.
-    """
-    return array.take(np.flatnonzero(mask), axis=0)
-
-
-def _arm_design(data, mask):
-    """The stage-one design of the units where ``mask`` holds."""
-    return survival_design(_rows(data.x, mask), data.a[mask])
-
-
 def _weights_at(weights, rows):
     """The weights of the rows that a mask or index array selects; None without weights."""
     return None if weights is None else weights[rows]
@@ -380,11 +366,14 @@ def fit_survival_sm(data, init=None, weights=None):
         raise EstimationError("both treatment arms are required to fit survival")
     p = data.n_covariates + 2
     init1, init0 = (None, None) if init is None else (init[:p], init[p:])
-    treated, control = z == 1, z == 0
-    w1, w0 = _weights_at(weights, treated), _weights_at(weights, control)
-    # each arm's design is built from its own rows; no design of all units is held
-    opt1 = fit_logistic(_arm_design(data, treated), s[treated], init=init1, weights=w1)
-    opt0 = fit_logistic(_arm_design(data, control), s[control], init=init0, weights=w0)
+
+    def arm_fit(arm, start):
+        # each arm's design is built from its own rows; no design of all units is held
+        rows = np.flatnonzero(z == arm)
+        v = survival_design(data.x.take(rows, axis=0), data.a[rows])
+        return fit_logistic(v, s[rows], init=start, weights=_weights_at(weights, rows))
+
+    opt1, opt0 = arm_fit(1, init1), arm_fit(0, init0)
     return SurvivalParamsSM(
         beta_treated=opt1.params,
         beta_control=opt0.params,
@@ -430,6 +419,7 @@ class _SurvivorFit(NamedTuple):
     """One survivor outcome regression, as :func:`_survivor_fit` builds it."""
 
     what: str  # the fit's name, which starts its errors and notes
+    names: tuple  # the design's column names
     ys: np.ndarray
     design: np.ndarray
     weights: np.ndarray | None
@@ -439,17 +429,32 @@ class _SurvivorFit(NamedTuple):
     error: str | None  # the survivor-count failure, decided once
 
 
-def _survivor_fit(what, ys, design, shares, weights=None, factor=False):
-    """A survivor regression of ``ys`` on ``design``, for :func:`_outcome_ols`.
+def _survivor_fit(what, data, rows, tail, weights=None, factor=False):
+    """The survivor regression ``what`` of ``data`` at ``rows``, for :func:`_outcome_ols`.
 
-    ``shares`` maps the index of each fitted-share column to the rows it is
-    screened on. The survivor-count failures depend on no share value and
-    are decided here: fewer survivors (with integer frequency ``weights``,
-    their sum) than coefficients, or a share column with no rows to screen.
-    With ``factor`` the columns outside ``shares`` are factored once, by
-    :class:`~sacekit.numerics.FixedBlockOLS`, for a fit that is evaluated at
-    many share values; the share columns may then be filled later.
+    The one builder of a stage-two design: one Fortran-ordered array of
+    (1, X) over ``rows``, then a column per ``tail`` entry ``(name, values,
+    screen)``. ``values`` are the column over the rows, or None for a
+    fitted-share column filled later; ``screen`` is None, or the rows a
+    fitted-share column is screened on. The survivor-count failures depend
+    on no share value and are decided here: fewer survivors (with integer
+    frequency ``weights``, their sum) than coefficients, or a share column
+    with no rows to screen. With ``factor`` the columns without a screen are
+    factored once, by :class:`~sacekit.numerics.FixedBlockOLS`, for a fit
+    that is evaluated at many share values.
     """
+    d = data.n_covariates
+    design = np.empty((rows.size, d + 1 + len(tail)), order="F")
+    design[:, 0] = 1.0
+    design[:, 1 : d + 1] = data.x.take(rows, axis=0)
+    shares = {}
+    for j, (_, values, screen) in enumerate(tail, start=d + 1):
+        if values is not None:
+            design[:, j] = values
+        if screen is not None:
+            shares[j] = screen
+    names = _design_names(data.covariate_names, [name for name, _, _ in tail])
+    ys, weights = data.outcomes_at(rows), _weights_at(weights, rows)
     n, p = design.shape
     if weights is not None:
         n = int(np.sum(weights))
@@ -460,10 +465,10 @@ def _survivor_fit(what, ys, design, shares, weights=None, factor=False):
         error = f"{what}: survivors are required in both arms"
     fixed = [j for j in range(p) if j not in shares]
     solver = FixedBlockOLS(design, fixed, ys, weights) if factor and not error else None
-    return _SurvivorFit(what, ys, design, weights, shares, fixed, solver, error)
+    return _SurvivorFit(what, names, ys, design, weights, shares, fixed, solver, error)
 
 
-def _outcome_ols(fit, names):
+def _outcome_ols(fit):
     """Least-squares survivor outcome regression: (coefficients, notes).
 
     The one stage-two fit of every model-based method, of a
@@ -472,7 +477,7 @@ def _outcome_ols(fit, names):
     warns; one constant at 1 marks a pure always-survivor sample and is
     dropped with coefficient 0 and a note; one constant anywhere else
     carries no information and raises CollinearityError. Errors and notes
-    start with ``fit.what``, and the coefficients come in ``names`` order.
+    start with ``fit.what``, and the coefficients come in ``fit.names`` order.
 
     With a solver the kept share columns S are solved against the factored
     fixed columns F by block elimination. Where that factor, or the one
@@ -483,7 +488,7 @@ def _outcome_ols(fit, names):
     """
     if fit.error is not None:
         raise EstimationError(fit.error)
-    design = fit.design
+    design, names = fit.design, fit.names
     keep, notes = list(range(design.shape[1])), []
     for j, rows in fit.shares.items():
         col = design[rows, j]
@@ -530,48 +535,28 @@ def _always_mass(always, weights=None):
     return mass
 
 
-def fit_outcome_er(data, survival, weights=None, *, design=None):
+def fit_outcome_er(data, survival, weights=None):
     """Stage-two outcome fits under the exclusion restriction.
 
     Control-arm survivors are pure always survivors, so their mean is linear
     in (1, X, A). Treated-arm survivor means are linear in (1, X, share)
     where share is the fitted always-survivor share from ``survival``; the
     share coefficient measures the always-vs-protected outcome gap.
-    ``weights`` are integer frequency weights, one per unit. ``design`` is
-    the stage-one design of ``data`` when the caller has built it; the
-    treated rows' copy of it gets the share as its last column.
+    ``weights`` are integer frequency weights, one per unit.
     """
-    v = survival_design(data.x, data.a) if design is None else design
-    names_control = _design_names(data.covariate_names, ("a",))
-    names_treated = _design_names(data.covariate_names, ("always_share",))
     rows0, rows1 = (np.flatnonzero(data.survivor_mask(arm)) for arm in (0, 1))
-    w0, w1 = _weights_at(weights, rows0), _weights_at(weights, rows1)
-    control, _ = _outcome_ols(
-        _survivor_fit(
-            "the control-arm outcome fit",
-            data.outcomes_at(rows0),
-            v.take(rows0, axis=0),
-            {},
-            w0,
-        ),
-        names_control,
+    control = _survivor_fit(
+        "the control-arm outcome fit", data, rows0, [("a", data.a[rows0], None)], weights
     )
-    v1 = v.take(rows1, axis=0)
-    v1[:, -1] = survival.theta_ratio(v1)
-    treated_mix, notes = _outcome_ols(
-        _survivor_fit(
-            "the treated-arm outcome fit",
-            data.outcomes_at(rows1),
-            v1,
-            {len(names_treated) - 1: slice(None)},
-            w1,
-        ),
-        names_treated,
-    )
+    control_coef, _ = _outcome_ols(control)
+    share = survival.theta_ratio(data.x.take(rows1, axis=0), data.a[rows1])
+    tail = [("always_share", share, slice(None))]
+    treated = _survivor_fit("the treated-arm outcome fit", data, rows1, tail, weights)
+    treated_mix, notes = _outcome_ols(treated)
     return OutcomeParams(
-        control=control,
+        control=control_coef,
         treated_mix=treated_mix,
-        names={"control": names_control, "treated_mix": names_treated},
+        names={"control": control.names, "treated_mix": treated.names},
         notes=notes,
     )
 
@@ -585,24 +570,19 @@ def fit_ni(data, survival, weights=None):
     coefficient is exactly the always-survivor effect. ``weights`` are
     integer frequency weights, one per unit.
     """
-    mask = data.survivor_mask()
-    xs, as_, zs = _rows(data.x, mask), data.a[mask], data.z[mask]
-    ys = data.outcomes_at(mask)
+    rows = np.flatnonzero(data.survivor_mask())
+    zs = data.z[rows]
     if not (zs == 1).any() or not (zs == 0).any():
         raise EstimationError("survivors are required in both arms")
-    share = np.ones(ys.size)
-    treated = zs == 1
-    share[treated] = survival.theta_ratio(_rows(xs, treated), as_[treated])
-    names = _design_names(data.covariate_names, ("a", "always_share", "z"))
-    design = np.column_stack([np.ones(ys.size), xs, as_, share, zs])
-    pooled, notes = _outcome_ols(
-        _survivor_fit(
-            "the pooled outcome fit", ys, design, {len(names) - 2: treated},
-            _weights_at(weights, mask),
-        ),
-        names,
+    treated = np.flatnonzero(zs == 1)
+    share = np.ones(rows.size)
+    share[treated] = survival.theta_ratio(
+        data.x.take(rows[treated], axis=0), data.a[rows[treated]]
     )
-    return OutcomeParams(pooled=pooled, names={"pooled": names}, notes=notes)
+    tail = [("a", data.a[rows], None), ("always_share", share, treated), ("z", zs, None)]
+    fit = _survivor_fit("the pooled outcome fit", data, rows, tail, weights)
+    pooled, notes = _outcome_ols(fit)
+    return OutcomeParams(pooled=pooled, names={"pooled": fit.names}, notes=notes)
 
 
 @dataclass
@@ -638,10 +618,10 @@ class _SmStage:
     :func:`fit_sm` call) for one outcome variant. It holds the two fitted
     survival surfaces over all units, the survivors' row indices, and one
     factored :func:`_survivor_fit` per outcome regression, whose
-    design is a Fortran-ordered buffer with the intercept, covariate, ``a``
-    and ``z`` columns filled here. Those fixed columns F are factored once
-    (:class:`~sacekit.numerics.FixedBlockOLS`), and the survivor-count
-    failures, which no ``rho`` changes, are decided once. Evaluating at a
+    intercept, covariate, ``a`` and ``z`` columns the builder fills and
+    whose share columns it leaves for each ``rho``. Those fixed columns F
+    are factored once (:class:`~sacekit.numerics.FixedBlockOLS`), and the
+    survivor-count failures, which no ``rho`` changes, are decided once. Evaluating at a
     ``rho`` overwrites only the one or two share columns S, each computed
     in its own column (its divisor first, :func:`_share_divisor`), so no
     share-length array is held between points. :func:`_outcome_ols` then
@@ -664,46 +644,32 @@ class _SmStage:
         self.th0 = survival.theta_control(v)
         del v  # freed before the outcome designs are built and factored
         self._last = None
-        d = data.n_covariates
         if assume_er:
-            self.names = _design_names(data.covariate_names, ("always_share",))
-            self.rows, self.fits = [], []
-            for arm in (1, 0):
-                rows = np.flatnonzero(data.survivor_mask(arm))
-                design = np.empty((rows.size, d + 2), order="F")
-                design[:, 0] = 1.0
-                design[:, 1:-1] = data.x.take(rows, axis=0)
-                self.rows.append(rows)
-                self.fits.append(
-                    _survivor_fit(
-                        f"the {'treated' if arm else 'control'}-arm outcome fit",
-                        data.outcomes_at(rows),
-                        design,
-                        {d + 1: slice(None)},
-                        _weights_at(weights, rows),
-                        factor=True,
-                    )
+            self.rows = [np.flatnonzero(data.survivor_mask(arm)) for arm in (1, 0)]
+            tail = [("always_share", None, slice(None))]
+            self.fits = [
+                _survivor_fit(
+                    f"the {arm}-arm outcome fit", data, rows, tail, weights, factor=True
                 )
+                for arm, rows in zip(("treated", "control"), self.rows)
+            ]
         else:
             self.rows = rows = np.flatnonzero(data.survivor_mask())
             zs = data.z[rows]
             # (1, X, A, Z*share1, Z, (1-Z)*share0); the share columns are per
             # rho and each is screened on its own arm's rows
-            self.names = _design_names(
-                data.covariate_names, ("a", "z_x_treated_share", "z", "cz_x_control_share")
-            )
-            design = np.empty((rows.size, d + 5), order="F")
-            design[:, 0] = 1.0
-            design[:, 1 : d + 1] = data.x.take(rows, axis=0)
-            design[:, d + 1] = data.a[rows]
-            design[:, d + 3] = zs
-            shares = {d + 2: np.flatnonzero(zs == 1), d + 4: np.flatnonzero(zs == 0)}
+            tail = [
+                ("a", data.a[rows], None),
+                ("z_x_treated_share", None, np.flatnonzero(zs == 1)),
+                ("z", zs, None),
+                ("cz_x_control_share", None, np.flatnonzero(zs == 0)),
+            ]
             self.fits = [
                 _survivor_fit(
-                    "the pooled outcome fit", data.outcomes_at(rows), design, shares,
-                    _weights_at(weights, rows), factor=True,
+                    "the pooled outcome fit", data, rows, tail, weights, factor=True
                 )
             ]
+        self.names = self.fits[0].names
 
     def coupling(self, rho):
         """(always, harmed_mass) at ``rho``.
@@ -729,7 +695,7 @@ class _SmStage:
             for fit, rows, th in zip(self.fits, self.rows, (self.th1, self.th0)):
                 share = fit.design[:, -1]
                 np.divide(always.take(rows), _share_divisor(th, rows, share), out=share)
-                coef, arm_notes = _outcome_ols(fit, self.names)
+                coef, arm_notes = _outcome_ols(fit)
                 coefs.append(coef)
                 notes += arm_notes
             treated_mix, control_mix = coefs
@@ -753,7 +719,7 @@ class _SmStage:
         np.divide(surv_always, _share_divisor(self.th0, self.rows, share0), out=share0)
         share0 *= np.subtract(1.0, z, out=surv_always)
         del surv_always  # freed before the outcome fit
-        coef, notes = _outcome_ols(fit, self.names)
+        coef, notes = _outcome_ols(fit)
         outcome = OutcomeParams(
             pooled_relaxed=coef, names={"pooled_relaxed": self.names}, notes=notes
         )
@@ -839,15 +805,12 @@ def naive_estimator(data, weights=None):
     surviving population. ``weights`` are integer frequency weights, one
     per unit.
     """
-    mask = data.survivor_mask()
-    zs = data.z[mask]
+    rows = np.flatnonzero(data.survivor_mask())
+    zs = data.z[rows]
     if not (zs == 1).any() or not (zs == 0).any():
         raise EstimationError("survivors are required in both arms")
-    ys = data.outcomes_at(mask)
-    design = np.column_stack([np.ones(ys.size), _rows(data.x, mask), data.a[mask], zs])
-    names = _design_names(data.covariate_names, ("a", "z"))
-    fit = _survivor_fit("the naive fit", ys, design, {}, _weights_at(weights, mask))
-    coef, _ = _outcome_ols(fit, names)
+    tail = [("a", data.a[rows], None), ("z", zs, None)]
+    coef, _ = _outcome_ols(_survivor_fit("the naive fit", data, rows, tail, weights))
     return float(coef[-1])
 
 
@@ -901,9 +864,9 @@ def dgyz_estimator(data, weights=None):
 
 
 def _prop_er(data, survival, rho, weights):
-    # one stage-one design serves the outcome fits and both plug-in means
+    # one stage-one design serves the always-survivor share and both plug-in means
     v = survival_design(data.x, data.a)
-    outcome = fit_outcome_er(data, survival, weights, design=v)
+    outcome = fit_outcome_er(data, survival, weights)
     always = survival.always_share(v)
     _always_mass(always, weights)
     mu0 = v @ outcome.control

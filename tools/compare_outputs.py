@@ -18,6 +18,10 @@ The battery:
 - ``bootstrap`` with B=20 for prop-er, prop-ni, prop-sm and prop-sm-ni on
   each of those draws (prop-ni and prop-sm-ni fit the weighted pooled
   outcome stage on the joint and the arm-wise survival fit);
+- the outcome stage of each draw: the coefficients, column names and
+  notes of ``fit_outcome_er`` and ``fit_ni`` on the draw's joint survival
+  fit and of both ``fit_sm`` variants at rho = 0.5, and the
+  ``naive_estimator`` coefficient;
 - both 21-point ``sensitivity_sweep`` variants on each draw, and on three
   n=40 draws: two whose control arm has fewer survivors than outcome
   coefficients, so every grid point fails the same way, and one whose
@@ -28,8 +32,8 @@ The battery:
   the diagnostics and with the covariates pooled;
 - a 2x2 ``run_benchmark`` grid with reps=6 (``duration_s`` left out).
 
-That is 205 keys: estimate 36, bootstrap 24, sweep 18, diagnostics 54,
-routes 72 and benchmark 1.
+That is 235 keys: estimate 36, bootstrap 24, outcome 30, sweep 18,
+diagnostics 54, routes 72 and benchmark 1.
 
 A library error (``SacekitError`` or ``ValueError``) is recorded as its
 type and message, and warnings as their category and message; any other
@@ -124,6 +128,7 @@ def levels_dataset(sk, k, n, seed):
 
 def battery():
     import sacekit as sk
+    from sacekit import models
     from sacekit.models import ALL_METHODS
 
     results = {}
@@ -141,6 +146,14 @@ def battery():
             results[f"bootstrap/{tag}/{method}"] = record(
                 lambda: sk.bootstrap(data, method, n_boot=20, seed=seed, rho=rho).to_dict()
             )
+        joint = models.fit_survival_er(data)
+        for fit in (models.fit_outcome_er, models.fit_ni):
+            results[f"outcome/{tag}/{fit.__name__}"] = record(lambda: vars(fit(data, joint)))
+        for assume_er in (True, False):
+            results[f"outcome/{tag}/fit_sm/assume_er={assume_er}"] = record(
+                lambda: vars(models.fit_sm(data, RHO, assume_er).outcome)
+            )
+        results[f"outcome/{tag}/naive_estimator"] = record(models.naive_estimator, data)
         for assume_er in (True, False):
             results[f"sweep/{tag}/assume_er={assume_er}"] = record(
                 lambda: [vars(row) for row in sk.sensitivity_sweep(data, grid, assume_er).rows]
