@@ -518,10 +518,11 @@ def sace_no_interaction(table):
     Control survivors are pure always survivors, so the between-level shift
     is read off the control arm; adding it to the treated-arm means moves
     every level to the reference level (the first in code order), where
-    the shifted means form one two-point mixture. It is solved at the
-    reference level and the first level separated from it, with the
-    exclusion route's drop, pure and singular policy. The per-cell contrast
-    is then constant across levels within a covariate group.
+    the shifted means form one two-point mixture. It is solved from every
+    usable level, through :func:`gmm_overidentified` when there are three or
+    more, with the exclusion route's drop, pure and singular policy. The
+    per-cell contrast is then constant across levels within a covariate
+    group, and no choice of the reference level changes it.
     """
     sample = table.mode == "sample"
 
@@ -536,9 +537,6 @@ def sace_no_interaction(table):
             for a, (mean, w, count) in treated.items()
             if a in control
         ]
-        separated = [e for e in entries if abs(e[1] - entries[0][1]) >= SEPARATION_EPS]
-        if separated:
-            entries = [entries[0], separated[0]]
         mu = _solve_mixture_levels(entries, sample, f"group {_cell_label(xkey)}")
         if mu is None:
             return {}

@@ -371,7 +371,9 @@ def fit_survival_sm(data, init=None, weights=None):
         # each arm's design is built from its own rows; no design of all units is held
         rows = np.flatnonzero(z == arm)
         v = survival_design(data.x.take(rows, axis=0), data.a[rows])
-        return fit_logistic(v, s[rows], init=start, weights=_weights_at(weights, rows))
+        s_arm, w = s[rows], _weights_at(weights, rows)
+        del rows  # freed before the fit
+        return fit_logistic(v, s_arm, init=start, weights=w)
 
     opt1, opt0 = arm_fit(1, init1), arm_fit(0, init0)
     return SurvivalParamsSM(

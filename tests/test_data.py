@@ -64,6 +64,22 @@ def test_from_arrays_rejects_bad_inputs():
         Dataset.from_arrays(z, x, [0, 0], [1, 0], np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize(
+    "x, a, y_packed, names, message",
+    [
+        ([1.0, 2.0], [0, 0], [1.0, 2.0], (), r"covariate array must be \(n, d\)"),
+        ([[1.0], [2.0]], [0], [1.0, 2.0], ("x1",), "z, a, s must all have length n"),
+        ([[1.0], [2.0]], [0, 0], [1.0], ("x1",),
+         "outcome store length must equal the survivor count"),
+        ([[1.0], [2.0]], [0, 0], [1.0, 2.0], (),
+         "covariate_names must match the covariate columns"),
+    ],
+)
+def test_dataset_constructor_checks_shapes(x, a, y_packed, names, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        Dataset([1, 0], x, a, [1, 1], y_packed, names)
+
+
 @pytest.mark.parametrize("y", [[1.0, np.nan, 2.0], [1.0], [[1.0, np.nan]]])
 def test_from_arrays_rejects_an_outcome_of_the_wrong_length(y):
     # y must line up with s: one entry per unit, NaN where s == 0

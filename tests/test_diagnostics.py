@@ -16,7 +16,12 @@ from sacekit.diagnostics import (
     quantile_binner,
     run_diagnostics,
 )
-from sacekit.identify import CellStats, CellTable, gmm_overidentified
+from sacekit.identify import (
+    CellStats,
+    CellTable,
+    gmm_overidentified,
+    strata_probs_stochastic,
+)
 from sacekit.numerics import rng_stream
 from sacekit.simulate import SimulationSetting, gen_dataset
 
@@ -174,6 +179,68 @@ def test_mean_structure_cells_pin_every_group_outcome():
     ]
     assert out == {"status": "pass", "cells": expected}
     assert [list(c) for c in out["cells"]] == [list(c) for c in expected]
+
+
+def two_group_table():
+    """Three levels; group x=0 uses all three, x=1 lacks a control mean at level 2."""
+    p1s, p0s = (0.8, 0.7, 0.9), (0.2, 0.45, 0.6)
+    m1s, m0s = (1.0, 1.5, 1.7), (0.5, 0.9, 0.4)
+    cells = {}
+    for a, (p1, p0, m1, m0) in enumerate(zip(p1s, p0s, m1s, m0s)):
+        cells[((0.0,), a)] = sample_cell(200, p1, p0, 100, 120, m1, m0)
+        cells[((1.0,), a)] = sample_cell(200, p1, p0, 100, 120, m1, m0 if a < 2 else None)
+    return CellTable(cells, mode="sample")
+
+
+@pytest.mark.parametrize("which", ["control", "contrast"])
+def test_control_and_contrast_cells_match_a_hand_gmm(which):
+    rho = 0.3
+    table = two_group_table()
+    entries = []
+    for a in (0, 1, 2):
+        c = table.cells[((0.0,), a)]
+        p1, p0 = c.p_surv_treated, c.p_surv_control
+        if which == "control":
+            always = strata_probs_stochastic(p1, p0, rho)[0]
+            entries.append((c.mean_control, always / p0, c.n_surv_control))
+        else:
+            # the harmonic count of the two arms' survivors
+            count = 1.0 / (1.0 / c.n_surv_treated + 1.0 / c.n_surv_control)
+            entries.append((c.mean_treated - c.mean_control, p0 / p1, count))
+    _, _, j_stat, df = gmm_overidentified(*zip(*entries))
+    critical = float(chi2.ppf(J_LEVEL, df))
+    expected = [
+        {
+            "x": [0.0],
+            "levels": 3,
+            "j_stat": j_stat,
+            "df": 1,
+            "critical": critical,
+            "status": "fail" if j_stat > critical else "pass",
+        },
+        {"x": [1.0], "status": "vacuous", "levels": 2},
+    ]
+    cells = _mean_structure(table, which, rho)["cells"]
+    assert cells == expected
+    assert [list(c) for c in cells] == [list(c) for c in expected]
+
+
+def test_control_and_contrast_screens_note_what_they_did_not_test():
+    # the status of these returns is left unpinned: they tested nothing
+    table = two_group_table()
+    out = _mean_structure(table, "control")
+    assert out["cells"] == []
+    assert out["note"] == (
+        "vacuous without a sensitivity level: the control-arm mixing weights need rho"
+    )
+    # without group x=0, no group has three usable levels
+    only_x1 = CellTable(
+        {key: c for key, c in table.cells.items() if key[0] == (1.0,)}, mode="sample"
+    )
+    for which in ("control", "contrast"):
+        out = _mean_structure(only_x1, which, 0.3)
+        assert out["cells"] == [{"x": [1.0], "status": "vacuous", "levels": 2}]
+        assert out["note"] == "no covariate group offered 3+ usable levels; nothing to test"
 
 
 @pytest.mark.parametrize("level", [0.95, J_LEVEL])

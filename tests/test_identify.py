@@ -145,6 +145,75 @@ def test_shifted_table_needs_the_additive_route(hand_shifted_table):
     assert abs(wrong - 1.0) > 0.01
 
 
+def test_no_interaction_route_recovers_the_contrast_from_four_shifted_levels():
+    # every outcome mean at level a moves by shifts[a], in both arms and
+    # strata, so the contrast holds at every level and every level is usable
+    for rep in range(10):
+        rng = rng_stream(105, rep)
+        masses = rng.dirichlet(np.full(8, 5.0))
+        cells, num, den = {}, 0.0, 0.0
+        for gx in range(2):
+            mu1_always = rng.normal(scale=2.0)
+            mu1_protected = mu1_always + rng.choice((-1, 1)) * rng.uniform(0.8, 3.0)
+            mu0_always = rng.normal(scale=2.0)
+            ratios = rng.permutation([0.2, 0.4, 0.6, 0.85])
+            shifts = rng.normal(scale=1.5, size=4)
+            for a in range(4):
+                i = 4 * gx + a
+                p1 = rng.uniform(0.55, 0.95)
+                m1 = ratios[a] * mu1_always + (1 - ratios[a]) * mu1_protected + shifts[a]
+                cells[((float(gx),), a)] = population_cell(
+                    masses[i], p1, ratios[a] * p1, m1, mu0_always + shifts[a]
+                )
+                num += masses[i] * ratios[a] * p1 * (mu1_always - mu0_always)
+                den += masses[i] * ratios[a] * p1
+        table = CellTable(cells, mode="population", covariate_names=("g",))
+        assert_allclose(sace_no_interaction(table), num / den, rtol=1e-10)
+
+
+def shifted_levels_dataset(k, n, seed, codes):
+    """``k``-level sample whose outcomes shift with the level, coded ``codes[level]``.
+
+    The always-survivor share grows with the level, so every level is
+    usable and the levels are well separated.
+    """
+    rng = rng_stream(seed)
+    z = rng.integers(0, 2, size=n)
+    x = rng.normal(size=(n, 1))
+    level = rng.integers(0, k, size=n)
+    always = 0.3 + 0.4 * level / (k - 1) + 0.1 * (x[:, 0] > 0)
+    u = rng.uniform(size=n)
+    stratum = np.where(u < always, 1, np.where(u < always + 0.3, 2, 0))
+    s = (stratum == 1) | ((stratum == 2) & (z == 1))
+    y = 1.0 + z + 2.0 * (stratum == 1) + 0.3 * level + 0.5 * x[:, 0] + rng.normal(size=n)
+    y[~s] = np.nan
+    return Dataset.from_arrays(z, x, np.asarray(codes)[level], s.astype(int), y)
+
+
+@pytest.mark.parametrize("k, n, seed", [(3, 3000, 12), (4, 5000, 14)])
+@pytest.mark.parametrize("binned", [False, True])
+def test_relabeling_the_levels_changes_no_route(k, n, seed, binned):
+    # the no-interaction reference level is the first code, so a relabeling
+    # that moves it must leave the contrast unchanged too
+    def table(codes):
+        data = shifted_levels_dataset(k, n, seed, codes)
+        if binned:
+            return CellTable.from_dataset(data, x_transform=quantile_binner(data.x, 2))
+        return CellTable.from_dataset(data, use_x=False)
+
+    routes = {
+        "exclusion": sace_monotone_exclusion,
+        "no-interaction": sace_no_interaction,
+        "stochastic": lambda t: sace_stochastic_monotone(t, 0.5),
+    }
+    levels = list(range(k))
+    base = table(levels)
+    for codes in (levels[::-1], levels[1:] + levels[:1]):
+        relabeled = table(codes)
+        for name, route in routes.items():
+            assert_allclose(route(relabeled), route(base), rtol=1e-12, err_msg=name)
+
+
 def test_random_monotone_tables_enumerated_truth(random_monotone_table):
     for rep in range(25):
         rng = rng_stream(101, rep)
@@ -270,6 +339,28 @@ def test_cell_table_validation():
             },
             mode="population",
         )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: CellTable.from_dataset(
+                Dataset.from_arrays([], np.zeros((0, 1)), [], [], [])
+            ),
+            DataError,
+            "cannot tabulate an empty dataset",
+        ),
+        (
+            lambda: gmm_overidentified([1.0, 2.0, 3.0], [0.2, 0.5], [10, 10, 10]),
+            ValueError,
+            "means, mix_weights, counts must be equal-length vectors",
+        ),
+    ],
+)
+def test_identify_errors(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_from_dataset_counts(exact_count_dataset):

@@ -22,6 +22,7 @@ from sacekit.models import (
     _replicate,
     _resample,
     bootstrap,
+    dgyz_estimator,
     estimate_sace,
     fit_ni,
     fit_outcome_er,
@@ -346,6 +347,33 @@ def test_method_and_rho_validation():
     for weights in (np.ones(len(data) - 1), np.zeros(len(data)), np.full(len(data), 1.5)):
         with pytest.raises(ValueError, match="weights must be integers"):
             estimate_sace(data, "naive", weights=weights)
+
+
+def units(z, a, s):
+    """A one-covariate dataset of the given units; survivor i has outcome i."""
+    s = np.asarray(s)
+    y = np.where(s == 1, np.arange(s.size, dtype=float), np.nan)
+    return Dataset.from_arrays(z, np.zeros((s.size, 1)), a, s, y)
+
+
+@pytest.mark.parametrize(
+    "call, z, a, s, message",
+    [
+        (fit_survival_er, [1, 1, 1], [0, 1, 0], [1, 0, 1],
+         "both treatment arms are required to fit survival"),
+        (fit_survival_sm, [0, 0, 0], [0, 1, 0], [1, 0, 1],
+         "both treatment arms are required to fit survival"),
+        (dgyz_estimator, [1, 0, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1],
+         "no units in an arm at substitution level 1"),
+        (dgyz_estimator, [1, 0, 1, 0], [0, 0, 1, 1], [0, 1, 1, 1],
+         "no treated survivors at substitution level 0"),
+        (dgyz_estimator, [1, 0, 1, 0], [0, 0, 1, 1], [1, 0, 1, 0],
+         "no control-arm survivors"),
+    ],
+)
+def test_model_errors(call, z, a, s, message):
+    with pytest.raises(EstimationError, match=f"^{message}$"):
+        call(units(z, a, s))
 
 
 def test_fit_sm_interior_and_endpoint_rho():
@@ -735,6 +763,25 @@ def test_sensitivity_sweep_failing_point_matches_point_fit(assume_er):
     notes = _sweep_matches_point_fits(data, survival, [0.0, 0.5, 1.0], assume_er)
     assert notes[0.0] is None
     assert notes[0.5] is not None
+
+
+@pytest.mark.parametrize("assume_er", [True, False])
+def test_sweep_and_fit_sm_fit_the_arm_wise_survival_by_default(assume_er):
+    data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=1, seed=61))
+    survival = fit_survival_sm(data)
+    grid = [0.0, 0.5, 1.0]
+    own = sensitivity_sweep(data, grid, assume_er)
+    given = sensitivity_sweep(data, grid, assume_er, survival=survival)
+    assert repr(own.rows) == repr(given.rows)
+    fit = fit_sm(data, 0.5, assume_er)
+    ref = fit_sm(data, 0.5, assume_er, survival=survival)
+    assert fit.survival.params.tolist() == survival.params.tolist()
+    assert (fit.effect, fit.always_mass, fit.harmed_mass, fit.warnings) == (
+        ref.effect, ref.always_mass, ref.harmed_mass, ref.warnings
+    )
+    for block, names in ref.outcome.names.items():
+        assert fit.outcome.names[block] == names
+        assert getattr(fit.outcome, block).tolist() == getattr(ref.outcome, block).tolist()
 
 
 @pytest.mark.parametrize("assume_er", [True, False])

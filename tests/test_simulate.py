@@ -11,6 +11,8 @@ from sacekit.data import Dataset
 from sacekit.models import dgyz_estimator, naive_estimator
 from sacekit.numerics import rng_stream
 from sacekit.simulate import (
+    BenchCell,
+    BenchReport,
     SimulationSetting,
     gen_dataset,
     run_benchmark,
@@ -214,6 +216,17 @@ def test_format_table_uses_times_hundred_convention():
     assert "100 x bias" in text.splitlines()[0]
     cell = rep.cell(300, 0, 0, False, "naive")
     assert f"{100 * cell.mean_bias:.1f}" in text
+
+
+def test_format_table_marks_failed_replicates():
+    failed = dict.fromkeys(("estimation_error", "non_finite", "not_converged"), 0)
+    cells = [
+        BenchCell(200, 0, 0, False, "naive", 0, 3, float("nan"), float("nan"), failed),
+        BenchCell(200, 0, 0, False, "prop-er", 2, 1, 0.0123, 0.0045, failed),
+    ]
+    report = BenchReport(cells, reps=3, seed=0, methods=("naive", "prop-er"))
+    row = report.format_table().splitlines()[2]
+    assert row.split() == ["0", "0", "n", "200", "all-failed[3f]", "1.2(0.45)[1f]"]
 
 
 # gen_dataset's tracemalloc peak over what it returns (the dataset and the
