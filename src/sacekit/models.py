@@ -463,7 +463,7 @@ def _survivor_fit(what, data, rows, tail, weights=None, factor=False):
     error = None
     if n < p:
         error = f"{what}: {n} survivors, fewer than the {p} outcome coefficients"
-    elif any(design[rows, j].size == 0 for j, rows in shares.items()):
+    elif any(design[screen, j].size == 0 for j, screen in shares.items()):
         error = f"{what}: survivors are required in both arms"
     fixed = [j for j in range(p) if j not in shares]
     solver = FixedBlockOLS(design, fixed, ys, weights) if factor and not error else None
