@@ -262,6 +262,9 @@ def parse_rho_grid(spec):
 
 def cmd_simulate(args):
     started = time.monotonic()
+    # a file without data rows is one load_dataset rejects
+    if args.n < 1:
+        raise UsageError("--n must be at least 1")
     setting = _usage(
         SimulationSetting, args.n, args.delta1, args.delta2, args.er_violation, args.seed
     )

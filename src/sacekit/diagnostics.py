@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .identify import (
     SEPARATION_EPS,
@@ -48,7 +47,13 @@ J_LEVEL = 0.99
 def _chi2_quantile(level, df):
     """The ``level`` quantile of the chi-square law with ``df`` degrees of
     freedom: the formula ``scipy.stats.chi2.ppf`` evaluates, without
-    importing scipy.stats."""
+    importing scipy.stats.
+
+    ``scipy.special`` is imported here, on the first call, so a process
+    that computes no quantile never loads it.
+    """
+    from scipy.special import gammaincinv
+
     return 2.0 * gammaincinv(df / 2, level)
 
 

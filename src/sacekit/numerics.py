@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-from scipy.linalg import lapack
 
 from .errors import CollinearityError
 
@@ -97,6 +94,8 @@ def fit_ols(design, response, column_names=None, weights=None):
     then un-pivoted. The routines are called directly, without
     scipy.linalg's per-call checks, so the finiteness check is made here.
     """
+    from scipy.linalg import lapack
+
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
     if design.ndim != 2 or design.shape[0] != response.shape[0]:
@@ -146,6 +145,8 @@ def _solve_upper(r, b):
     and lower triangular, so the bits are the same as its. ``r`` must
     clear the rank tolerance: singularity is not checked here.
     """
+    from scipy.linalg import lapack
+
     return lapack.dtrtrs(r.T, b, lower=1, trans=1)[0]
 
 
@@ -184,6 +185,8 @@ class FixedBlockOLS:
     """
 
     def __init__(self, design, fixed, response, weights=None):
+        from scipy.linalg import lapack
+
         response = np.asarray(response, dtype=float)
         n, q = design.shape[0], len(fixed)
         self.n = n if weights is None else int(np.sum(weights))
@@ -192,12 +195,22 @@ class FixedBlockOLS:
         self.basis = None
         # one copy of F, factored in place
         f = np.asfortranarray(design[:, fixed], dtype=float)
-        if self.n < q or not (np.all(np.isfinite(f)) and np.all(np.isfinite(response))):
+        # fewer rows than columns leave F rank deficient whatever the
+        # weights, so only a tall F is factored: scipy's wide branch is
+        # never taken
+        if min(n, self.n) < q or not (np.all(np.isfinite(f)) and np.all(np.isfinite(response))):
             return
         if self.root is not None:
             f *= self.root[:, None]
             response = response * self.root
-        basis, r = scipy.linalg.qr(f, mode="economic", overwrite_a=True, check_finite=False)
+        # the LAPACK calls of scipy.linalg.qr(f, mode="economic",
+        # overwrite_a=True, check_finite=False), workspace queries included,
+        # so the bits are its
+        lwork = int(lapack.dgeqrf(f, lwork=-1, overwrite_a=1)[2][0])
+        qr, tau = lapack.dgeqrf(f, lwork=lwork, overwrite_a=1)[:2]
+        r = np.triu(qr[:q])
+        lwork = int(lapack.dorgqr(qr, tau, lwork=-1, overwrite_a=1)[1][0])
+        basis = lapack.dorgqr(qr, tau, lwork=lwork, overwrite_a=1)[0]
         if not _clears_rank_tol(r, self.n):
             return
         self.basis, self.r = basis, r
@@ -209,10 +222,13 @@ class FixedBlockOLS:
 
         None when F or the assembled factor does not clear the rank
         tolerance of :func:`fit_ols` by :data:`RANK_MARGIN`, when the
-        varying columns are not finite, or when there are fewer (weighted)
-        rows than coefficients; :func:`fit_ols` on the full design then
-        gives the coefficients or raises its exact error.
+        varying columns are not finite, when there are fewer (weighted)
+        rows than coefficients, or when F has fewer rows than columns;
+        :func:`fit_ols` on the full design then gives the coefficients or
+        raises its exact error.
         """
+        from scipy.linalg import blas
+
         q, k = self.q, len(varying)
         if self.basis is None or self.n < q + k:
             return None
@@ -232,7 +248,7 @@ class FixedBlockOLS:
         for _ in range(2):
             c = s @ self.basis
             # s -= c @ basis.T in one BLAS call, in place (s.T is Fortran-ordered)
-            s = scipy.linalg.blas.dgemm(
+            s = blas.dgemm(
                 -1.0, self.basis, c, 1.0, s.T, trans_b=True, overwrite_c=True
             ).T
             r[:q, q:] += c.T
@@ -296,6 +312,8 @@ def _ascent_direction(g, h):
     ``dpotrf`` and ``dpotrs``, called as scipy.linalg's ``cho_factor`` and
     ``cho_solve`` call them, so the bits are theirs.
     """
+    from scipy.linalg import lapack
+
     neg = np.negative(h)
     if not np.all(np.isfinite(neg)):
         return None

@@ -81,6 +81,11 @@ def test_simulate_usage_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "usage error" in err
+    out = tmp_path / "empty.csv"
+    code, stdout, err = run_cli(capsys, "simulate", "--n", "0", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "usage error: --n must be at least 1" in err
+    assert not out.exists()
 
 
 def test_fit_point_estimate_fields(tmp_path, capsys):

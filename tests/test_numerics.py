@@ -145,6 +145,13 @@ def test_fixed_block_ols_leaves_doubtful_fits_to_fit_ols():
     assert numerics.FixedBlockOLS(doubled, [0, 1, 2, 4], response).solve(doubled, [3]) is None
     solver = numerics.FixedBlockOLS(design, [0, 1, 2], response)
     assert solver.solve(design, [3]) is not None
+    # fewer rows than fixed columns, though enough weighted rows: F is rank
+    # deficient, and fit_ols raises
+    weights = np.array([3.0, 4.0])
+    wide = numerics.FixedBlockOLS(design[:2], [0, 1, 2], response[:2], weights)
+    assert wide.solve(design[:2], []) is None and wide.solve(design[:2], [3]) is None
+    with pytest.raises(CollinearityError):
+        fit_ols(design[:2], response[:2], weights=weights)
     # a non-finite varying column
     design[7, 3] = np.nan
     assert solver.solve(design, [3]) is None
@@ -196,6 +203,29 @@ def test_fit_ols_shape_checks():
     with pytest.raises(ValueError):
         fit_ols(np.eye(3), np.array([1.0, np.nan, 0.0]))
     assert fit_ols(np.ones((4, 0)), np.ones(4)).shape == (0,)
+
+
+def test_fixed_block_ols_factor_is_scipys_qr_bit_for_bit():
+    rng = rng_stream(19)
+    compared = 0
+    for i in range(240):
+        q = int(rng.integers(1, 7))
+        n = int(np.exp(rng.uniform(np.log(8), np.log(5_000))))
+        design = rng.normal(size=(n, q + 1)) * np.exp(rng.normal(size=q + 1))
+        fixed = [int(j) for j in rng.permutation(q + 1)[:q]]
+        weights = rng.integers(1, 5, size=n).astype(float) if i % 3 == 0 else None
+        solver = numerics.FixedBlockOLS(design, fixed, rng.normal(size=n), weights)
+        f = design[:, fixed]
+        if weights is not None:
+            f = f * np.sqrt(weights)[:, None]
+        basis, r = scipy.linalg.qr(f, mode="economic")
+        if solver.basis is None:
+            assert not numerics._clears_rank_tol(r, solver.n), (i, n, q)
+            continue
+        assert solver.basis.tobytes() == basis.tobytes(), (i, n, q)
+        assert solver.r.tobytes() == r.tobytes(), (i, n, q)
+        compared += 1
+    assert compared > 200
 
 
 def _scipy_fit_ols(design, response, weights=None):
