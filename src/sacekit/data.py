@@ -77,10 +77,11 @@ class Dataset:
     def from_arrays(cls, z, x, a, s, y, covariate_names=None):
         """Build a dataset from full-length arrays.
 
-        ``z`` and ``s`` must be 0 or 1, ``a`` must hold non-negative integer
-        level codes below 2**63, and ``y`` must have one entry per unit, NaN
-        at every truncated unit (``s == 0``) and finite at every survivor;
-        anything else is a :class:`DataError`.
+        ``z`` and ``s`` must be 0 or 1, ``x`` must be finite, ``a`` must hold
+        non-negative integer level codes below 2**63 in a numeric array, and
+        ``y`` must have one entry per unit, NaN at every truncated unit
+        (``s == 0``) and finite at every survivor; anything else is a
+        :class:`DataError`.
         """
         z = np.asarray(z)
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -94,7 +95,10 @@ class Dataset:
             raise DataError("z must be 0 or 1")
         if not np.all((s == 0) | (s == 1)):
             raise DataError("s must be 0 or 1")
-        if np.any(a != np.floor(a)) or np.any(np.asarray(a, dtype=float) < 0):
+        if not np.all(np.isfinite(x)):
+            raise DataError("covariates must be finite")
+        # np.floor has no loop for str or object codes
+        if a.dtype.kind not in "biuf" or np.any(a != np.floor(a)) or np.any(a < 0):
             raise DataError("a must hold non-negative integer level codes")
         # the int64 codes of Dataset must not wrap around; integer codes are
         # compared as integers, since 2**63 - 1 rounds to 2**63 as a float

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EstimationError, MonotonicityError, RelevanceError
+from .numerics import fit_ols
 
 # Weight separation below this is treated as exactly singular.
 SEPARATION_EPS = 1e-8
@@ -317,8 +318,9 @@ def gmm_overidentified(means, mix_weights, counts):
         mu1, mu2 = solve_two_point_mixture(ys[0], ys[1], ws[0], ws[1])
         return mu1, mu2, 0.0, 0
     design = np.column_stack([ws, 1.0 - ws])
+    # rows scaled by sqrt(count): population masses are not frequency weights
     sw = np.sqrt(cs)
-    coef, _, _, _ = np.linalg.lstsq(design * sw[:, None], ys * sw, rcond=None)
+    coef = fit_ols(design * sw[:, None], ys * sw, ("mu_first", "mu_second"))
     resid = ys - design @ coef
     j_stat = float(np.sum(cs * resid**2))
     return float(coef[0]), float(coef[1]), j_stat, k - 2

@@ -193,48 +193,23 @@ class SurvivalParamsSM:
         return self.opt_treated.boundary_flag or self.opt_control.boundary_flag
 
 
-def joint_survival_objective(
-    design_treated, s_treated, design_control, s_control, w_treated=None, w_control=None
-):
-    """Log-likelihood triple for the joint survival model.
+def _joint_objective(design, treated, lived, dead, s_treated, weights=None):
+    """Log-likelihood triple of the joint survival model on picked rows of ``design``.
 
     The parameter vector stacks the treated-survival coefficients ``b`` and
-    the ratio coefficients ``g``. Treated-arm units contribute ordinary
-    Bernoulli terms in the treated probability; control-arm units contribute
+    the ratio coefficients ``g``. Treated units contribute ordinary
+    Bernoulli terms in the treated probability; control units contribute
     Bernoulli terms in the product ``q`` of the two logistic surfaces.
     Gradient and Hessian are analytic.
 
-    ``w_treated`` and ``w_control`` are integer frequency weights, one per
-    row of each arm, given together or not at all; each row's terms are
-    multiplied by its weight. Without them every row counts once.
-    """
-    v1 = np.asarray(design_treated, dtype=float)
-    s0 = np.asarray(s_control, dtype=float)
-    n1 = v1.shape[0]
-    lived = s0 == 1
-    weights = None
-    if w_treated is not None:
-        weights = np.concatenate([w_treated, w_control])
-    objective, _ = _joint_objective(
-        np.concatenate([v1, np.asarray(design_control, dtype=float)]),
-        np.arange(n1),
-        n1 + np.flatnonzero(lived),
-        n1 + np.flatnonzero(~lived),
-        s_treated,
-        weights,
-    )
-    return objective
-
-
-def _joint_objective(design, treated, lived, dead, s_treated, weights=None):
-    """:func:`joint_survival_objective` of the rows of ``design`` that three index arrays pick.
-
-    ``treated``, ``lived`` and ``dead`` index the treated units, the control
-    survivors and the control deaths, each ascending; ``s_treated`` is the
-    survival of the treated rows and ``weights``, if given, holds one
-    integer frequency weight per row of ``design``. Returns the objective
-    and the (p, n) array of the rows it reads, one column per picked row in
-    the order treated, lived, dead; the caller need not keep ``design``.
+    ``treated``, ``lived`` and ``dead`` index the rows of ``design`` of the
+    treated units, the control survivors and the control deaths, each
+    ascending; ``s_treated`` is the survival of the treated rows and
+    ``weights``, if given, holds one integer frequency weight per row of
+    ``design``, by which each row's terms are multiplied. Returns the
+    objective and the (p, n) array of the rows it reads, one column per
+    picked row in the order treated, lived, dead; the caller need not keep
+    ``design``.
 
     A control survivor's log q is the sum of two logistic log-successes, one
     in ``b`` and one in ``g``, so the rows are gathered once, in that order,

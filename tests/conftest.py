@@ -13,6 +13,15 @@ import pytest
 
 from sacekit.data import Dataset
 from sacekit.identify import CellStats, CellTable, strata_probs_stochastic
+from sacekit.models import _joint_objective
+
+
+def joint_objective(design, z, s, weights=None):
+    """The joint survival objective of ``fit_survival_er`` on the rows of ``design``."""
+    treated = np.flatnonzero(z == 1)
+    lived = np.flatnonzero((z == 0) & (s == 1))
+    dead = np.flatnonzero((z == 0) & (s != 1))
+    return _joint_objective(design, treated, lived, dead, s[treated], weights)[0]
 
 
 def population_cell(mass, p1, p0, m1, m0):

@@ -26,14 +26,13 @@ from sacekit.models import (
     estimate_sace,
     fit_survival_er,
     fit_survival_sm,
-    joint_survival_objective,
     sensitivity_sweep,
     survival_design,
 )
 from sacekit.numerics import bernoulli_objective, check_gradient, rng_stream
 from sacekit.simulate import SimulationSetting, gen_dataset, run_benchmark
 
-from conftest import population_cell
+from conftest import joint_objective, population_cell
 
 TRUE_EFFECT = 1.0
 
@@ -210,7 +209,7 @@ def test_criterion_4_gradients_match_finite_differences(capsys):
     data, _ = gen_dataset(SimulationSetting(n=400, delta1=1, delta2=1, seed=444))
     v = survival_design(data.x, data.a)
     z, s = data.z, data.s
-    joint = joint_survival_objective(v[z == 1], s[z == 1], v[z == 0], s[z == 0])
+    joint = joint_objective(v, z, s)
     arm1, _ = bernoulli_objective(v[z == 1], s[z == 1])
     arm0, _ = bernoulli_objective(v[z == 0], s[z == 0])
     rng = rng_stream(445)

@@ -399,6 +399,23 @@ def test_bench_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--settings", "a,0"), "bad settings entry 'a,0'"),
+        (("--settings", " ; "), "no settings parsed"),
+        (("--settings", "0,0", "--sizes", "50,x"), "bad --sizes '50,x'"),
+        (("--settings", "0,0", "--sizes", "50,0"), "--sizes must be positive integers"),
+        (("--settings", "0,0", "--sizes", ","), "--sizes must be positive integers"),
+    ],
+)
+def test_bench_rejects_bad_sizes_and_settings(tmp_path, capsys, argv, message):
+    out = tmp_path / "bench.json"
+    code, _, err = run_cli(capsys, "bench", *argv, "--reps", "1", "--out", str(out))
+    assert code == 2 and message in err
+    assert not out.exists()
+
+
 def test_config_file_round(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(

@@ -64,6 +64,24 @@ def test_from_arrays_rejects_bad_inputs():
         Dataset.from_arrays(z, x, [0, 0], [1, 0], np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_arrays_rejects_non_finite_covariates(bad):
+    # load_dataset refuses such a covariate, so save_dataset could not
+    # write a file that loads
+    x = np.zeros((2, 2))
+    x[1, 1] = bad
+    with pytest.raises(DataError, match="^covariates must be finite$"):
+        Dataset.from_arrays([1, 0], x, [0, 1], [1, 0], [1.0, np.nan])
+
+
+@pytest.mark.parametrize(
+    "a", [np.array(["0", "1"]), np.array([0, 1], dtype=object), np.array([0j, 1j])]
+)
+def test_from_arrays_rejects_level_codes_that_are_not_real_numbers(a):
+    with pytest.raises(DataError, match="^a must hold non-negative integer level codes$"):
+        Dataset.from_arrays([1, 0], np.zeros((2, 1)), a, [1, 0], [1.0, np.nan])
+
+
 @pytest.mark.parametrize(
     "x, a, y_packed, names, message",
     [
@@ -267,6 +285,12 @@ def test_load_errors_carry_row_numbers(tmp_path):
 
     assert "empty file" in attempt("")
     assert "missing column 'y'" in attempt("z,s,a\n1,1,0\n")
+    p = tmp_path / "schema.csv"
+    p.write_text("z,s,y,a,age\n1,1,2.0,0,40\n")
+    with pytest.raises(DataError, match="missing covariate column 'bmi'$"):
+        load_dataset(p, Schema(covariates=("age", "bmi")))
+    # int() reads the Arabic-Indic digit one as 1; the loader takes ASCII only
+    assert "row 2: a must be an integer level code" in attempt("z,s,y,a\n1,1,2.0,\u0661\n")
     assert "no data rows" in attempt("z,s,y,a\n")
     assert "row 2: survivor without an outcome" in attempt("z,s,y,a\n1,1,,0\n")
     assert "row 3: bad outcome value" in attempt("z,s,y,a\n1,1,2.0,0\n1,1,oops,0\n")

@@ -75,6 +75,14 @@ def test_check_monotone_sample_pass_fail_and_noise():
     assert check_monotone(vacuous)["status"] == "vacuous"
 
 
+def test_check_monotone_fails_a_violation_without_sampling_variance():
+    # every treated unit died and every control unit survived
+    table = CellTable({((), 0): sample_cell(20, 0.0, 1.0, 10, 10)}, mode="sample")
+    out = check_monotone(table)
+    assert out["status"] == "fail"
+    assert out["cells"][0]["status"] == "fail" and out["cells"][0]["z"] == float("inf")
+
+
 def test_check_relevance_population_examples():
     # identical survival ratios at every level: affirmatively constant
     flat = CellTable(

@@ -114,6 +114,24 @@ def test_gmm_three_levels_consistent_and_misfit():
     assert j_off > 10.0
 
 
+@pytest.mark.parametrize("mode", ["population", "sample"])
+def test_gmm_three_plus_levels_is_the_weighted_least_squares_fit(mode):
+    # population masses sum to 1, so they must not be read as frequency
+    # weights: fewer than two "rows" would be a rank deficiency there
+    rng = rng_stream(96)
+    for _ in range(50):
+        k = int(rng.integers(3, 7))
+        ws, ys = rng.uniform(0.05, 1.0, size=k), rng.normal(size=k)
+        cs = rng.dirichlet(np.ones(k)) if mode == "population" else rng.integers(1, 500, size=k)
+        sw = np.sqrt(cs)
+        design = np.column_stack([ws, 1.0 - ws])
+        want = np.linalg.lstsq(design * sw[:, None], ys * sw, rcond=None)[0]
+        mu1, mu2, j, df = gmm_overidentified(ys, ws, cs)
+        assert_allclose([mu1, mu2], want, rtol=1e-12, atol=1e-12)
+        assert_allclose(j, np.sum(cs * (ys - design @ want) ** 2), rtol=1e-9)
+        assert df == k - 2
+
+
 def test_gmm_input_validation():
     with pytest.raises(ValueError):
         gmm_overidentified([1.0], [0.5], [10])

@@ -21,6 +21,7 @@ from sacekit.models import (
     SurvivalParamsSM,
     _replicate,
     _resample,
+    _weights_at,
     bootstrap,
     dgyz_estimator,
     estimate_sace,
@@ -29,7 +30,6 @@ from sacekit.models import (
     fit_sm,
     fit_survival_er,
     fit_survival_sm,
-    joint_survival_objective,
     method_rhos,
     sensitivity_sweep,
     survival_design,
@@ -43,6 +43,8 @@ from sacekit.numerics import (
     rng_stream,
 )
 from sacekit.simulate import SimulationSetting, gen_dataset
+
+from conftest import joint_objective
 
 TRUE_U = np.array([0.5, 0.5, 0.5])
 
@@ -79,7 +81,7 @@ def test_joint_objective_gradient_is_analytic():
     data, _ = gen_dataset(SimulationSetting(n=300, delta1=1, delta2=1, seed=7))
     v = survival_design(data.x, data.a)
     z, s = data.z, data.s
-    objective = joint_survival_objective(v[z == 1], s[z == 1], v[z == 0], s[z == 0])
+    objective = joint_objective(v, z, s)
     for _ in range(5):
         point = rng.uniform(-0.8, 0.8, size=2 * v.shape[1])
         assert check_gradient(objective, point) < 1e-6
@@ -140,9 +142,8 @@ def test_joint_objective_matches_the_reference_kernel():
     data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=1, seed=62))
     v = survival_design(data.x, data.a)
     z, s = data.z, data.s
-    arms = (v[z == 1], s[z == 1], v[z == 0], s[z == 0])
-    objective = joint_survival_objective(*arms)
-    reference = _reference_joint_objective(*arms)
+    objective = joint_objective(v, z, s)
+    reference = _reference_joint_objective(v[z == 1], s[z == 1], v[z == 0], s[z == 0])
     p = v.shape[1]
     # control deaths with q = expit(12)^2, within 1.3e-5 of 1
     edge = np.zeros(2 * p)
@@ -171,8 +172,9 @@ class _Captured(Exception):
 @pytest.mark.parametrize("control", ["mixed", "no deaths", "no survivors"])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_fit_survival_er_objective_is_joint_survival_objective(control, weighted, monkeypatch):
-    # fit_survival_er gathers its rows in one take, by index; the public
-    # objective stacks the two arms' rows; both must give the same bits
+    # fit_survival_er gathers its rows in one take, by index from the design
+    # of every unit; the objective built here from the two arms' rows
+    # stacked must give the same bits
     data, _ = gen_dataset(SimulationSetting(n=800, delta1=1, delta2=1, seed=64))
     rng = rng_stream(64)
     z, s = data.z, data.s.copy()
@@ -192,13 +194,10 @@ def test_fit_survival_er_objective_is_joint_survival_objective(control, weighted
     p = v.shape[1]
     with pytest.raises(_Captured):
         fit_survival_er(data, init=np.zeros(2 * p), weights=weights)
-    t, c = z == 1, z == 0
-    arms = (v[t], s[t], v[c], s[c])
-    if weighted:
-        arms += (weights[t], weights[c])
-    public = joint_survival_objective(*arms)
+    arms = np.concatenate([np.flatnonzero(z == 1), np.flatnonzero(z == 0)])
+    stacked = joint_objective(v[arms], z[arms], s[arms], _weights_at(weights, arms))
     for theta in (np.zeros(2 * p), rng.uniform(-0.8, 0.8, size=2 * p)):
-        for got, want in zip(captured[0](theta), public(theta)):
+        for got, want in zip(captured[0](theta), stacked(theta)):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
@@ -307,6 +306,21 @@ def test_prop_ni_point_is_the_pooled_z_coefficient():
     est = estimate_sace(data, "prop-ni", survival=survival)
     direct = fit_ni(data, survival)
     assert est.point == float(direct.pooled[-1])
+
+
+@pytest.mark.parametrize("arm", [0, 1])
+def test_no_interaction_fits_need_survivors_in_both_arms(arm):
+    data, _ = gen_dataset(SimulationSetting(n=400, delta1=1, delta2=1, seed=3))
+    s = np.where(data.z == arm, 0, data.s)
+    data = Dataset.from_arrays(data.z, data.x, data.a, s, np.where(s == 1, 1.0, np.nan))
+    with pytest.raises(EstimationError, match="^survivors are required in both arms$"):
+        estimate_sace(data, "prop-ni")
+    # the sweep decides it once, from the survivor rows, for every point
+    rows = sensitivity_sweep(data, [0.0, 0.5, 1.0], assume_er=False).rows
+    assert [row.message for row in rows] == [
+        "the pooled outcome fit: survivors are required in both arms"
+    ] * 3
+    assert all(np.isnan(row.effect) for row in rows)
 
 
 @pytest.mark.parametrize("method", ["prop-er", "prop-ni"])
@@ -504,7 +518,7 @@ def _indefinite_at(sample, theta):
     """Whether the joint survival Hessian of ``sample`` is indefinite at ``theta``."""
     v = survival_design(sample.x, sample.a)
     z, s = sample.z, sample.s
-    hess = joint_survival_objective(v[z == 1], s[z == 1], v[z == 0], s[z == 0])(theta)[2]
+    hess = joint_objective(v, z, s)(theta)[2]
     return bool(np.any(np.linalg.eigvalsh(hess) >= 0.0))
 
 
@@ -683,6 +697,23 @@ def test_bootstrap_replicates_start_from_a_converged_full_fit(monkeypatch):
     with pytest.raises(EstimationError, match="every bootstrap replicate failed"):
         bootstrap(saturated, "prop-er", n_boot=3, seed=1)
     assert inits == [None] * 4
+
+
+def test_bootstrap_notes_a_full_data_fit_that_did_not_converge():
+    # one unit far out in x1 has a fitted survival within BOUNDARY_EPS of 1:
+    # the full fit and every replicate that draws it are boundary-saturated,
+    # and the replicates without it converge
+    data, _ = gen_dataset(SimulationSetting(n=500, delta1=1, delta2=1, seed=8))
+    x = data.x.copy()
+    x[0, 0] = 20.0
+    y = np.full(len(data), np.nan)
+    y[data.s == 1] = data.outcomes_at(data.s == 1)
+    data = Dataset.from_arrays(data.z, x, data.a, data.s, y)
+    boot = bootstrap(data, "prop-er", n_boot=10, seed=1)
+    assert not boot.converged
+    assert boot.point == estimate_sace(data, "prop-er").point
+    assert boot.failed_by_reason["not_converged"] == boot.n_failed == 7
+    assert boot.warnings[-1] == "full-data survival fit did not converge"
 
 
 def test_sensitivity_sweep_grid_and_reuse():

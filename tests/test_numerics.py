@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from sacekit import numerics
 from sacekit.errors import CollinearityError
-from sacekit.models import joint_survival_objective, survival_design
+from sacekit.models import survival_design
 from sacekit.numerics import (
     bernoulli_objective,
     check_gradient,
@@ -18,6 +18,8 @@ from sacekit.numerics import (
     rng_stream,
 )
 from sacekit.simulate import SimulationSetting, gen_dataset
+
+from conftest import joint_objective
 
 
 def test_expit_known_values():
@@ -425,7 +427,7 @@ def _joint_case():
     data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=1, seed=15))
     v = survival_design(data.x, data.a)
     z, s = data.z, data.s
-    objective = joint_survival_objective(v[z == 1], s[z == 1], v[z == 0], s[z == 0])
+    objective = joint_objective(v, z, s)
     return objective, np.zeros(2 * v.shape[1])
 
 
@@ -445,6 +447,17 @@ def test_maximize_loglik_is_plain_newton_where_the_hessian_is_definite(case):
     assert np.array_equal(res.params, params)
     assert res.loglik == loglik
     assert res.iterations == iterations
+
+
+def test_maximize_loglik_rejects_a_start_where_the_objective_is_not_finite():
+    # both surfaces at expit(40) == 1.0: a control death has q = 1 and
+    # log(1 - q) = -inf
+    data, _ = gen_dataset(SimulationSetting(n=200, delta1=1, delta2=1, seed=15))
+    v = survival_design(data.x, data.a)
+    init = np.zeros(2 * v.shape[1])
+    init[0] = init[v.shape[1]] = 40.0
+    with pytest.raises(ValueError, match="^objective is not finite at the initial point$"):
+        maximize_loglik(joint_objective(v, data.z, data.s), init)
 
 
 def _scipy_ascent_direction(g, h):

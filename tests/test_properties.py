@@ -7,7 +7,10 @@ draws of seed, scale and shift: permuting rows moved no estimate by more
 than 4e-15 relative, and an affine rescaling of the covariates moved
 prop-er, prop-ni and naive by at most 8e-11. The cell routes see the
 substitution levels only through their order, so an order-preserving
-relabeling of the levels must leave them bit-identical.
+relabeling of the levels must leave them bit-identical. Rescaling the
+outcome to c*y + b must scale every estimate, bootstrap quantile and sweep
+effect by c, and the bootstrap standard error by |c|; on three-level and
+two-level data the largest deviation measured was 1.1e-12 relative.
 
 Without covariates and with a binary substitution variable every
 stage-one and stage-two model is saturated, so each parametric estimator
@@ -16,13 +19,16 @@ Measured on 20 n=3000 draws, the largest relative gap was 3.3e-11; the
 tests hold it to 1e-9.
 """
 
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sacekit
 from sacekit.data import Dataset
 from sacekit.errors import CollinearityError, EstimationError
 from sacekit.identify import (
@@ -43,9 +49,14 @@ from sacekit.models import (
     estimate_sace,
     fit_survival_er,
     naive_estimator,
+    sensitivity_sweep,
 )
 from sacekit.numerics import rng_stream
+from sacekit.diagnostics import run_diagnostics
 from sacekit.simulate import SimulationSetting, gen_dataset, run_benchmark
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from compare_outputs import levels_dataset  # noqa: E402
 
 RHO = 0.5
 
@@ -314,3 +325,93 @@ def test_prop_sm_ni_needs_covariates(rho):
     data = covariate_free(3, 3000)
     with pytest.raises(CollinearityError):
         estimate_sace(data, "prop-sm-ni", rho=rho)
+
+
+# y -> c*y + b; b cancels in every contrast
+OUTCOME_SCALES = [(-1.0, 2.5), (0.01, -4.0), (100.0, 0.75)]
+SCALE_TOL = 1e-10
+
+
+def rescale_outcomes(data, c, b):
+    y = c * full_outcomes(data) + b
+    return Dataset.from_arrays(data.z, data.x, data.a, data.s, y, data.covariate_names)
+
+
+def result_of(call, *args, **kwargs):
+    """``call``'s result, or its estimation error as text."""
+    try:
+        return call(*args, **kwargs)
+    except EstimationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def expected_estimate(est, c):
+    """``est.to_dict()`` as it must read once the outcomes are ``c*y + b``."""
+    if isinstance(est, str):
+        return est
+    out = est.to_dict()
+    out["point"] = c * est.point
+    if est.se is not None:
+        lo, hi = (est.q975, est.q025) if c < 0 else (est.q025, est.q975)
+        out.update(se=abs(c) * est.se, q025=c * lo, q50=c * est.q50, q975=c * hi)
+    return out
+
+
+def assert_close(got, want, rtol, where="result"):
+    """Equal structures: text, bools and ints exactly, floats within ``rtol`` relative."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            assert_close(got[key], want[key], rtol, f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close(g, w, rtol, f"{where}[{i}]")
+    elif isinstance(want, float) and not (np.isnan(want) and np.isnan(got)):
+        assert abs(got - want) <= rtol * max(abs(got), abs(want)), (where, got, want)
+    elif not isinstance(want, float):
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+@pytest.fixture(scope="module")
+def scale_sources(data):
+    # four-level data, whose J screens test something, and a two-level draw,
+    # whose survival fits converge so that every bootstrap replicate counts
+    return {"levels": levels_dataset(sacekit, 4, 5000, 914), "two levels": data}
+
+
+@pytest.mark.parametrize("c, b", OUTCOME_SCALES)
+@pytest.mark.parametrize("source", ["levels", "two levels"])
+def test_outcome_scale_scales_every_estimate(scale_sources, source, c, b):
+    # measured: 1.1e-12 relative at most (prop-er at c = 0.01)
+    data = scale_sources[source]
+    moved = rescale_outcomes(data, c, b)
+    for method in ALL_METHODS:
+        rho = rho_for(method)
+        for call, kwargs in ((estimate_sace, {}), (bootstrap, {"n_boot": 10, "seed": 5})):
+            want = expected_estimate(result_of(call, data, method, rho=rho, **kwargs), c)
+            got = result_of(call, moved, method, rho=rho, **kwargs)
+            got = got if isinstance(got, str) else got.to_dict()
+            assert_close(got, want, SCALE_TOL, f"{call.__name__}({method})")
+    for assume_er in (True, False):
+        rows = sensitivity_sweep(data, np.linspace(0.0, 1.0, 11), assume_er).rows
+        moved_rows = sensitivity_sweep(moved, np.linspace(0.0, 1.0, 11), assume_er).rows
+        for row, moved_row in zip(rows, moved_rows, strict=True):
+            assert moved_row.harmed_mass == row.harmed_mass
+            assert moved_row.message == row.message
+            assert_close(moved_row.effect, c * row.effect, SCALE_TOL, f"sweep at {row.rho}")
+    tables = [CellTable.from_dataset(d, use_x=False) for d in (data, moved)]
+    for got, want in zip(route_values(tables[1], RHO), route_values(tables[0], RHO)):
+        assert_close(got, c * want, SCALE_TOL, "route")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="J weights levels by survivor counts, so it grows with c**2 (ROADMAP item 1)",
+)
+def test_outcome_scale_changes_no_diagnostic(scale_sources):
+    data = scale_sources["levels"]
+    want = run_diagnostics(data, bins=2, rho=0.3).to_dict()
+    for c, b in OUTCOME_SCALES:
+        got = run_diagnostics(rescale_outcomes(data, c, b), bins=2, rho=0.3).to_dict()
+        assert_close(got, want, 1e-9, f"diagnostics at c={c}")
