@@ -1,11 +1,11 @@
 """Data containers and CSV input/output.
 
-A :class:`Dataset` holds one observational row per unit: treatment arm ``z``,
-covariates ``x``, substitution variable ``a`` (integer level codes), survival
-indicator ``s``, and the outcome ``y`` which exists only for survivors. The
-outcome store is survivor-packed: there is no filler value for truncated
-units, so their outcomes cannot leak into arithmetic. On disk a truncated
-outcome is an empty CSV field.
+A :class:`Dataset` holds one row per unit in five full-length columns: arm
+``z``, covariates ``x``, substitution variable ``a`` (integer level codes),
+survival ``s`` and outcome ``y``, which exists only for survivors and is NaN
+exactly where ``s == 0``. The outcome is read only through
+:meth:`Dataset.outcomes_at`, which refuses a truncated unit, so the NaN never
+reaches arithmetic. On disk a truncated outcome is an empty CSV field.
 """
 
 from __future__ import annotations
@@ -52,25 +52,23 @@ class Dataset:
     return read-only views.
     """
 
-    def __init__(self, z, x, a, s, y_packed, covariate_names):
+    def __init__(self, z, x, a, s, y, covariate_names):
         self._z = np.asarray(z, dtype=np.int64)
         self._x = np.asarray(x, dtype=float)
         self._a = np.asarray(a, dtype=np.int64)
         self._s = np.asarray(s, dtype=np.int64)
-        self._y = np.asarray(y_packed, dtype=float)
+        self._y = np.asarray(y, dtype=float)
         n = self._z.shape[0]
         if self._x.ndim != 2 or self._x.shape[0] != n:
             raise DataError("covariate array must be (n, d)")
         if self._a.shape != (n,) or self._s.shape != (n,):
             raise DataError("z, a, s must all have length n")
-        if int(self._s.sum()) != self._y.shape[0]:
-            raise DataError("outcome store length must equal the survivor count")
-        self._ypos = np.full(n, -1, dtype=np.int64)
-        self._ypos[np.flatnonzero(self._s == 1)] = np.arange(self._y.shape[0])
+        if self._y.shape != (n,):
+            raise DataError("y must have one entry per unit")
         self.covariate_names = tuple(covariate_names)
         if len(self.covariate_names) != self._x.shape[1]:
             raise DataError("covariate_names must match the covariate columns")
-        for arr in (self._z, self._x, self._a, self._s, self._y, self._ypos):
+        for arr in (self._z, self._x, self._a, self._s, self._y):
             arr.setflags(write=False)
 
     @classmethod
@@ -78,18 +76,20 @@ class Dataset:
         """Build a dataset from full-length arrays.
 
         ``z`` and ``s`` must be 0 or 1, ``x`` must be finite, ``a`` must hold
-        non-negative integer level codes below 2**63 in a numeric array, and
-        ``y`` must have one entry per unit, NaN at every truncated unit
-        (``s == 0``) and finite at every survivor; anything else is a
-        :class:`DataError`.
+        non-negative integer level codes below 2**63, ``y`` must have one
+        entry per unit, NaN at every truncated unit (``s == 0``) and finite at
+        every survivor, and ``x``, ``a`` and ``y`` must be bool, integer or
+        float arrays (strings are not parsed); anything else is a :class:`DataError`.
         """
         z = np.asarray(z)
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x))
         if x.shape[0] == 1 and z.shape[0] != 1:
             x = x.T
         a = np.asarray(a)
         s = np.asarray(s)
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y)
+        if x.dtype.kind not in "biuf" or y.dtype.kind not in "biuf":
+            raise DataError("covariates and outcomes must be real numbers")
         # v == 0 | v == 1 is np.isin(v, (0, 1)), str arrays included
         if not np.all((z == 0) | (z == 1)):
             raise DataError("z must be 0 or 1")
@@ -114,7 +114,7 @@ class Dataset:
             raise DataError("outcome present for a truncated unit")
         if covariate_names is None:
             covariate_names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
-        return cls(z, x, a, s, y.take(np.flatnonzero(surv)), covariate_names)
+        return cls(z, x, a, s, y, covariate_names)
 
     def __len__(self):
         return self._z.shape[0]
@@ -151,28 +151,19 @@ class Dataset:
         return mask
 
     def outcomes_at(self, mask):
-        """Outcomes for the selected units. Every selected unit must be a survivor."""
-        mask = np.asarray(mask)
-        if mask.dtype == bool:
-            idx = np.flatnonzero(mask)
-        else:
-            idx = np.asarray(mask, dtype=np.int64)
-        pos = self._ypos[idx]
-        if np.any(pos < 0):
+        """Outcomes of the selected rows, which must all be survivors.
+
+        ``mask`` is a boolean mask with one flag per row, or row indices.
+        """
+        if np.any(self._s[mask] != 1):
             raise DataError("requested the outcome of a truncated unit")
-        return self._y[pos]
+        return self._y[mask]
 
     def subset(self, indices):
         """New dataset of the given rows (duplicates allowed, e.g. resampling)."""
         idx = np.asarray(indices, dtype=np.int64)
-        s = self._s[idx]
-        y = np.full(idx.shape[0], np.nan)
-        # index arrays, not masks: numpy gathers and scatters by them faster
-        keep = np.flatnonzero(s == 1)
-        y[keep] = self._y[self._ypos[idx[keep]]]
-        return Dataset.from_arrays(
-            self._z[idx], self._x.take(idx, axis=0), self._a[idx], s, y, self.covariate_names
-        )
+        columns = (self._z, self._x, self._a, self._s, self._y)
+        return Dataset.from_arrays(*(v.take(idx, axis=0) for v in columns), self.covariate_names)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
@@ -183,7 +174,7 @@ class Dataset:
             and np.array_equal(self._x, other._x)
             and np.array_equal(self._a, other._a)
             and np.array_equal(self._s, other._s)
-            and np.array_equal(self._y, other._y)
+            and np.array_equal(self._y, other._y, equal_nan=True)
         )
 
 
@@ -282,8 +273,10 @@ def load_dataset(path, schema=None):
     z, s = (z == b"1").astype(np.int64), surv.astype(np.int64)
     x = np.ascontiguousarray(rows["x"])
     del rows
+    y = np.full(s.shape[0], np.nan)
+    y[surv] = y_surv
     # Every check of Dataset.from_arrays has passed above.
-    return Dataset(z, x, a, s, y_surv, layout.x_names)
+    return Dataset(z, x, a, s, y, layout.x_names)
 
 
 def _read_layout(path, schema):
@@ -302,10 +295,13 @@ def _read_layout(path, schema):
     if schema.covariates is None:
         x = [j for j in range(len(header)) if j not in text]
     else:
+        x = []
         for name in schema.covariates:
             if name not in header:
                 raise DataError(f"{path}: missing covariate column {name!r}")
-        x = [header.index(name) for name in schema.covariates]
+            if header.index(name) in text + tuple(x):
+                raise DataError(f"{path}: covariate column {name!r} is already in use")
+            x.append(header.index(name))
     return _Layout(len(header), text, x, [header[j] for j in x])
 
 

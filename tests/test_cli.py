@@ -192,6 +192,15 @@ def test_fit_malformed_covariate_deep_in_file_is_a_data_error(tmp_path, capsys):
     assert "row 50002" in err and "x1 must be numeric, got 'oops'" in err
 
 
+def test_fit_with_a_covariate_read_twice_is_a_data_error(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=200)
+    for covariates, name in (("x1,x1", "x1"), ("a,x2", "a"), ("z", "z")):
+        code, _, err = run_cli(
+            capsys, "fit", "--data", str(data), "--method", "prop-er", "--covariates", covariates
+        )
+        assert code == 3 and f"covariate column '{name}' is already in use" in err
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # single substitution level: the covariate-free baseline cannot run
     p = tmp_path / "flat.csv"

@@ -83,19 +83,36 @@ def test_from_arrays_rejects_level_codes_that_are_not_real_numbers(a):
 
 
 @pytest.mark.parametrize(
-    "x, a, y_packed, names, message",
+    "x, a, y, names, message",
     [
         ([1.0, 2.0], [0, 0], [1.0, 2.0], (), r"covariate array must be \(n, d\)"),
         ([[1.0], [2.0]], [0], [1.0, 2.0], ("x1",), "z, a, s must all have length n"),
-        ([[1.0], [2.0]], [0, 0], [1.0], ("x1",),
-         "outcome store length must equal the survivor count"),
+        ([[1.0], [2.0]], [0, 0], [1.0], ("x1",), "y must have one entry per unit"),
         ([[1.0], [2.0]], [0, 0], [1.0, 2.0], (),
          "covariate_names must match the covariate columns"),
     ],
 )
-def test_dataset_constructor_checks_shapes(x, a, y_packed, names, message):
+def test_dataset_constructor_checks_shapes(x, a, y, names, message):
     with pytest.raises(DataError, match=f"^{message}$"):
-        Dataset([1, 0], x, a, [1, 1], y_packed, names)
+        Dataset([1, 0], x, a, [1, 1], y, names)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([["a"], ["b"]], [1.0, np.nan]),
+        ([["1.5"], ["2"]], [1.0, np.nan]),
+        (np.zeros((2, 1), dtype=complex), [1.0, np.nan]),
+        ([[0.0], [1.0]], ["x", "nan"]),
+        ([[0.0], [1.0]], ["1.5", "nan"]),
+        ([[0.0], [1.0]], np.array([1.0, np.nan], dtype=object)),
+        ([[0.0], [1.0]], np.array([1.0 + 0j, np.nan])),
+    ],
+)
+def test_from_arrays_rejects_covariates_and_outcomes_that_are_not_real_numbers(x, y):
+    # numeric strings are not parsed either: only load_dataset reads text
+    with pytest.raises(DataError, match="^covariates and outcomes must be real numbers$"):
+        Dataset.from_arrays([1, 0], x, [0, 1], [1, 0], y)
 
 
 @pytest.mark.parametrize("y", [[1.0, np.nan, 2.0], [1.0], [[1.0, np.nan]]])
@@ -200,6 +217,8 @@ def test_subset_equals_from_arrays_on_the_same_rows():
         got = data.subset(rows)
         assert got == want and len(got) == len(rows)
         assert got.outcomes_at(got.s == 1).tolist() == y[idx][data.s[idx] == 1].tolist()
+    # equal datasets hold NaN at the same truncated units
+    assert data.subset(np.arange(len(data))) == data
 
 
 def test_outcomes_at_rejects_truncated_units():
@@ -208,6 +227,15 @@ def test_outcomes_at_rejects_truncated_units():
     mask[3] = True  # truncated unit
     with pytest.raises(DataError, match="truncated unit"):
         data.outcomes_at(mask)
+
+
+def test_outcomes_at_needs_one_flag_per_row():
+    n = 10
+    data = Dataset.from_arrays(np.arange(n) % 2, np.zeros((n, 1)), [0] * n, [1] * n, np.arange(n))
+    assert data.outcomes_at(np.ones(n, dtype=bool)).tolist() == list(range(n))
+    for mask in (np.ones(3, dtype=bool), np.ones((n, 1), dtype=bool)):
+        with pytest.raises(IndexError):
+            data.outcomes_at(mask)
 
 
 def test_zero_covariate_columns_supported():
@@ -273,6 +301,17 @@ def test_load_with_custom_schema(tmp_path):
     assert len(data) == 2
     assert data.covariate_names == ("age",)
     assert_allclose(data.outcomes_at(data.survivor_mask()), [3.5])
+
+
+@pytest.mark.parametrize(
+    "covariates, name", [(("age", "age"), "age"), (("a", "age"), "a"), (("z",), "z")]
+)
+def test_load_rejects_a_covariate_column_read_twice(tmp_path, covariates, name):
+    # a column is read once: not twice as a covariate, nor as z, s, y or a too
+    p = tmp_path / "schema.csv"
+    p.write_text("z,s,y,a,age\n1,1,2.0,0,40\n")
+    with pytest.raises(DataError, match=f"covariate column '{name}' is already in use$"):
+        load_dataset(p, Schema(covariates=covariates))
 
 
 def test_load_errors_carry_row_numbers(tmp_path):

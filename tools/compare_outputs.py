@@ -26,13 +26,17 @@ The battery:
   n=40 draws: two whose control arm has fewer survivors than outcome
   coefficients, so every grid point fails the same way, and one whose
   control-arm covariate columns are rank deficient;
+- the data layout of each of the six draws: z, a, s and the survivor
+  outcomes of ``data.subset(rows)``, ``rows`` being one draw of n row
+  indices with replacement from ``rng_stream(seed, 0)``, and the survivor
+  outcomes after a ``save_dataset``/``load_dataset`` round trip;
 - ``run_diagnostics(...).to_dict()`` on 2-5-level data at bins 1-3, with
   rho None, 0.3 and 1;
 - the three ``sace_*`` routes on those data's cell tables, binned as for
   the diagnostics and with the covariates pooled;
 - a 2x2 ``run_benchmark`` grid with reps=6 (``duration_s`` left out).
 
-That is 235 keys: estimate 36, bootstrap 24, outcome 30, sweep 18,
+That is 247 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
 diagnostics 54, routes 72 and benchmark 1.
 
 A library error (``SacekitError`` or ``ValueError``) is recorded as its
@@ -126,7 +130,21 @@ def levels_dataset(sk, k, n, seed):
     return sk.Dataset.from_arrays(z, np.column_stack(x), a, survives.astype(int), y)
 
 
-def battery():
+def subset_columns(sk, data, n, seed):
+    """z, a, s and survivor outcomes of ``n`` rows drawn with replacement."""
+    sub = data.subset(sk.rng_stream(seed, 0).integers(0, n, size=n))
+    return {"z": sub.z, "a": sub.a, "s": sub.s, "y": sub.outcomes_at(sub.s == 1)}
+
+
+def reloaded_outcomes(sk, data, tmp):
+    """Survivor outcomes of ``data`` after a CSV save and load."""
+    path = os.path.join(tmp, "data.csv")
+    sk.save_dataset(data, path)
+    back = sk.load_dataset(path)
+    return back.outcomes_at(back.s == 1)
+
+
+def battery(tmp):
     import sacekit as sk
     from sacekit import models
     from sacekit.models import ALL_METHODS
@@ -158,6 +176,8 @@ def battery():
             results[f"sweep/{tag}/assume_er={assume_er}"] = record(
                 lambda: [vars(row) for row in sk.sensitivity_sweep(data, grid, assume_er).rows]
             )
+        results[f"data/{tag}/subset"] = record(subset_columns, sk, data, n, seed)
+        results[f"data/{tag}/csv_round_trip"] = record(reloaded_outcomes, sk, data, tmp)
     for seed in SMALL_SEEDS:
         data, _ = sk.gen_dataset(sk.SimulationSetting(40, 1, 1, False, seed))
         for assume_er in (True, False):
@@ -238,8 +258,10 @@ def main(argv=None):
         where = os.path.realpath(sacekit.__file__)
         if not where.startswith(os.path.realpath(args.tree) + os.sep):
             raise SystemExit(f"imported {where}, not the copy in {args.tree}")
+        with tempfile.TemporaryDirectory(prefix="compare-outputs-data-") as tmp:
+            results = battery(tmp)
         with open(args.dump, "w") as fh:
-            json.dump(battery(), fh)
+            json.dump(results, fh)
         return 0
 
     parent_rev = git("rev-parse", args.parent).decode().strip()

@@ -105,9 +105,7 @@ def stage_peaks(n, seed, tmp):
     tracemalloc.stop()
 
     file_mb = os.path.getsize(csv) / MB
-    dataset_mb = sum(
-        arr.nbytes for arr in (data.z, data.x, data.a, data.s, data._y, data._ypos)
-    ) / MB
+    dataset_mb = sum(arr.nbytes for arr in (data.z, data.x, data.a, data.s, data._y)) / MB
     return {
         "n": n,
         "seed": seed,
