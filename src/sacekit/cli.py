@@ -207,7 +207,7 @@ def _schema_from_args(args):
     )
 
 
-def _envelope(args, result, seed, started):
+def _envelope(args, result, started):
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -216,20 +216,11 @@ def _envelope(args, result, seed, started):
     return {
         "command": args.command,
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "duration_s": round(time.monotonic() - started, 6),
         "config": config,
         "result": result,
     }
-
-
-def _emit(report, out_path):
-    text = json.dumps(report, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def parse_rho_grid(spec):
@@ -240,7 +231,10 @@ def parse_rho_grid(spec):
             parts = spec.split(":")
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = bounds = [float(p) for p in parts]
+            for part, v in zip(parts, bounds):
+                if not np.isfinite(v):
+                    raise ValueError(f"{part.strip()!r} is not a finite number")
             if step <= 0 or stop < start:
                 raise ValueError("need step > 0 and stop >= start")
             count = int(round((stop - start) / step))
@@ -261,7 +255,6 @@ def parse_rho_grid(spec):
 
 
 def cmd_simulate(args):
-    started = time.monotonic()
     # a file without data rows is one load_dataset rejects
     if args.n < 1:
         raise UsageError("--n must be at least 1")
@@ -274,13 +267,10 @@ def cmd_simulate(args):
     if args.oracle_out:
         oracle.save(args.oracle_out)
         files["oracle"] = args.oracle_out
-    result = {"n": len(data), "files": files}
-    print(json.dumps(_envelope(args, result, args.seed, started), indent=2))
-    return 0
+    return {"n": len(data), "files": files}, None, None
 
 
 def cmd_fit(args):
-    started = time.monotonic()
     _usage(check_method, args.method, args.rho)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise UsageError("--bootstrap must be 0 or at least 2")
@@ -292,8 +282,7 @@ def cmd_fit(args):
         )
     else:
         estimate = estimate_sace(data, args.method, rho=args.rho)
-    _emit(_envelope(args, estimate.to_dict(), args.seed, started), args.out)
-    return 0
+    return estimate.to_dict(), args.out, None
 
 
 def _curve_paths(out, variants):
@@ -304,7 +293,6 @@ def _curve_paths(out, variants):
 
 
 def cmd_sensitivity(args):
-    started = time.monotonic()
     grid = parse_rho_grid(args.rho_grid)
     variants = ["true", "false"] if args.assume_er == "both" else [args.assume_er]
 
@@ -321,12 +309,10 @@ def cmd_sensitivity(args):
         result["curves"][
             "assume_er" if variant == "true" else "no_interaction"
         ] = {"file": paths[variant], "failed_points": failed}
-    print(json.dumps(_envelope(args, result, None, started), indent=2))
-    return 0
+    return result, None, None
 
 
 def cmd_diagnose(args):
-    started = time.monotonic()
     if args.bins < 1:
         raise UsageError("--bins must be at least 1")
     if args.rho is not None:
@@ -336,13 +322,7 @@ def cmd_diagnose(args):
     result = report.to_dict()
     if args.validate:
         result["validation"] = validate(data).to_dict()
-    envelope = _envelope(args, result, None, started)
-    if args.out:
-        _emit(envelope, args.out)
-        print(report.format_text())
-    else:
-        _emit(envelope, None)
-    return 0
+    return result, args.out, report.format_text() if args.out else None
 
 
 def _parse_settings(args):
@@ -372,7 +352,6 @@ def _parse_settings(args):
 
 
 def cmd_bench(args):
-    started = time.monotonic()
     if args.reps < 1:
         raise UsageError("--reps must be at least 1")
     settings = _parse_settings(args)
@@ -388,10 +367,7 @@ def cmd_bench(args):
     report = run_benchmark(
         settings, sizes, methods, reps=args.reps, seed=args.seed, rho=args.rho
     )
-    _emit(_envelope(args, report.to_dict(), args.seed, started), args.out)
-    if args.table:
-        print(report.format_table())
-    return 0
+    return report.to_dict(), args.out, report.format_table() if args.table else None
 
 
 def main(argv=None):
@@ -408,7 +384,19 @@ def main(argv=None):
             prefix = _config_argv(argv[0], values)
             argv = [argv[0]] + prefix + argv[1:i] + argv[i + 2 :]
         args = parser.parse_args(argv)
-        return args.func(args)
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError("--seed must be non-negative")
+        started = time.monotonic()
+        result, out_path, text = args.func(args)
+        report = json.dumps(_envelope(args, result, started), indent=2)
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.write(report + "\n")
+        else:
+            print(report)
+        if text is not None:
+            print(text)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -128,9 +128,6 @@ class CellTable:
         n = len(data)
         if n == 0:
             raise DataError("cannot tabulate an empty dataset")
-        y = np.full(n, np.nan)
-        mask = data.survivor_mask()
-        y[mask] = data.outcomes_at(mask)
 
         if not use_x:
             keys = np.empty((n, 0))
@@ -161,7 +158,7 @@ class CellTable:
                     stats[f"p_surv_{tag}"] = None
                 surv = sel[s[sel] == 1]
                 stats[f"n_surv_{tag}"] = len(surv)
-                stats[f"mean_{tag}"] = float(np.mean(y[surv])) if len(surv) else None
+                stats[f"mean_{tag}"] = float(np.mean(data.outcomes_at(surv))) if len(surv) else None
             key = (tuple(keys[idx[0]]), int(a[idx[0]]))
             cells[key] = CellStats(mass=float(len(idx)), **stats)
         names = data.covariate_names if use_x else ()
@@ -392,8 +389,6 @@ def _arm_entries(group, shares, tag, sample):
         if mean is None or p <= 0.0:
             continue
         count = getattr(c, f"n_surv_{tag}") if sample else c.mass
-        if count <= 0:
-            count = c.mass
         entries[a] = (mean, share / p, count)
     return entries
 

@@ -81,6 +81,18 @@ def _design(x, a):
     return x if a is None else survival_design(x, a)
 
 
+def _check_weights(weights, n):
+    """Frequency ``weights`` as floats, or None: ValueError unless integers >= 1, one per row."""
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,) or not np.all(
+        np.isfinite(weights) & (weights >= 1) & (weights == np.floor(weights))
+    ):
+        raise ValueError("weights must be integers of 1 or more, one per row")
+    return weights
+
+
 def _weights_at(weights, rows):
     """The weights of the rows that a mask or index array selects; None without weights."""
     return None if weights is None else weights[rows]
@@ -193,6 +205,14 @@ class SurvivalParamsSM:
         return self.opt_treated.boundary_flag or self.opt_control.boundary_flag
 
 
+def _check_survival(survival, kind, what):
+    """``survival``, checked to be a stage-one fit of ``kind`` ("er" or "sm")."""
+    expected = SurvivalParamsER if kind == "er" else SurvivalParamsSM
+    if not isinstance(survival, expected):
+        raise TypeError(f"{what} needs a {expected.__name__} survival fit")
+    return survival
+
+
 def _joint_objective(design, treated, lived, dead, s_treated, weights=None):
     """Log-likelihood triple of the joint survival model on picked rows of ``design``.
 
@@ -297,6 +317,7 @@ def fit_survival_er(data, init=None, weights=None):
     fingerprint of a monotonicity violation in the data. ``weights`` are
     integer frequency weights, one per unit (see :func:`bootstrap`).
     """
+    weights = _check_weights(weights, len(data))
     z, s = data.z, data.s
     if not np.any(z == 1) or not np.any(z == 0):
         raise EstimationError("both treatment arms are required to fit survival")
@@ -336,6 +357,7 @@ def fit_survival_sm(data, init=None, weights=None):
     starts near its optimum. Without it both fits start from zeros.
     ``weights`` are integer frequency weights, one per unit.
     """
+    weights = _check_weights(weights, len(data))
     z, s = data.z, data.s
     if not np.any(z == 1) or not np.any(z == 0):
         raise EstimationError("both treatment arms are required to fit survival")
@@ -521,6 +543,8 @@ def fit_outcome_er(data, survival, weights=None):
     share coefficient measures the always-vs-protected outcome gap.
     ``weights`` are integer frequency weights, one per unit.
     """
+    _check_survival(survival, "er", "fit_outcome_er")
+    weights = _check_weights(weights, len(data))
     rows0, rows1 = (np.flatnonzero(data.survivor_mask(arm)) for arm in (0, 1))
     control = _survivor_fit(
         "the control-arm outcome fit", data, rows0, [("a", data.a[rows0], None)], weights
@@ -547,6 +571,8 @@ def fit_ni(data, survival, weights=None):
     coefficient is exactly the always-survivor effect. ``weights`` are
     integer frequency weights, one per unit.
     """
+    _check_survival(survival, "er", "fit_ni")
+    weights = _check_weights(weights, len(data))
     rows = np.flatnonzero(data.survivor_mask())
     zs = data.z[rows]
     if not (zs == 1).any() or not (zs == 0).any():
@@ -727,9 +753,10 @@ def fit_sm(data, rho, assume_er=True, survival=None, weights=None, *, _stage=Non
     integer frequency weights, one per unit.
     """
     if _stage is None:
+        weights = _check_weights(weights, len(data))
         if survival is None:
             survival = fit_survival_sm(data, weights=weights)
-        _stage = _SmStage(data, survival, assume_er, weights)
+        _stage = _SmStage(data, _check_survival(survival, "sm", "fit_sm"), assume_er, weights)
     always, harmed_mass = _stage.coupling(rho)
     always_mass = _always_mass(always, _stage.weights)
     outcome, effect = _stage.fit(always)
@@ -782,6 +809,7 @@ def naive_estimator(data, weights=None):
     surviving population. ``weights`` are integer frequency weights, one
     per unit.
     """
+    weights = _check_weights(weights, len(data))
     rows = np.flatnonzero(data.survivor_mask())
     zs = data.z[rows]
     if not (zs == 1).any() or not (zs == 0).any():
@@ -803,6 +831,7 @@ def dgyz_estimator(data, weights=None):
     baseline's documented instability when the two shares are close.
     ``weights`` are integer frequency weights, one per unit.
     """
+    weights = _check_weights(weights, len(data))
     z, s, a = data.z, data.s, data.a
 
     def mean(values, sel):
@@ -880,7 +909,6 @@ METHODS = {
 }
 ALL_METHODS = tuple(METHODS)
 PROP_METHODS = tuple(m for m, spec in METHODS.items() if spec.stage_one)
-_SURVIVAL_TYPES = {"er": SurvivalParamsER, "sm": SurvivalParamsSM}
 
 
 def check_method(method, rho=None):
@@ -957,21 +985,14 @@ def estimate_sace(data, method, rho=None, survival=None, weights=None):
         (no bootstrap fields; see :func:`bootstrap`).
     """
     spec = check_method(method, rho)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(data),) or not np.all(
-            np.isfinite(weights) & (weights >= 1) & (weights == np.floor(weights))
-        ):
-            raise ValueError("weights must be integers of 1 or more, one per row")
+    weights = _check_weights(weights, len(data))
     collected = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
         if survival is None:
             survival = _fit_stage_one(data, spec.stage_one, weights=weights)
         elif spec.stage_one is not None:
-            expected = _SURVIVAL_TYPES[spec.stage_one]
-            if not isinstance(survival, expected):
-                raise TypeError(f"{method} needs a {expected.__name__} survival fit")
+            _check_survival(survival, spec.stage_one, method)
         converged = survival is None or survival.converged
         if not converged:
             collected.append(
@@ -990,34 +1011,34 @@ def estimate_sace(data, method, rho=None, survival=None, weights=None):
     )
 
 
-def _replicate(data, methods, rhos, starts=None, weights=None):
-    """{method: its point, or the :data:`FAILURE_REASONS` entry that drops it}.
+def _replicates(draws, methods, rhos, starts=None):
+    """{method: (kept points, dropped replicates by reason)} over ``(data, weights)`` draws.
 
-    The replicate step of :func:`bootstrap` and ``run_benchmark``. Each
-    stage-one kind is fitted once, from ``starts[kind]`` if given, and
-    shared among the methods; ``rhos`` maps each method to its ``rho``.
-    ``weights`` are the integer frequency weights of a resample's distinct
-    rows (see :func:`_resample`).
+    The replicate loop of :func:`bootstrap` and ``run_benchmark``. In each
+    draw every stage-one kind is fitted once, from ``starts[kind]`` if
+    given, and shared among the methods; ``rhos`` maps each method to its ``rho``.
     """
     starts = starts or {}
-    fits = {}  # kind -> this replicate's stage-one fit
-    outcomes = {}
-    for m in methods:
-        kind = METHODS[m].stage_one
-        try:
-            if kind not in fits:
-                fits[kind] = _fit_stage_one(data, kind, starts.get(kind), weights)
-            est = estimate_sace(data, m, rho=rhos[m], survival=fits[kind], weights=weights)
-        except EstimationError:
-            outcomes[m] = "estimation_error"
-            continue
-        if not np.isfinite(est.point):
-            outcomes[m] = "non_finite"
-        elif not est.converged:
-            outcomes[m] = "not_converged"
-        else:
-            outcomes[m] = est.point
-    return outcomes
+    points = {m: [] for m in methods}
+    failed = {m: dict.fromkeys(FAILURE_REASONS, 0) for m in methods}
+    for data, weights in draws:
+        fits = {}  # kind -> this draw's stage-one fit
+        for m in methods:
+            kind = METHODS[m].stage_one
+            try:
+                if kind not in fits:
+                    fits[kind] = _fit_stage_one(data, kind, starts.get(kind), weights)
+                est = estimate_sace(data, m, rho=rhos[m], survival=fits[kind], weights=weights)
+            except EstimationError:
+                failed[m]["estimation_error"] += 1
+                continue
+            if not np.isfinite(est.point):
+                failed[m]["non_finite"] += 1
+            elif not est.converged:
+                failed[m]["not_converged"] += 1
+            else:
+                points[m].append(est.point)
+    return {m: (np.array(points[m]), failed[m]) for m in methods}
 
 
 def _resample(data, seed, b):
@@ -1062,20 +1083,12 @@ def bootstrap(data, method, n_boot=200, seed=0, rho=None):
     full = _fit_stage_one(data, spec.stage_one)
     first = estimate_sace(data, method, rho=rho, survival=full)
     starts = {spec.stage_one: full} if first.converged else None
-    estimates = []
-    failed = dict.fromkeys(FAILURE_REASONS, 0)
-    for b in range(n_boot):
-        sample, weights = _resample(data, seed, b)
-        outcome = _replicate(sample, (method,), {method: rho}, starts, weights)[method]
-        if isinstance(outcome, str):
-            failed[outcome] += 1
-        else:
-            estimates.append(outcome)
+    draws = (_resample(data, seed, b) for b in range(n_boot))
+    est, failed = _replicates(draws, (method,), {method: rho}, starts)[method]
     n_failed = sum(failed.values())
 
-    if not estimates:
+    if not est.size:
         raise EstimationError("every bootstrap replicate failed")
-    est = np.array(estimates)
     notes = []
     if n_failed:
         notes.append(f"{n_failed} of {n_boot} bootstrap replicates dropped")
@@ -1155,7 +1168,7 @@ def sensitivity_sweep(data, rho_grid, assume_er=True, survival=None):
     grid = np.sort(grid)
     if survival is None:
         survival = fit_survival_sm(data)
-    stage = _SmStage(data, survival, assume_er)
+    stage = _SmStage(data, _check_survival(survival, "sm", "sensitivity_sweep"), assume_er)
     rows = []
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", IdentificationWarning)

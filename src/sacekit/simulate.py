@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, StratumLabel
-from .models import FAILURE_REASONS, _replicate, method_rhos
+from .models import _replicates, method_rhos
 # fit_ols is no longer called here, but the binding stays: the tracing test
 # in perfbench/test_tracing.py patches and checks sacekit.simulate.fit_ols.
 from .numerics import expit, fit_ols, rng_stream  # noqa: F401
@@ -304,17 +304,13 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
     for base in norm_settings:
         for n in sizes:
             setting = dataclasses.replace(base, n=n)
-            estimates = {m: [] for m in methods}
-            failures = {m: dict.fromkeys(FAILURE_REASONS, 0) for m in methods}
-            for r in range(reps):
-                data, _ = gen_dataset(setting, rng=rng_stream(seed, cell_index, r))
-                for m, outcome in _replicate(data, methods, rhos).items():
-                    if isinstance(outcome, str):
-                        failures[m][outcome] += 1
-                    else:
-                        estimates[m].append(outcome)
+            draws = (
+                (gen_dataset(setting, rng=rng_stream(seed, cell_index, r))[0], None)
+                for r in range(reps)
+            )
+            replicates = _replicates(draws, methods, rhos)
             for m in methods:
-                est = np.array(estimates[m])
+                est, failed = replicates[m]
                 n_ok = est.size
                 mean_bias = float(np.mean(est) - true_sace(setting)) if n_ok else float("nan")
                 mc_se = (
@@ -328,10 +324,10 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
                         er_violation=setting.er_violation,
                         method=m,
                         n_ok=n_ok,
-                        n_failed=sum(failures[m].values()),
+                        n_failed=sum(failed.values()),
                         mean_bias=mean_bias,
                         mc_se=mc_se,
-                        failed_by_reason=failures[m],
+                        failed_by_reason=failed,
                     )
                 )
             cell_index += 1

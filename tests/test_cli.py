@@ -316,6 +316,41 @@ def test_sensitivity_takes_no_seed(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, bad",
+    [("0:inf:0.1", "inf"), ("-inf:1:0.1", "-inf"), ("0:1:inf", "inf"), ("nan:1:0.1", "nan")],
+)
+def test_a_non_finite_rho_grid_bound_is_a_usage_error(tmp_path, capsys, spec, bad):
+    message = f"bad rho grid '{spec}': '{bad}' is not a finite number"
+    with pytest.raises(UsageError) as exc:
+        parse_rho_grid(spec)
+    assert str(exc.value) == message
+    # the grid is checked before the data are read; "=" keeps a leading "-"
+    # from reading as an option
+    out = tmp_path / "c.csv"
+    code, stdout, err = run_cli(
+        capsys, "sensitivity", "--data", str(tmp_path / "absent.csv"), f"--rho-grid={spec}",
+        "--out", str(out),
+    )
+    assert (code, stdout) == (2, "") and message in err
+    assert not out.exists()
+
+
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # rejected before the command runs: nothing is fitted, drawn or written
+    data = make_data(tmp_path, capsys, n=300)
+    out = tmp_path / "negative.csv"
+    for argv in (
+        ["simulate", "--n", "50", "--seed", "-1", "--out", str(out)],
+        ["fit", "--data", str(data), "--method", "prop-er", "--bootstrap", "3", "--seed", "-2"],
+        ["bench", "--settings", "0,0", "--sizes", "50", "--reps", "1", "--seed", "-1"],
+    ):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert "usage error: --seed must be non-negative" in err
+    assert not out.exists()
+
+
 def test_parse_rho_grid():
     assert parse_rho_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert parse_rho_grid("0.3,0.1") == [0.3, 0.1]

@@ -19,7 +19,7 @@ from sacekit.models import (
     PROP_METHODS,
     SurvivalParamsER,
     SurvivalParamsSM,
-    _replicate,
+    _replicates,
     _resample,
     _weights_at,
     bootstrap,
@@ -31,6 +31,7 @@ from sacekit.models import (
     fit_survival_er,
     fit_survival_sm,
     method_rhos,
+    naive_estimator,
     sensitivity_sweep,
     survival_design,
 )
@@ -363,6 +364,48 @@ def test_method_and_rho_validation():
             estimate_sace(data, "naive", weights=weights)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d, er, sm: fit_sm(d, 0.5, survival=er), "fit_sm needs a SurvivalParamsSM"),
+        (
+            lambda d, er, sm: sensitivity_sweep(d, [0.5], survival=er),
+            "sensitivity_sweep needs a SurvivalParamsSM",
+        ),
+        (lambda d, er, sm: fit_outcome_er(d, sm), "fit_outcome_er needs a SurvivalParamsER"),
+        (lambda d, er, sm: fit_ni(d, sm), "fit_ni needs a SurvivalParamsER"),
+    ],
+    ids=["fit_sm", "sensitivity_sweep", "fit_outcome_er", "fit_ni"],
+)
+def test_public_fits_reject_the_other_survival_fit(call, message):
+    # the joint fit has the arm-wise fit's theta_treated and theta_control,
+    # so the stochastic pipeline would run on its surfaces without a check
+    data, _ = gen_dataset(SimulationSetting(n=2000, seed=3))
+    with pytest.raises(TypeError, match=message):
+        call(data, fit_survival_er(data), fit_survival_sm(data))
+
+
+WEIGHTED_FITS = {
+    "fit_survival_er": lambda d, w: fit_survival_er(d, weights=w),
+    "fit_survival_sm": lambda d, w: fit_survival_sm(d, weights=w),
+    "fit_outcome_er": lambda d, w: fit_outcome_er(d, true_survival_er(0), weights=w),
+    "fit_ni": lambda d, w: fit_ni(d, true_survival_er(0), weights=w),
+    "fit_sm": lambda d, w: fit_sm(d, 0.5, weights=w),
+    "naive_estimator": lambda d, w: naive_estimator(d, weights=w),
+    "dgyz_estimator": lambda d, w: dgyz_estimator(d, weights=w),
+}
+
+
+@pytest.mark.parametrize("bad", ["halves", "negative", "too_few"])
+@pytest.mark.parametrize("fit", WEIGHTED_FITS)
+def test_public_fits_reject_weights_that_are_not_frequencies(fit, bad):
+    data, _ = gen_dataset(SimulationSetting(n=400, seed=49))
+    n = len(data)
+    weights = {"halves": np.full(n, 0.5), "negative": -np.ones(n), "too_few": np.ones(5)}[bad]
+    with pytest.raises(ValueError, match="weights must be integers of 1 or more, one per row"):
+        WEIGHTED_FITS[fit](data, weights)
+
+
 def units(z, a, s):
     """A one-covariate dataset of the given units; survivor i has outcome i."""
     s = np.asarray(s)
@@ -590,7 +633,7 @@ def test_warm_start_through_an_indefinite_hessian_converges():
 
 
 def _weighted_and_copied(data, seed, b, draw=None):
-    """``_replicate`` of all six methods on resample ``b``, both ways.
+    """One-draw ``_replicates`` of all six methods on resample ``b``, both ways.
 
     Returns (weighted, copied): the outcomes on the resample's distinct rows
     with frequency weights, as :func:`bootstrap` fits it, and on the
@@ -612,18 +655,16 @@ def _weighted_and_copied(data, seed, b, draw=None):
         if full.converged:
             starts[kind] = full
     rhos = method_rhos(ALL_METHODS, 0.5)
-    weighted = _replicate(sample, ALL_METHODS, rhos, starts, weights)
-    copied = _replicate(data.subset(draw), ALL_METHODS, rhos, starts)
+    weighted = _replicates([(sample, weights)], ALL_METHODS, rhos, starts)
+    copied = _replicates([(data.subset(draw), None)], ALL_METHODS, rhos, starts)
     return weighted, copied
 
 
-def _assert_same_replicate(weighted, copied):
+def _assert_same_replicates(weighted, copied):
     for m in ALL_METHODS:
-        w, c = weighted[m], copied[m]
-        if isinstance(c, str) or isinstance(w, str):
-            assert w == c, m  # the same failure reason
-        else:
-            assert abs(w - c) <= 1e-12 * abs(c), (m, w, c)
+        (w, w_failed), (c, c_failed) = weighted[m], copied[m]
+        assert w_failed == c_failed, m  # the same failure reason
+        assert w.shape == c.shape and np.all(np.abs(w - c) <= 1e-12 * np.abs(c)), (m, w, c)
 
 
 @pytest.mark.parametrize("n, delta1, delta2, cell", [
@@ -638,8 +679,8 @@ def test_weighted_distinct_rows_replicate_the_copied_rows(n, delta1, delta2, cel
         data, _ = gen_dataset(setting, rng=rng_stream(2024, cell, r))
         for b in range(12):
             weighted, copied = _weighted_and_copied(data, 5, b)
-            _assert_same_replicate(weighted, copied)
-            dropped += sum(isinstance(v, str) for v in copied.values())
+            _assert_same_replicates(weighted, copied)
+            dropped += sum(sum(failed.values()) for _, failed in copied.values())
     if n == 200:
         assert dropped > 0  # failure reasons were compared, not only points
 
@@ -662,8 +703,8 @@ def test_too_few_distinct_survivors_fail_both_ways():
     draw = np.concatenate([np.arange(40), np.arange(42, 76), [40, 40, 40, 41, 41, 41]])
     assert draw.size == n
     weighted, copied = _weighted_and_copied(data, None, None, draw=draw)
-    _assert_same_replicate(weighted, copied)
-    assert weighted["prop-er"] == copied["prop-er"] == "estimation_error"
+    _assert_same_replicates(weighted, copied)
+    assert weighted["prop-er"][1]["estimation_error"] == 1
 
 
 def test_bootstrap_replicates_start_from_a_converged_full_fit(monkeypatch):

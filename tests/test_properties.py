@@ -42,7 +42,7 @@ from sacekit.models import (
     ALL_METHODS,
     FAILURE_REASONS,
     METHODS,
-    _replicate,
+    _replicates,
     _resample,
     bootstrap,
     dgyz_estimator,
@@ -305,11 +305,12 @@ def test_each_weighted_resample_equals_its_route(seed, n):
     starts = {"er": fit_survival_er(data)}
     dropped = {}
     for b in range(10):
-        sample, weights = _resample(data, seed, b)
-        point = _replicate(sample, ("prop-er",), {"prop-er": None}, starts, weights)["prop-er"]
-        if isinstance(point, str):
-            dropped[b] = point
+        draw = [_resample(data, seed, b)]
+        points, failed = _replicates(draw, ("prop-er",), {"prop-er": None}, starts)["prop-er"]
+        if not points.size:
+            dropped[b] = failed
             continue
+        point = points[0]
         copied = data.subset(rng_stream(seed, b).integers(0, n, size=n))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IdentificationWarning)
