@@ -184,8 +184,8 @@ _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="
 # Bytes of a CSV file searched at once by :func:`_scan_records`; bounds the
 # masks and index arrays built per search.
 _SCAN_BLOCK = 1 << 18
-# Rows formatted per ``writerows`` call in :func:`save_dataset`; bounds the
-# number of field strings alive at once.
+# Rows formatted per write in :func:`_write_csv`; bounds the number of field
+# strings alive at once.
 _SAVE_BLOCK_ROWS = 8192
 
 
@@ -448,21 +448,34 @@ def save_dataset(data, path, schema=None):
             f"schema names {len(names)} covariates, the data has {data.n_covariates}"
         )
     header = [schema.z, schema.s, schema.y, schema.a] + names
+    _write_csv(path, header, [data.z, data.s, data._y, data.a, *data.x.T])
+
+
+def _write_csv(path, header, columns, lineterminator="\r\n"):
+    """Write ``header``, then the rows of the equal-length ``columns``, to ``path``.
+
+    The one dialect of every CSV file sacekit writes: integers and strings by
+    ``str``, finite floats by shortest round-trip ``repr``, a non-finite float
+    as an empty field. Only a header name can need quoting.
+    """
+    columns = [np.asarray(col) for col in columns]
     with open(path, "w", newline="") as fh:
-        # Names may need quoting; data fields never do (numbers and empty
-        # outcomes), so data rows are joined directly with the writer's
-        # default "\r\n" terminator.
-        csv.writer(fh).writerow(header)
-        for start in range(0, len(data), _SAVE_BLOCK_ROWS):
-            rows = slice(start, start + _SAVE_BLOCK_ROWS)
-            s = data.s[rows]
-            surv = np.flatnonzero(s == 1)
-            y = np.full(s.shape[0], "", dtype=object)
-            y[surv] = list(map(repr, data.outcomes_at(surv + start).tolist()))
-            columns = [map(str, data.z[rows].tolist()), map(str, s.tolist()), y]
-            columns.append(map(str, data.a[rows].tolist()))
-            columns += [map(repr, col.tolist()) for col in data.x[rows].T]
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        csv.writer(fh, lineterminator=lineterminator).writerow(header)
+        for start in range(0, len(columns[0]), _SAVE_BLOCK_ROWS):
+            fields = [_csv_fields(col[start : start + _SAVE_BLOCK_ROWS]) for col in columns]
+            fh.write(lineterminator.join(map(",".join, zip(*fields))) + lineterminator)
+
+
+def _csv_fields(values):
+    """The CSV fields of one block of a column, in the dialect of :func:`_write_csv`."""
+    if values.dtype.kind != "f":
+        return map(str, values.tolist())
+    finite = np.isfinite(values)
+    if finite.all():
+        return map(repr, values.tolist())
+    fields = np.full(values.shape[0], "", dtype=object)
+    fields[finite] = list(map(repr, values[finite].tolist()))
+    return fields
 
 
 def _parse_binary(text, name):

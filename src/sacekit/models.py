@@ -43,6 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .data import _write_csv
 from .errors import CollinearityError, EstimationError
 from .identify import (
     PURE_SHARE_TOL,
@@ -56,6 +57,7 @@ from .identify import (
 from .numerics import (
     FixedBlockOLS,
     OptimizerResult,
+    _check_weights,
     expit,
     fit_logistic,
     fit_ols,
@@ -79,18 +81,6 @@ def survival_design(x, a):
 def _design(x, a):
     """The stage-one design of ``(x, a)``; ``x`` itself when ``a`` is None."""
     return x if a is None else survival_design(x, a)
-
-
-def _check_weights(weights, n):
-    """Frequency ``weights`` as floats, or None: ValueError unless integers >= 1, one per row."""
-    if weights is None:
-        return None
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,) or not np.all(
-        np.isfinite(weights) & (weights >= 1) & (weights == np.floor(weights))
-    ):
-        raise ValueError("weights must be integers of 1 or more, one per row")
-    return weights
 
 
 def _weights_at(weights, rows):
@@ -1132,11 +1122,8 @@ class SensitivityCurve:
 
         A failed grid point keeps its row with an empty effect field.
         """
-        with open(path, "w", newline="") as fh:
-            fh.write("rho,pi_dl,delta\n")
-            for row in self.rows:
-                effect = "" if not np.isfinite(row.effect) else repr(row.effect)
-                fh.write(f"{row.rho!r},{row.harmed_mass!r},{effect}\n")
+        columns = [[getattr(r, f) for r in self.rows] for f in ("rho", "harmed_mass", "effect")]
+        _write_csv(path, ["rho", "pi_dl", "delta"], columns, lineterminator="\n")
 
 
 def sensitivity_sweep(data, rho_grid, assume_er=True, survival=None):

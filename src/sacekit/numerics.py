@@ -55,6 +55,18 @@ def expit(t):
     return out
 
 
+def _check_weights(weights, n):
+    """Frequency ``weights`` as floats, or None: ValueError unless integers >= 1, one per row."""
+    if weights is None:
+        return None
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (n,) or not np.all(
+        np.isfinite(weights) & (weights >= 1) & (weights == np.floor(weights))
+    ):
+        raise ValueError("weights must be integers of 1 or more, one per row")
+    return weights
+
+
 def fit_ols(design, response, column_names=None, weights=None):
     """Least-squares coefficients of ``response`` on ``design``.
 
@@ -83,8 +95,9 @@ def fit_ols(design, response, column_names=None, weights=None):
         columns that a pivoted QR factorization leaves without a pivot,
         i.e. the ones expressible through the others.
     ValueError
-        On mismatched shapes, fewer rows (weighted) than columns, or a
-        non-finite entry in ``design`` or ``response``.
+        On mismatched shapes, weights that are not integers of 1 or more,
+        fewer rows (weighted) than columns, or a non-finite entry in
+        ``design`` or ``response``.
 
     Notes
     -----
@@ -101,6 +114,7 @@ def fit_ols(design, response, column_names=None, weights=None):
     if design.ndim != 2 or design.shape[0] != response.shape[0]:
         raise ValueError("design must be (n, p) with response of length n")
     n, p = design.shape
+    weights = _check_weights(weights, n)
     # one Fortran-ordered copy, which LAPACK factors in place
     a = np.array(design, order="F")
     if weights is not None:
@@ -189,6 +203,7 @@ class FixedBlockOLS:
 
         response = np.asarray(response, dtype=float)
         n, q = design.shape[0], len(fixed)
+        weights = _check_weights(weights, n)
         self.n = n if weights is None else int(np.sum(weights))
         self.q = q
         self.root = None if weights is None else np.sqrt(weights)
@@ -431,10 +446,12 @@ def bernoulli_objective(design, response, weights=None):
 
     Returns a callable suitable for :func:`maximize_loglik` together with
     the probability probe for boundary detection. ``weights`` are integer
-    frequency weights, one per row; without them every row counts once.
+    frequency weights, one per row (ValueError otherwise); without them
+    every row counts once.
     """
     design = np.asarray(design, dtype=float)
     response = np.asarray(response, dtype=float)
+    weights = _check_weights(weights, design.shape[0])
 
     def objective(beta):
         t = design @ beta

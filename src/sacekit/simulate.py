@@ -14,14 +14,13 @@ on purpose.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, StratumLabel
+from .data import Dataset, StratumLabel, _write_csv
 from .models import _replicates, method_rhos
 # fit_ols is no longer called here, but the binding stays: the tracing test
 # in perfbench/test_tracing.py patches and checks sacekit.simulate.fit_ols.
@@ -74,19 +73,8 @@ class OracleTable:
     y_control: np.ndarray
 
     def save(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["stratum", "s_treated", "s_control", "y_treated", "y_control"])
-            for i in range(self.stratum.shape[0]):
-                writer.writerow(
-                    [
-                        self.stratum[i],
-                        int(self.s_treated[i]),
-                        int(self.s_control[i]),
-                        "" if np.isnan(self.y_treated[i]) else repr(float(self.y_treated[i])),
-                        "" if np.isnan(self.y_control[i]) else repr(float(self.y_control[i])),
-                    ]
-                )
+        names = ["stratum", "s_treated", "s_control", "y_treated", "y_control"]
+        _write_csv(path, names, [getattr(self, name) for name in names])
 
 
 def gen_dataset(setting, rng=None):
@@ -276,8 +264,9 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
         Any of naive, dgyz, prop-er, prop-ni, prop-sm, prop-sm-ni.
     reps : int
     seed : int
-        Master seed; replicate r of grid cell c draws from the derived
-        stream (seed, c, r), so cells and replicates are independent and
+        Master seed; replicate r of grid cell c, the c-th (setting, size)
+        pair with sizes varying fastest, draws from the derived stream
+        (seed, c, r), so cells and replicates are independent and
         individually reproducible.
     rho : float, optional
         Sensitivity level; required when a stochastic method is requested,

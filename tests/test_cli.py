@@ -180,6 +180,20 @@ def test_unexpected_value_error_is_not_an_exit_code(tmp_path, capsys, monkeypatc
         main(["fit", "--data", str(data), "--method", "naive"])
 
 
+def test_linalg_error_is_an_estimation_error_exit_code(tmp_path, capsys, monkeypatch):
+    import sacekit.cli as cli
+
+    data = make_data(tmp_path, capsys, n=200)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "estimate_sace", singular)
+    code, out, err = run_cli(capsys, "fit", "--data", str(data), "--method", "naive")
+    assert code == 4 and out == ""
+    assert "estimation error: Singular matrix" in err
+
+
 def test_fit_malformed_covariate_deep_in_file_is_a_data_error(tmp_path, capsys):
     data = make_data(tmp_path, capsys, n=60_000)
     lines = data.read_text().splitlines()

@@ -890,6 +890,7 @@ def test_sensitivity_curve_csv_format(tmp_path):
     assert lines[0] == "rho,pi_dl,delta"
     assert lines[1] == "0.0,0.25,1.5"
     assert lines[2] == "1.0,0.0,"  # failed point keeps its row
+    assert p.read_bytes() == b"rho,pi_dl,delta\n0.0,0.25,1.5\n1.0,0.0,\n"
 
 
 def test_method_registry():

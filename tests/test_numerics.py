@@ -304,8 +304,27 @@ def test_fit_ols_rejects_non_finite_inputs_and_negative_weights():
                 fit_ols(design, broken, weights=w)
     negative = weights.copy()
     negative[5] = -1.0
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(ValueError, match="weights must be integers of 1 or more"):
         fit_ols(design, response, weights=negative)
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, 0.0, np.nan])
+def test_solvers_reject_weights_that_are_not_frequency_weights(bad):
+    # a weight of 0.5 used to be taken as half a row, and one of -1 as a
+    # row removed: fit_ols returned the unweighted fit, FixedBlockOLS
+    # counted 25 rows for 50, and fit_logistic ran out its iterations
+    rng = rng_stream(19)
+    design = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
+    weights = np.full(50, bad)
+    message = "weights must be integers of 1 or more"
+    with pytest.raises(ValueError, match=message):
+        fit_ols(design, rng.normal(size=50), weights=weights)
+    with pytest.raises(ValueError, match=message):
+        numerics.FixedBlockOLS(design, [0, 1], rng.normal(size=50), weights)
+    with pytest.raises(ValueError, match=message):
+        fit_logistic(design, (rng.random(50) < 0.5).astype(float), weights=weights)
+    with pytest.raises(ValueError, match=message):
+        bernoulli_objective(design, np.ones(50), weights[:10])
 
 
 def test_frequency_weights_equal_copied_rows():

@@ -8,11 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sacekit.data import Dataset
-from sacekit.models import dgyz_estimator, naive_estimator
+from sacekit.models import dgyz_estimator, estimate_sace, naive_estimator
 from sacekit.numerics import rng_stream
 from sacekit.simulate import (
     BenchCell,
     BenchReport,
+    OracleTable,
     SimulationSetting,
     gen_dataset,
     run_benchmark,
@@ -111,6 +112,22 @@ def test_oracle_table_roundtrip(tmp_path):
     assert_allclose(y_control, oracle.y_control, rtol=0, equal_nan=True)
 
 
+def test_oracle_file_bytes(tmp_path):
+    oracle = OracleTable(
+        stratum=np.array(["LL", "LD", "DD"]),
+        s_treated=np.array([1, 1, 0]),
+        s_control=np.array([1, 0, 0]),
+        y_treated=np.array([0.1, -2.5, np.nan]),
+        y_control=np.array([1e-17, np.nan, np.nan]),
+    )
+    p = tmp_path / "oracle.csv"
+    oracle.save(p)
+    assert p.read_bytes() == (
+        b"stratum,s_treated,s_control,y_treated,y_control\r\n"
+        b"LL,1,1,0.1,1e-17\r\nLD,1,0,-2.5,\r\nDD,0,0,,\r\n"
+    )
+
+
 def test_naive_estimator_exact_without_truncation():
     # no deaths and a purely additive arm effect: the survivor regression
     # is the right model and must return the effect exactly
@@ -186,6 +203,40 @@ def test_run_benchmark_shape_and_determinism():
     assert rep1.to_dict()["cells"] == rep2.to_dict()["cells"]
     with pytest.raises(KeyError):
         rep1.cell(999, 0, 0, False, "naive")
+
+
+def _naive_points(setting, seed, cell, reps):
+    """Naive estimates of replicates 0..reps-1 of grid cell ``cell``, drawn from their keys."""
+    draws = (gen_dataset(setting, rng=rng_stream(seed, cell, r))[0] for r in range(reps))
+    return np.array([estimate_sace(data, "naive").point for data in draws])
+
+
+def test_benchmark_cell_summarizes_its_draws_with_the_ddof1_standard_error():
+    est = _naive_points(SimulationSetting(300, 1, 0), 8, 0, 3)
+    report = run_benchmark([(1, 0, False)], [300], ("naive",), reps=3, seed=8)
+    cell = report.cell(300, 1, 0, False, "naive")
+    assert cell.n_ok == 3
+    assert cell.mean_bias == pytest.approx(np.mean(est) - 1.0, rel=1e-12, abs=0)
+    assert cell.mc_se == pytest.approx(np.std(est, ddof=1) / np.sqrt(3), rel=1e-12, abs=0)
+
+
+def test_grid_cells_are_keyed_by_their_loop_position():
+    # replicate r of cell c draws from (seed, c, r), c counting (setting,
+    # size) pairs with sizes fastest: appending replicates or reordering
+    # methods keeps every draw, adding a size re-keys the cells after it
+    settings = [(0, 0, False), (0, 1, False)]
+    base = run_benchmark(settings, [200], ("naive", "dgyz"), reps=3, seed=5)
+    more = run_benchmark(settings, [200], ("dgyz", "naive"), reps=4, seed=5)
+    grown = run_benchmark(settings, [200, 300], ("naive",), reps=3, seed=5)
+
+    def bias(report, delta2):
+        return report.cell(200, 0, delta2, False, "naive").mean_bias
+
+    for report, reps, cell in ((base, 3, 1), (more, 4, 1), (grown, 3, 2)):
+        est = _naive_points(SimulationSetting(200, 0, 1), 5, cell, reps)
+        assert bias(report, 1) == pytest.approx(np.mean(est) - 1.0, rel=1e-12, abs=0)
+    assert bias(grown, 0) == bias(base, 0)
+    assert bias(grown, 1) != bias(base, 1)
 
 
 def test_run_benchmark_validation():

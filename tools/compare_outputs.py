@@ -34,10 +34,16 @@ The battery:
   rho None, 0.3 and 1;
 - the three ``sace_*`` routes on those data's cell tables, binned as for
   the diagnostics and with the covariates pooled;
-- a 2x2 ``run_benchmark`` grid with reps=6 (``duration_s`` left out).
+- a 2x2 ``run_benchmark`` grid with reps=6 (``duration_s`` left out);
+- the files group: an analysis session at n=2000 through
+  ``sacekit.cli.main`` (``simulate --out --oracle-out``, ``sensitivity
+  --assume-er both``, ``diagnose --validate`` and ``fit --method prop-er``,
+  with relative paths in the battery's directory), recording each stdout
+  envelope without ``duration_s`` and the text of every file written, line
+  endings included.
 
-That is 247 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
-diagnostics 54, routes 72 and benchmark 1.
+That is 255 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
+diagnostics 54, routes 72, benchmark 1 and files 8.
 
 A library error (``SacekitError`` or ``ValueError``) is recorded as its
 type and message, and warnings as their category and message; any other
@@ -50,6 +56,8 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
+import io
 import json
 import math
 import os
@@ -144,6 +152,39 @@ def reloaded_outcomes(sk, data, tmp):
     return back.outcomes_at(back.s == 1)
 
 
+CLI_SESSION = {  # command: argv, run in this order with relative paths
+    "simulate": ["simulate", "--n", "2000", "--delta1", "1", "--delta2", "1", "--seed", "921",
+                 "--out", "sim.csv", "--oracle-out", "sim.oracle.csv"],
+    "sensitivity": ["sensitivity", "--data", "sim.csv", "--assume-er", "both",
+                    "--out", "curve.csv"],
+    "diagnose": ["diagnose", "--data", "sim.csv", "--validate"],
+    "fit": ["fit", "--data", "sim.csv", "--method", "prop-er"],
+}
+CLI_FILES = ("sim.csv", "sim.oracle.csv", "curve.er.csv", "curve.ni.csv")
+
+
+def cli_files(tmp):
+    """Each CLI_SESSION command's exit code and envelope, then each written file's text."""
+    from sacekit.cli import main
+
+    results = {}
+    here = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for command, argv in CLI_SESSION.items():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            envelope = json.loads(out.getvalue())
+            envelope.pop("duration_s")
+            results[f"files/{command}"] = {"value": [code, envelope], "warnings": []}
+        for name in CLI_FILES:
+            with open(name, newline="") as fh:
+                results[f"files/{name}"] = {"value": fh.read(), "warnings": []}
+    finally:
+        os.chdir(here)
+    return results
+
+
 def battery(tmp):
     import sacekit as sk
     from sacekit import models
@@ -205,6 +246,7 @@ def battery(tmp):
     ).to_dict()
     bench.pop("duration_s")
     results["benchmark/2x2"] = {"value": plain(bench), "warnings": []}
+    results.update(cli_files(tmp))
     return results
 
 
