@@ -58,6 +58,15 @@ def _usage(check, *args):
         raise UsageError(str(exc)) from None
 
 
+def _check_outputs(inputs, outputs):
+    """Refuse an output path that names an input or another output, before any write."""
+    seen = {os.path.realpath(path) for path in inputs}
+    for path in filter(None, outputs):
+        if os.path.realpath(path) in seen:
+            raise UsageError(f"output path {path} names an input or another output")
+        seen.add(os.path.realpath(path))
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sacekit",
@@ -258,6 +267,7 @@ def cmd_simulate(args):
     # a file without data rows is one load_dataset rejects
     if args.n < 1:
         raise UsageError("--n must be at least 1")
+    _check_outputs([], [args.out, args.oracle_out])
     setting = _usage(
         SimulationSetting, args.n, args.delta1, args.delta2, args.er_violation, args.seed
     )
@@ -274,7 +284,7 @@ def cmd_fit(args):
     _usage(check_method, args.method, args.rho)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise UsageError("--bootstrap must be 0 or at least 2")
-
+    _check_outputs([args.data], [args.out])
     data = load_dataset(args.data, schema=_schema_from_args(args))
     if args.bootstrap:
         estimate = bootstrap(
@@ -295,10 +305,11 @@ def _curve_paths(out, variants):
 def cmd_sensitivity(args):
     grid = parse_rho_grid(args.rho_grid)
     variants = ["true", "false"] if args.assume_er == "both" else [args.assume_er]
+    paths = _curve_paths(args.out, variants)
+    _check_outputs([args.data], paths.values())
 
     data = load_dataset(args.data, schema=_schema_from_args(args))
     survival = fit_survival_sm(data)
-    paths = _curve_paths(args.out, variants)
     result = {"grid_points": len(grid), "curves": {}}
     for variant in variants:
         curve = sensitivity_sweep(
@@ -317,6 +328,7 @@ def cmd_diagnose(args):
         raise UsageError("--bins must be at least 1")
     if args.rho is not None:
         _usage(check_rho, args.rho)
+    _check_outputs([args.data], [args.out])
     data = load_dataset(args.data, schema=_schema_from_args(args))
     report = run_diagnostics(data, bins=args.bins, rho=args.rho)
     result = report.to_dict()

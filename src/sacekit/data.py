@@ -196,6 +196,7 @@ class _Layout(NamedTuple):
     text: tuple  # positions of z, s, a, y
     x: list
     x_names: list
+    header_lines: int  # physical lines, which np.loadtxt skips: a quoted name may hold a break
 
 
 class _Records(NamedTuple):
@@ -235,17 +236,13 @@ def load_dataset(path, schema=None):
         [(name, f"S{w}") for name, w in zip("zsay", widths)]
         + [("x", float, (len(layout.x),))]
     )
-    # loadtxt skips physical lines, and a quoted header name may hold line
-    # breaks, so the header's lines are counted up to its record's end.
-    head = np.fromfile(path, dtype=np.uint8, count=int(records.starts[1])).tobytes()
     del records  # the offsets are not needed by the parse, which allocates its own
-    skip = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
     try:
         rows = np.loadtxt(
             path,
             dtype=dtype,
             usecols=layout.text + tuple(layout.x),
-            skiprows=skip,
+            skiprows=layout.header_lines,
             **_LOADTXT,
         )
         z, s = (
@@ -280,29 +277,29 @@ def load_dataset(path, schema=None):
 
 
 def _read_layout(path, schema):
+    """The one parse of a CSV header (UTF-8, any BOM dropped): each column has one role."""
     try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from None
-    header = [h.strip() for h in header]
-    for name in (schema.z, schema.s, schema.y, schema.a):
-        if name not in header:
-            raise DataError(f"{path}: missing column {name!r}")
-    text = tuple(header.index(name) for name in (schema.z, schema.s, schema.a, schema.y))
-    if schema.covariates is None:
-        x = [j for j in range(len(header)) if j not in text]
-    else:
-        x = []
-        for name in schema.covariates:
-            if name not in header:
-                raise DataError(f"{path}: missing covariate column {name!r}")
-            if header.index(name) in text + tuple(x):
-                raise DataError(f"{path}: covariate column {name!r} is already in use")
-            x.append(header.index(name))
-    return _Layout(len(header), text, x, [header[j] for j in x])
+    taken, roles = [], (schema.z, schema.s, schema.y, schema.a)
+    for kind, names in (("", roles), ("covariate ", schema.covariates)):
+        if names is None:
+            names = [h for j, h in enumerate(header) if j not in taken]
+        for name in names:
+            count = header.count(name)
+            if not count:
+                raise DataError(f"{path}: missing {kind}column {name!r}")
+            if count > 1 or header.index(name) in taken:
+                fault = f"appears {count} times in the header" if count > 1 else "is already in use"
+                raise DataError(f"{path}: {kind}column {name!r} {fault}")
+            taken.append(header.index(name))
+    (zi, si, yi, ai), x = taken[:4], taken[4:]
+    return _Layout(len(header), (zi, si, ai, yi), x, [header[j] for j in x], reader.line_num)
 
 
 def _position_dtype(size):
@@ -397,7 +394,7 @@ def _row_error(path, layout, schema, stop=None, reason="unsupported field syntax
     the parsers accept every row up to it.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             next(reader)
             for rownum, row in enumerate(reader, start=2):
@@ -439,7 +436,8 @@ def save_dataset(data, path, schema=None):
 
     Floats are written with shortest round-trip repr, so save/load is exact
     and repeated saves of the same dataset are byte-identical. A schema's
-    ``covariates`` renames the covariate columns and must name each one.
+    ``covariates`` renames the covariate columns and must name each one, and
+    no two columns may share a name.
     """
     schema = schema or Schema()
     names = list(data.covariate_names if schema.covariates is None else schema.covariates)
@@ -448,6 +446,8 @@ def save_dataset(data, path, schema=None):
             f"schema names {len(names)} covariates, the data has {data.n_covariates}"
         )
     header = [schema.z, schema.s, schema.y, schema.a] + names
+    if len({name.strip() for name in header}) != len(header):  # load strips names
+        raise ValueError(f"the header names a column twice: {header}")
     _write_csv(path, header, [data.z, data.s, data._y, data.a, *data.x.T])
 
 

@@ -215,6 +215,57 @@ def test_fit_with_a_covariate_read_twice_is_a_data_error(tmp_path, capsys):
         assert code == 3 and f"covariate column '{name}' is already in use" in err
 
 
+def test_a_role_column_named_for_two_roles_is_a_data_error(tmp_path, capsys):
+    # --a-col z used to load the treatment as the substitution variable
+    data = make_data(tmp_path, capsys, n=200)
+    for command in (["diagnose"], ["fit", "--method", "prop-er"]):
+        code, stdout, err = run_cli(capsys, *command, "--data", str(data), "--a-col", "z")
+        assert (code, stdout) == (3, "")
+        assert "column 'z' is already in use" in err
+
+
+def _refused(capsys, path, *argv):
+    """Run ``argv``, which must be a usage error that leaves ``path`` as it was."""
+    before = path.read_bytes()
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert "names an input or another output" in err
+    assert path.read_bytes() == before
+
+
+def test_fit_refuses_to_write_its_report_over_its_data(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=200)
+    (tmp_path / "sub").mkdir()
+    # the paths are compared once resolved
+    same = tmp_path / "sub" / ".." / "d.csv"
+    _refused(capsys, data, "fit", "--data", str(data), "--method", "naive", "--out", str(same))
+
+
+def test_diagnose_refuses_to_write_its_report_over_its_data(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=200)
+    _refused(capsys, data, "diagnose", "--data", str(data), "--out", str(data))
+
+
+def test_sensitivity_refuses_to_write_its_curve_over_its_data(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=200)
+    _refused(capsys, data, "sensitivity", "--data", str(data), "--rho-grid", "0,1",
+             "--out", str(data))
+
+
+def test_sensitivity_refuses_to_write_either_curve_over_its_data(tmp_path, capsys):
+    # with both variants, --out curve.csv writes curve.er.csv and curve.ni.csv
+    for variant in ("er", "ni"):
+        data = make_data(tmp_path, capsys, n=200, name=f"curve.{variant}.csv")
+        _refused(capsys, data, "sensitivity", "--data", str(data), "--rho-grid", "0,1",
+                 "--assume-er", "both", "--out", str(tmp_path / "curve.csv"))
+
+
+def test_simulate_refuses_to_write_its_oracle_over_its_dataset(tmp_path, capsys):
+    data = make_data(tmp_path, capsys, n=200, name="e.csv")
+    _refused(capsys, data, "simulate", "--n", "300", "--seed", "8",
+             "--out", str(data), "--oracle-out", str(data))
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # single substitution level: the covariate-free baseline cannot run
     p = tmp_path / "flat.csv"

@@ -314,6 +314,49 @@ def test_load_rejects_a_covariate_column_read_twice(tmp_path, covariates, name):
         load_dataset(p, Schema(covariates=covariates))
 
 
+def test_save_rejects_a_header_that_names_a_column_twice(tmp_path):
+    # such a header would not load back: each column has one role
+    data = small_dataset()
+    p = tmp_path / "twice.csv"
+    # load_dataset strips a header name, so " z" is z again
+    for schema in (
+        Schema(s="z"), Schema(covariates=("z", "bmi")), Schema(covariates=(" z", "bmi"))
+    ):
+        with pytest.raises(ValueError, match="the header names a column twice"):
+            save_dataset(data, p, schema)
+        assert not p.exists()
+
+
+@pytest.mark.parametrize(
+    "header, schema, message",
+    [
+        ("z,s,y,a,x1", Schema(a="z"), "column 'z' is already in use"),
+        ("z,s,y,a,x1", Schema(y="s"), "column 's' is already in use"),
+        ("z,s,y,z,a", Schema(), "column 'z' appears 2 times in the header"),
+        ("z,s,y,a,age,age", Schema(), "covariate column 'age' appears 2 times in the header"),
+        ("z,s,y,a,age,age", Schema(covariates=("age",)),
+         "covariate column 'age' appears 2 times in the header"),
+    ],
+)
+def test_load_gives_each_column_one_role(tmp_path, header, schema, message):
+    p = tmp_path / "roles.csv"
+    p.write_text(header + "\n1,1,2.0,0,4,5\n")
+    with pytest.raises(DataError, match=f"{message}$"):
+        load_dataset(p, schema)
+
+
+def test_load_drops_a_utf8_bom(tmp_path):
+    plain = tmp_path / "plain.csv"
+    save_dataset(small_dataset(), plain)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_dataset(bom) == load_dataset(plain) == small_dataset()
+    # the row parsers read the file as the header parse does
+    bom.write_bytes(b"\xef\xbb\xbfz,s,y,a\n1,1,2.0,0\n1,1,oops,0\n")
+    with pytest.raises(DataError, match="row 3: bad outcome value 'oops'$"):
+        load_dataset(bom)
+
+
 def test_load_errors_carry_row_numbers(tmp_path):
     def attempt(body):
         p = tmp_path / "bad.csv"
@@ -533,6 +576,20 @@ def test_load_skips_a_header_with_a_quoted_line_break(tmp_path, newline):
     p.write_bytes((newline.join(rows) + newline).encode())
     data = assert_loads_like_reference(p)
     assert data.covariate_names == ("x" + newline + "1",)
+    assert data.x[:, 0].tolist() == [1.5, 2.5]
+
+
+@pytest.mark.parametrize(
+    "name, lines",
+    [("x1", 1), ('"x\n1"', 2), ('"x\r\n1"', 2), ('"x\r1"', 2), ('"x\r\r\n1"', 3), ('"x\n\n1"', 3)],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_header_lines_count_the_physical_lines_np_loadtxt_skips(tmp_path, name, lines, newline):
+    p = tmp_path / "lines.csv"
+    rows = ["z,s,y,a," + name, "1,1,0.5,0,1.5", "0,0,,1,2.5"]
+    p.write_bytes((newline.join(rows) + newline).encode())
+    assert _read_layout(p, Schema()).header_lines == lines
+    data = assert_loads_like_reference(p)
     assert data.x[:, 0].tolist() == [1.5, 2.5]
 
 

@@ -477,6 +477,83 @@ def test_estimate_sace_collects_weak_separation_warnings(monkeypatch):
     assert d["se"] is None
 
 
+def _cell_counts_dataset(treated_survivors, control_survivors=50, n=100):
+    """Covariate-free data, ``n`` units per (z, a) cell, survivors counted exactly.
+
+    ``treated_survivors`` gives the treated survivors at a = 0 and at a = 1.
+    """
+    z, a, s = [], [], []
+    for arm, survivors in ((0, (control_survivors,) * 2), (1, treated_survivors)):
+        for level, k in enumerate(survivors):
+            z += [arm] * n
+            a += [level] * n
+            s += [1] * k + [0] * (n - k)
+    s = np.array(s)
+    y = np.where(s == 1, np.tile(np.linspace(0.0, 1.0, n), 4) + np.array(z), np.nan)
+    return Dataset.from_arrays(z, np.zeros((s.size, 0)), a, s, y)
+
+
+def test_estimate_sace_warns_of_a_share_spread_below_the_weak_threshold():
+    # treated survival 0.80 and 0.81 over the two levels, control 0.5: the
+    # fitted share is 0.5 / 0.80 or 0.5 / 0.81, a spread of 0.0077
+    data = _cell_counts_dataset((80, 81))
+    share = fit_survival_er(data).theta_ratio(data.x, data.a)[data.survivor_mask(1)]
+    assert 0.002 < np.ptp(share) < 0.02
+    assert_allclose(np.ptp(share), 0.5 / 0.80 - 0.5 / 0.81, rtol=1e-6)
+    est = estimate_sace(data, "prop-er")
+    assert any("always_share spread 0.00772 is weak" in w for w in est.warnings)
+    # treated survival 0.80 and 0.83: a spread of 0.0226 is not weak
+    est = estimate_sace(_cell_counts_dataset((80, 83)), "prop-er")
+    assert not any("is weak" in w for w in est.warnings)
+
+
+@pytest.mark.parametrize("assume_er", [True, False])
+def test_an_always_survivor_mass_below_1e_12_counts_as_zero(assume_er):
+    # a control intercept of -40 puts control survival near 4e-18: the mass
+    # is tiny but not 0, as it is at -800, where expit underflows
+    data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=1, seed=62))
+    fitted = fit_survival_sm(data)
+    dying = np.zeros_like(fitted.beta_control)
+    dying[0] = -40.0
+    survival = SurvivalParamsSM(
+        beta_treated=fitted.beta_treated,
+        beta_control=dying,
+        opt_treated=fitted.opt_treated,
+        opt_control=fitted.opt_control,
+        column_names=fitted.column_names,
+    )
+    v = survival_design(data.x, data.a)
+    always = stochastic_always_share(survival.theta_treated(v), survival.theta_control(v), 0.5)
+    assert 0.0 < always.mean() < 1e-12
+    with pytest.raises(EstimationError, match="fitted always-survivor mass is zero"):
+        fit_sm(data, 0.5, assume_er=assume_er, survival=survival)
+
+
+def test_replicates_count_a_non_finite_point(monkeypatch):
+    import sacekit.models as models
+
+    data, _ = gen_dataset(SimulationSetting(n=300, seed=63))
+    nan_method = models._Method(False, None, lambda data, _, __, w: (float("nan"), []))
+    monkeypatch.setitem(models.METHODS, "naive", nan_method)
+    points, failed = _replicates([(data, None)] * 3, ("naive",), {"naive": None})["naive"]
+    assert points.size == 0
+    assert failed == {"estimation_error": 0, "non_finite": 3, "not_converged": 0}
+
+
+def test_replicates_count_a_stage_one_fit_stopped_by_the_iteration_cap(monkeypatch):
+    import sacekit.numerics as numerics
+
+    data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, delta2=1, seed=64))
+    monkeypatch.setattr(numerics, "NEWTON_MAX_ITER", 1)
+    est = estimate_sace(data, "prop-er")
+    assert not est.converged
+    # not at the boundary, so the warning carries no boundary note
+    assert "survival fit did not converge" in est.warnings
+    points, failed = _replicates([(data, None)], ("prop-er",), {"prop-er": None})["prop-er"]
+    assert points.size == 0
+    assert failed == {"estimation_error": 0, "non_finite": 0, "not_converged": 1}
+
+
 def test_bootstrap_deterministic_and_ordered():
     data, _ = gen_dataset(SimulationSetting(n=600, delta1=0, delta2=0, seed=54))
     est1 = bootstrap(data, "naive", n_boot=60, seed=9)

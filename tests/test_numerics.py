@@ -551,6 +551,48 @@ def test_maximize_loglik_stops_at_a_non_finite_hessian():
     assert np.array_equal(res.params, [1.0, 2.0])
 
 
+def test_maximize_loglik_stops_where_no_damping_factors_the_hessian():
+    # -H = [[0, 1e300], [1e300, 0]] is indefinite, and the largest damping
+    # tried, 1e30, is far below the 1e300 that would make it definite
+    h = np.array([[0.0, -1e300], [-1e300, 0.0]])
+    g = np.array([1.0, 1.0])
+    assert numerics._ascent_direction(g, h) is None
+
+    def objective(x):
+        return -float(x @ x), g, h
+
+    res = maximize_loglik(objective, np.array([0.5, 0.5]))
+    assert not res.converged
+    assert res.iterations == 0
+    assert res.grad_norm == 1.0
+
+
+def test_maximize_loglik_stays_at_its_start_when_every_trial_step_fails():
+    start = np.array([1.0, -2.0])
+    calls = []
+
+    def objective(x):
+        # finite at the start only; a step of 2**-60 rounds back onto it
+        calls.append(x)
+        return (0.0 if len(calls) == 1 else -np.inf), np.array([1.0, 1.0]), -np.eye(2)
+
+    res = maximize_loglik(objective, start)
+    assert len(calls) == 61
+    assert res.iterations == 0
+    assert not res.converged
+    assert np.array_equal(res.params, start)
+    assert res.loglik == 0.0
+
+
+def test_fixed_block_ols_leaves_an_all_zero_varying_column_to_fit_ols():
+    rng = rng_stream(65)
+    design = np.column_stack([np.ones(30), rng.normal(size=30), np.zeros(30)])
+    solver = numerics.FixedBlockOLS(design, [0, 1], rng.normal(size=30))
+    assert solver.solve(design, [2]) is None
+    with pytest.raises(CollinearityError):
+        fit_ols(design, rng.normal(size=30))
+
+
 def test_check_gradient_flags_wrong_gradient():
     def good(x):
         return float(np.sin(x).sum()), np.cos(x), None

@@ -40,10 +40,17 @@ The battery:
   --assume-er both``, ``diagnose --validate`` and ``fit --method prop-er``,
   with relative paths in the battery's directory), recording each stdout
   envelope without ``duration_s`` and the text of every file written, line
-  endings included.
+  endings included;
+- the csv group: ``load_dataset`` on ten small files written into the
+  battery's directory and read by relative path (LF, CRLF and lone-CR line
+  endings; quoted header names holding a comma and a line break; padded and
+  quoted fields; a UTF-8 BOM; ``Schema(a="z")``; a header that names a
+  covariate twice; a missing role and a missing listed covariate),
+  recording the covariate names and the z, s, a, x and survivor outcome
+  arrays, or the error.
 
-That is 255 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
-diagnostics 54, routes 72, benchmark 1 and files 8.
+That is 265 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
+diagnostics 54, routes 72, benchmark 1, files 8 and csv 10.
 
 A library error (``SacekitError`` or ``ValueError``) is recorded as its
 type and message, and warnings as their category and message; any other
@@ -185,6 +192,43 @@ def cli_files(tmp):
     return results
 
 
+CSV_ROWS = ["z,s,y,a,x1,x2", "1,1,2.5,0,0.5,1", "0,0,,1,-1.25,0", "1,0,,2,3e2,1"]
+LF = "\n".join(CSV_ROWS).encode() + b"\n"
+CSV_FILES = {  # name: (bytes, Schema keyword arguments)
+    "lf.csv": (LF, {}),
+    "crlf.csv": ("\r\n".join(CSV_ROWS).encode() + b"\r\n", {}),
+    "cr.csv": ("\r".join(CSV_ROWS).encode() + b"\r", {}),
+    "quoted_names.csv": (b'z,s,y,a,"age, years","x\r\n2"\n1,1,2.5,0,44,1\n0,0,,1,51,0\n', {}),
+    "padded.csv": (b'"z", s ,y,a,x1\n" 1 ",1 ,"2.5", 0,"-0.0"\n0, 0,,"3",1e-3\n', {}),
+    "bom.csv": (b"\xef\xbb\xbf" + LF, {}),
+    "role_reuse.csv": (LF, {"a": "z"}),
+    "duplicate_name.csv": (b"z,s,y,a,age,age\n1,1,2.5,0,44,45\n0,0,,1,51,52\n", {}),
+    "missing_role.csv": (b"z,s,a,x1\n1,1,0,0.5\n", {}),
+    "missing_covariate.csv": (LF, {"covariates": ("x1", "bmi")}),
+}
+
+
+def csv_loads(sk, tmp):
+    """Each CSV_FILES file through ``load_dataset``: its columns, or the error."""
+
+    def columns(path, schema):
+        data = sk.load_dataset(path, schema)
+        return {"covariates": data.covariate_names, "z": data.z, "s": data.s, "a": data.a,
+                "x": data.x, "y": data.outcomes_at(data.s == 1)}
+
+    results = {}
+    here = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for name, (raw, schema) in CSV_FILES.items():
+            with open(name, "wb") as fh:
+                fh.write(raw)
+            results[f"csv/{name}"] = record(columns, name, sk.Schema(**schema))
+    finally:
+        os.chdir(here)
+    return results
+
+
 def battery(tmp):
     import sacekit as sk
     from sacekit import models
@@ -247,6 +291,7 @@ def battery(tmp):
     bench.pop("duration_s")
     results["benchmark/2x2"] = {"value": plain(bench), "warnings": []}
     results.update(cli_files(tmp))
+    results.update(csv_loads(sk, tmp))
     return results
 
 
