@@ -5,7 +5,8 @@ seed, the package version, and the wall-clock duration, so any output file
 can be traced back to the exact invocation. Row-shaped outputs (datasets,
 sensitivity curves) are CSV; everything else is JSON.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical or
+Exit codes: 0 success, 2 usage error, 3 data error (a malformed dataset, or
+any ``OSError``, such as a file that cannot be read), 4 numerical or
 convergence failure (an ``EstimationError`` or a ``LinAlgError``). Any other
 exception is a bug and surfaces as a traceback.
 """
@@ -36,16 +37,6 @@ from .models import (
 )
 from .simulate import SimulationSetting, gen_dataset, run_benchmark
 
-# Boolean store_true flags per subcommand, for config-file translation.
-_BOOL_FLAGS = {
-    "simulate": {"er_violation"},
-    "fit": set(),
-    "sensitivity": set(),
-    "diagnose": {"validate"},
-    "bench": {"table2", "table3", "table"},
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -59,12 +50,16 @@ def _usage(check, *args):
 
 
 def _check_outputs(inputs, outputs):
-    """Refuse an output path that names an input or another output, before any write."""
-    seen = {os.path.realpath(path) for path in inputs}
+    """Refuse, before any write, an output path whose directory does not
+    exist or that names an input or another output."""
+    seen = {os.path.realpath(path) for path in filter(None, inputs)}
     for path in filter(None, outputs):
-        if os.path.realpath(path) in seen:
+        real = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(real)):
+            raise UsageError(f"output path {path}: its directory does not exist")
+        if real in seen:
             raise UsageError(f"output path {path} names an input or another output")
-        seen.add(os.path.realpath(path))
+        seen.add(real)
 
 
 def build_parser():
@@ -169,8 +164,27 @@ def build_parser():
     return parser
 
 
-def read_config(path):
-    """Parse the plain-text key=value config format."""
+def _with_config(parser, argv):
+    """``argv`` with the key = value lines of its ``--config`` file, if any, read in.
+
+    Each line becomes a flag placed right after the subcommand, so that a
+    flag given on the command line overrides it. ``--config`` itself stays in
+    ``argv`` for the subcommand's parser, which also tells which keys name
+    flags that take no value: those take a boolean.
+    """
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        raise UsageError("--config needs a path") from None
+    if path is None:
+        return argv
+    if argv[0].startswith("-"):
+        raise UsageError("--config must follow a subcommand")
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv[0] not in commands:
+        return argv  # argparse names the unknown subcommand
     values = {}
     try:
         with open(path) as fh:
@@ -186,23 +200,18 @@ def read_config(path):
                 values[key.strip().replace("-", "_")] = value.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    return values
-
-
-def _config_argv(command, values):
-    """Translate config values into an argv prefix (flags still override)."""
-    argv = []
-    bools = _BOOL_FLAGS.get(command, set())
+    actions = commands[argv[0]]._option_string_actions
+    prefix = []
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
-        if key in bools:
+        if flag in actions and actions[flag].nargs == 0:
             if value.lower() in ("1", "true", "yes", "on"):
-                argv.append(flag)
+                prefix.append(flag)
             elif value.lower() not in ("0", "false", "no", "off"):
                 raise UsageError(f"config key {key}: expected a boolean, got {value!r}")
         else:
-            argv.extend([flag, value])
-    return argv
+            prefix.extend([flag, value])
+    return argv[:1] + prefix + argv[1:]
 
 
 def _schema_from_args(args):
@@ -267,7 +276,7 @@ def cmd_simulate(args):
     # a file without data rows is one load_dataset rejects
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    _check_outputs([], [args.out, args.oracle_out])
+    _check_outputs([args.config], [args.out, args.oracle_out])
     setting = _usage(
         SimulationSetting, args.n, args.delta1, args.delta2, args.er_violation, args.seed
     )
@@ -284,7 +293,7 @@ def cmd_fit(args):
     _usage(check_method, args.method, args.rho)
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise UsageError("--bootstrap must be 0 or at least 2")
-    _check_outputs([args.data], [args.out])
+    _check_outputs([args.data, args.config], [args.out])
     data = load_dataset(args.data, schema=_schema_from_args(args))
     if args.bootstrap:
         estimate = bootstrap(
@@ -306,7 +315,7 @@ def cmd_sensitivity(args):
     grid = parse_rho_grid(args.rho_grid)
     variants = ["true", "false"] if args.assume_er == "both" else [args.assume_er]
     paths = _curve_paths(args.out, variants)
-    _check_outputs([args.data], paths.values())
+    _check_outputs([args.data, args.config], paths.values())
 
     data = load_dataset(args.data, schema=_schema_from_args(args))
     survival = fit_survival_sm(data)
@@ -328,7 +337,7 @@ def cmd_diagnose(args):
         raise UsageError("--bins must be at least 1")
     if args.rho is not None:
         _usage(check_rho, args.rho)
-    _check_outputs([args.data], [args.out])
+    _check_outputs([args.data, args.config], [args.out])
     data = load_dataset(args.data, schema=_schema_from_args(args))
     report = run_diagnostics(data, bins=args.bins, rho=args.rho)
     result = report.to_dict()
@@ -375,6 +384,7 @@ def cmd_bench(args):
         raise UsageError("--sizes must be positive integers")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     _usage(method_rhos, methods, args.rho)
+    _check_outputs([args.config], [args.out])
 
     report = run_benchmark(
         settings, sizes, methods, reps=args.reps, seed=args.seed, rho=args.rho
@@ -386,16 +396,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a path")
-            if i == 0 or argv[0].startswith("-"):
-                raise UsageError("--config must follow a subcommand")
-            values = read_config(argv[i + 1])
-            prefix = _config_argv(argv[0], values)
-            argv = [argv[0]] + prefix + argv[1:i] + argv[i + 2 :]
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
         if getattr(args, "seed", 0) < 0:
             raise UsageError("--seed must be non-negative")
         started = time.monotonic()
@@ -412,7 +413,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, DataError) as exc:
+    except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except (EstimationError, np.linalg.LinAlgError) as exc:

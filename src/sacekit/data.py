@@ -425,6 +425,8 @@ def _row_problem(row, layout, schema):
     if yfield == "":
         return "survivor without an outcome"
     try:
+        if not yfield.isascii():
+            raise ValueError
         yv = float(yfield)
     except ValueError:
         return f"bad outcome value {yfield!r}"

@@ -266,6 +266,94 @@ def test_simulate_refuses_to_write_its_oracle_over_its_dataset(tmp_path, capsys)
              "--out", str(data), "--oracle-out", str(data))
 
 
+@pytest.mark.parametrize(
+    "name, config, argv",
+    [
+        ("run.cfg", "n = 50\n", ["simulate", "--out", "{cfg}"]),
+        ("run.cfg", "n = 50\n", ["simulate", "--out", "{tmp}/e.csv", "--oracle-out", "{cfg}"]),
+        ("run.cfg", "method = naive\n", ["fit", "--data", "{data}", "--out", "{cfg}"]),
+        ("run.cfg", "bins = 1\n", ["diagnose", "--data", "{data}", "--out", "{cfg}"]),
+        ("run.cfg", "reps = 1\n", ["bench", "--settings", "0,0", "--sizes", "50",
+                                    "--methods", "naive", "--out", "{cfg}"]),
+        # with both variants, --out curve.csv writes curve.er.csv and curve.ni.csv
+        ("curve.ni.csv", "rho-grid = 0,1\n", ["sensitivity", "--data", "{data}",
+                                               "--assume-er", "both", "--out", "{tmp}/curve.csv"]),
+    ],
+    ids=["simulate", "simulate-oracle", "fit", "diagnose", "bench", "sensitivity-curve"],
+)
+def test_no_output_may_name_the_config_file(tmp_path, capsys, name, config, argv):
+    data = make_data(tmp_path, capsys, n=200)
+    cfg = tmp_path / name
+    cfg.write_text(config)
+    argv = [arg.format(cfg=cfg, data=data, tmp=tmp_path) for arg in argv]
+    _refused(capsys, cfg, *argv[:1], "--config", str(cfg), *argv[1:])
+
+
+@pytest.mark.parametrize(
+    "option", [["--config={cfg}"], ["--conf", "{cfg}"]], ids=["equals", "abbreviated"]
+)
+def test_every_form_of_the_config_option_applies_the_file(tmp_path, capsys, option):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("seed = 5\n")
+    code, stdout, _ = run_cli(
+        capsys, "simulate", *(arg.format(cfg=cfg) for arg in option), "--n", "50",
+        "--out", str(tmp_path / "d.csv"),
+    )
+    assert code == 0 and json.loads(stdout)["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("er-violation", ["simulate", "--n", "50", "--out", "{tmp}/d.csv"]),
+        ("validate", ["diagnose", "--data", "{data}", "--out", "{tmp}/diag.json"]),
+        ("table2", ["bench", "--sizes", "50", "--reps", "1", "--methods", "naive",
+                    "--out", "{tmp}/bench.json"]),
+        ("table3", ["bench", "--sizes", "50", "--reps", "1", "--methods", "naive",
+                    "--out", "{tmp}/bench.json"]),
+        ("table", ["bench", "--settings", "0,0", "--sizes", "50", "--reps", "1",
+                   "--methods", "naive", "--out", "{tmp}/bench.json"]),
+    ],
+    ids=["er-violation", "validate", "table2", "table3", "table"],
+)
+def test_every_store_true_flag_can_be_set_from_a_config_file(tmp_path, capsys, flag, argv):
+    data = make_data(tmp_path, capsys, n=200)
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text(f"{flag} = true\n")
+    argv = [arg.format(data=data, tmp=tmp_path) for arg in argv]
+    code, stdout, err = run_cli(capsys, *argv[:1], "--config", str(cfg), *argv[1:])
+    assert code == 0, err
+    # simulate's --out is its dataset, so its envelope goes to stdout
+    report = stdout if argv[0] == "simulate" else Path(argv[-1]).read_text()
+    assert json.loads(report)["config"][flag.replace("-", "_")] is True
+
+
+def test_an_input_that_cannot_be_read_is_a_data_error(tmp_path, capsys):
+    code, stdout, err = run_cli(capsys, "fit", "--data", str(tmp_path), "--method", "naive")
+    assert (code, stdout) == (3, "")
+    assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "50"],
+        ["fit", "--data", "{data}", "--method", "naive", "--bootstrap", "200"],
+        ["sensitivity", "--data", "{data}", "--rho-grid", "0,1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_output_in_a_missing_directory_is_refused_before_the_run(tmp_path, capsys, argv):
+    data = make_data(tmp_path, capsys, n=200)
+    missing = tmp_path / "missing"
+    code, stdout, err = run_cli(
+        capsys, *(arg.format(data=data) for arg in argv), "--out", str(missing / "x")
+    )
+    assert (code, stdout) == (2, "")
+    assert f"output path {missing / 'x'}: its directory does not exist" in err
+    assert not missing.exists()
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # single substitution level: the covariate-free baseline cannot run
     p = tmp_path / "flat.csv"

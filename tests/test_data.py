@@ -393,6 +393,7 @@ PREFIX_ROWS = 50_010
     [
         ("1,1,,0,0.5", "survivor without an outcome"),
         ("1,1,oops,0,0.5", "bad outcome value 'oops'"),
+        ("1,1,\uff12.0,0,0.5", "bad outcome value '\uff12.0'"),  # float() reads a fullwidth 2
         ("1,1,inf,0,0.5", "non-finite outcome"),
         ("1,0,2.0,0,0.5", "outcome present for a truncated unit"),
         ("1,0,nan,0,0.5", "outcome present for a truncated unit"),

@@ -111,6 +111,25 @@ def test_check_relevance_population_examples():
     assert check_relevance(single)["status"] == "vacuous"
 
 
+def test_check_relevance_passes_a_ratio_spread_below_the_guard_when_q_exceeds_the_floor():
+    # 1.6e14 units per arm make a 2.5e-9 ratio spread, below the solver's
+    # separation guard, significant enough to lift Q to 5e-4: above the
+    # fail floor, so the ratios are not shown to be constant
+    n = 1.6e14
+    table = CellTable(
+        {
+            ((), 0): sample_cell(2 * n, 0.5, 0.25, n, n),
+            ((), 1): sample_cell(2 * n, 0.5, 0.25 * (1 + 5e-9), n, n),
+        },
+        mode="sample",
+    )
+    out = check_relevance(table)
+    cell = out["cells"][0]
+    assert cell["ratio_spread"] == pytest.approx(2.5e-9, rel=1e-6)
+    assert cell["q_stat"] == pytest.approx(5e-4, rel=1e-6)
+    assert out["status"] == "pass"
+
+
 def test_check_relevance_sample_near_tie_is_not_failure():
     # ratios differ by less than sampling noise: the q statistic lands at
     # the chi-square floor but the spread shows genuine variation, so the

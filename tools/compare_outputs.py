@@ -38,19 +38,22 @@ The battery:
 - the files group: an analysis session at n=2000 through
   ``sacekit.cli.main`` (``simulate --out --oracle-out``, ``sensitivity
   --assume-er both``, ``diagnose --validate`` and ``fit --method prop-er``,
-  with relative paths in the battery's directory), recording each stdout
-  envelope without ``duration_s`` and the text of every file written, line
-  endings included;
-- the csv group: ``load_dataset`` on ten small files written into the
+  then ``simulate`` and ``fit`` again, each with ``--config`` naming a file
+  that sets its options: n, seed and ``er-violation = true``, and the
+  method), with relative paths in the battery's directory, recording each
+  stdout envelope without ``duration_s`` and the text of the session's
+  first four files, line endings included;
+- the csv group: ``load_dataset`` on eleven small files written into the
   battery's directory and read by relative path (LF, CRLF and lone-CR line
   endings; quoted header names holding a comma and a line break; padded and
   quoted fields; a UTF-8 BOM; ``Schema(a="z")``; a header that names a
-  covariate twice; a missing role and a missing listed covariate),
+  covariate twice; a missing role and a missing listed covariate; a survivor
+  outcome written with a fullwidth digit),
   recording the covariate names and the z, s, a, x and survivor outcome
   arrays, or the error.
 
-That is 265 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
-diagnostics 54, routes 72, benchmark 1, files 8 and csv 10.
+That is 268 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
+diagnostics 54, routes 72, benchmark 1, files 10 and csv 11.
 
 A library error (``SacekitError`` or ``ValueError``) is recorded as its
 type and message, and warnings as their category and message; any other
@@ -166,6 +169,12 @@ CLI_SESSION = {  # command: argv, run in this order with relative paths
                     "--out", "curve.csv"],
     "diagnose": ["diagnose", "--data", "sim.csv", "--validate"],
     "fit": ["fit", "--data", "sim.csv", "--method", "prop-er"],
+    "simulate --config": ["simulate", "--config", "sim.cfg", "--out", "cfg.csv"],
+    "fit --config": ["fit", "--config", "fit.cfg", "--data", "sim.csv"],
+}
+CLI_CONFIGS = {  # name: text of each config file that CLI_SESSION reads
+    "sim.cfg": "n = 500\nseed = 922\ner-violation = true\n",
+    "fit.cfg": "method = dgyz\n",
 }
 CLI_FILES = ("sim.csv", "sim.oracle.csv", "curve.er.csv", "curve.ni.csv")
 
@@ -178,6 +187,9 @@ def cli_files(tmp):
     here = os.getcwd()
     os.chdir(tmp)
     try:
+        for name, text in CLI_CONFIGS.items():
+            with open(name, "w") as fh:
+                fh.write(text)
         for command, argv in CLI_SESSION.items():
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 code = main(argv)
@@ -205,6 +217,7 @@ CSV_FILES = {  # name: (bytes, Schema keyword arguments)
     "duplicate_name.csv": (b"z,s,y,a,age,age\n1,1,2.5,0,44,45\n0,0,,1,51,52\n", {}),
     "missing_role.csv": (b"z,s,a,x1\n1,1,0,0.5\n", {}),
     "missing_covariate.csv": (LF, {"covariates": ("x1", "bmi")}),
+    "non_ascii_outcome.csv": ("z,s,y,a\n1,1,2.0,0\n1,1,\uff12.0,0\n".encode(), {}),
 }
 
 
