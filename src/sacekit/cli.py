@@ -50,11 +50,13 @@ def _usage(check, *args):
 
 
 def _check_outputs(inputs, outputs):
-    """Refuse, before any write, an output path whose directory does not
-    exist or that names an input or another output."""
+    """Refuse, before any write, an output path that is a directory, whose
+    directory does not exist, or that names an input or another output."""
     seen = {os.path.realpath(path) for path in filter(None, inputs)}
     for path in filter(None, outputs):
         real = os.path.realpath(path)
+        if os.path.isdir(real):
+            raise UsageError(f"output path {path} is a directory")
         if not os.path.isdir(os.path.dirname(real)):
             raise UsageError(f"output path {path}: its directory does not exist")
         if real in seen:

@@ -100,13 +100,20 @@ def _fmt(v):
     return str(v)
 
 
+def _check_bins(bins):
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(f"bins must be an integer of 1 or more, got {bins!r}")
+
+
 def quantile_binner(x, bins):
     """Per-covariate quantile binning; discrete columns keep their levels.
 
     Returns a transform for use as the ``x_transform`` of
     :meth:`CellTable.from_dataset`. It maps the whole (n, d) covariate
-    matrix to an (n, d) integer array of bin indices.
+    matrix to an (n, d) integer array of bin indices. ``bins`` must be an
+    integer of 1 or more (ValueError).
     """
+    _check_bins(bins)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -319,7 +326,8 @@ def run_diagnostics(data, bins=2, rho=None):
     data : Dataset
     bins : int
         Quantile bins per covariate for cell formation (continuous
-        covariates only; discrete ones keep their levels).
+        covariates only; discrete ones keep their levels). An integer of 1
+        or more, checked even when there are no covariates (ValueError).
     rho : float, optional
         Sensitivity level enabling the control-arm mean-structure screen.
 
@@ -329,6 +337,7 @@ def run_diagnostics(data, bins=2, rho=None):
         All five constraints always appear, each with a status and
         cell-level detail. Inputs are never modified.
     """
+    _check_bins(bins)
     if rho is not None:
         check_rho(rho)
     transform = quantile_binner(data.x, bins) if data.n_covariates else None

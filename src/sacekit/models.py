@@ -592,39 +592,29 @@ class SmFit:
     warnings: list = field(default_factory=list)
 
 
-def _share_divisor(th, rows, out):
-    """``max(th[rows], 1e-300)``, written into ``out`` and returned.
-
-    The always-survivor share of a survivor is its always-survivor
-    probability over this; the floor keeps a zero survival probability from
-    dividing by zero. ``rows`` are valid indices, so ``take`` may write
-    into ``out`` directly ("clip" mode) instead of through a buffer.
-    """
-    np.take(th, rows, out=out, mode="clip")
-    return np.maximum(out, 1e-300, out=out)
-
-
 class _SmStage:
     """The part of the stochastic-monotonicity pipeline that no ``rho`` changes.
 
     Built once per :func:`sensitivity_sweep` (and once per stand-alone
     :func:`fit_sm` call) for one outcome variant. It holds the two fitted
-    survival surfaces over all units, the survivors' row indices, and one
-    factored :func:`_survivor_fit` per outcome regression, whose
-    intercept, covariate, ``a`` and ``z`` columns the builder fills and
-    whose share columns it leaves for each ``rho``. Those fixed columns F
-    are factored once (:class:`~sacekit.numerics.FixedBlockOLS`), and the
-    survivor-count failures, which no ``rho`` changes, are decided once. Evaluating at a
-    ``rho`` overwrites only the one or two share columns S, each computed
-    in its own column (its divisor first, :func:`_share_divisor`), so no
-    share-length array is held between points. :func:`_outcome_ols` then
-    screens them and solves ``[F | S]`` by block elimination, or by
-    ``fit_ols`` on the full design where the factor is too near rank
-    deficiency, so its errors are exactly ``fit_ols``'s. A
-    stored survivor-count failure is raised where a full fit would raise
-    it: after the zero-mass check of :func:`fit_sm`, and in an arm-wise
-    fit after the treated arm's. In a sweep each grid point thus still
-    fails alone. ``weights`` are integer frequency weights, one per unit.
+    survival surfaces over all units and one factored :func:`_survivor_fit`
+    per outcome regression, whose fixed columns F (intercept, covariates,
+    ``a`` and ``z``) are factored once
+    (:class:`~sacekit.numerics.FixedBlockOLS`) and whose survivor-count
+    failures, which no ``rho`` changes, are decided once. Each share column
+    is declared once, in ``shares``, as (fit, column, survivor rows,
+    survival surface, arm). At a ``rho`` every one is ``always[rows] /
+    max(surface[rows], 1e-300)``, times Z (arm 1) or 1 - Z (arm 0) in the
+    pooled fit, written in place, so no share-length array is held between
+    points; the floor keeps a zero survival probability from dividing by
+    zero. :func:`_outcome_ols` then screens the share columns S and solves
+    ``[F | S]`` by block elimination, or by ``fit_ols`` on the full design
+    where the factor is too near rank deficiency, so its errors are exactly
+    ``fit_ols``'s. A stored survivor-count failure is raised where a full
+    fit would raise it: after the zero-mass check of :func:`fit_sm`, and in
+    an arm-wise fit after the treated arm's. In a sweep each grid point
+    thus still fails alone. ``weights`` are integer frequency weights, one
+    per unit.
     """
 
     def __init__(self, data, survival, assume_er, weights=None):
@@ -637,31 +627,29 @@ class _SmStage:
         self.th0 = survival.theta_control(v)
         del v  # freed before the outcome designs are built and factored
         self._last = None
+        self.fits, self.shares = [], []
         if assume_er:
-            self.rows = [np.flatnonzero(data.survivor_mask(arm)) for arm in (1, 0)]
             tail = [("always_share", None, slice(None))]
-            self.fits = [
-                _survivor_fit(
-                    f"the {arm}-arm outcome fit", data, rows, tail, weights, factor=True
-                )
-                for arm, rows in zip(("treated", "control"), self.rows)
-            ]
+            for arm, name, th in ((1, "treated", self.th1), (0, "control", self.th0)):
+                rows = np.flatnonzero(data.survivor_mask(arm))
+                what = f"the {name}-arm outcome fit"
+                self.fits.append(_survivor_fit(what, data, rows, tail, weights, factor=True))
+                self.shares.append((self.fits[-1], -1, rows, th, None))
         else:
-            self.rows = rows = np.flatnonzero(data.survivor_mask())
+            rows = np.flatnonzero(data.survivor_mask())
             zs = data.z[rows]
-            # (1, X, A, Z*share1, Z, (1-Z)*share0); the share columns are per
-            # rho and each is screened on its own arm's rows
+            # (1, X, A, Z*share1, Z, (1-Z)*share0); each share column is
+            # screened on its own arm's rows
             tail = [
                 ("a", data.a[rows], None),
                 ("z_x_treated_share", None, np.flatnonzero(zs == 1)),
                 ("z", zs, None),
                 ("cz_x_control_share", None, np.flatnonzero(zs == 0)),
             ]
-            self.fits = [
-                _survivor_fit(
-                    "the pooled outcome fit", data, rows, tail, weights, factor=True
-                )
-            ]
+            fit = _survivor_fit("the pooled outcome fit", data, rows, tail, weights, factor=True)
+            d = data.n_covariates
+            self.fits.append(fit)
+            self.shares += [(fit, d + 2, rows, self.th1, 1), (fit, d + 4, rows, self.th0, 0)]
         self.names = self.fits[0].names
 
     def coupling(self, rho):
@@ -683,39 +671,31 @@ class _SmStage:
         Two arm-wise fits on (1, X, arm share) when the exclusion
         restriction is assumed, else one pooled fit.
         """
+        for fit, j, rows, th, arm in self.shares:
+            share, taken = fit.design[:, j], always.take(rows)
+            # "clip" lets take write into the column directly; rows are valid
+            np.take(th, rows, out=share, mode="clip")
+            np.divide(taken, np.maximum(share, 1e-300, out=share), out=share)
+            if arm is not None:
+                z = fit.design[:, fit.names.index("z")]
+                share *= z if arm else np.subtract(1.0, z, out=taken)
+            del taken  # freed before the next column and the outcome fits
+        coefs, notes = [], []
+        for fit in self.fits:
+            coef, fit_notes = _outcome_ols(fit)
+            coefs.append(coef)
+            notes += fit_notes
+        keys = ("treated_mix", "control_mix") if self.assume_er else ("pooled_relaxed",)
+        outcome = OutcomeParams(
+            **dict(zip(keys, coefs)), names=dict.fromkeys(keys, self.names), notes=notes
+        )
         if self.assume_er:
-            coefs, notes = [], []
-            for fit, rows, th in zip(self.fits, self.rows, (self.th1, self.th0)):
-                share = fit.design[:, -1]
-                np.divide(always.take(rows), _share_divisor(th, rows, share), out=share)
-                coef, arm_notes = _outcome_ols(fit)
-                coefs.append(coef)
-                notes += arm_notes
-            treated_mix, control_mix = coefs
-            outcome = OutcomeParams(
-                treated_mix=treated_mix,
-                control_mix=control_mix,
-                names={"treated_mix": self.names, "control_mix": self.names},
-                notes=notes,
-            )
             # (1, X, 1) @ (treated - control): the survivor-mean gap of each unit
-            gap_coef = treated_mix - control_mix
+            gap_coef = coefs[0] - coefs[1]
             gap = self.x @ gap_coef[1:-1] + (gap_coef[0] + gap_coef[-1])
             return outcome, _share_average(gap, always, self.weights)
+        (coef,) = coefs
         d = self.x.shape[1]
-        (fit,) = self.fits
-        # Z * share1 and (1 - Z) * share0 in place, with Z the design's own column
-        share1, z, share0 = fit.design[:, d + 2 :].T
-        surv_always = always.take(self.rows)
-        np.divide(surv_always, _share_divisor(self.th1, self.rows, share1), out=share1)
-        share1 *= z
-        np.divide(surv_always, _share_divisor(self.th0, self.rows, share0), out=share0)
-        share0 *= np.subtract(1.0, z, out=surv_always)
-        del surv_always  # freed before the outcome fit
-        coef, notes = _outcome_ols(fit)
-        outcome = OutcomeParams(
-            pooled_relaxed=coef, names={"pooled_relaxed": self.names}, notes=notes
-        )
         return outcome, float(coef[d + 2] + coef[d + 3] - coef[d + 4])
 
 
@@ -739,8 +719,9 @@ def fit_sm(data, rho, assume_er=True, survival=None, weights=None, *, _stage=Non
     all units, the survivor selections, the fixed design columns and their
     factorization, and the survivor-count checks) is built first as one
     stage, :class:`_SmStage`; :func:`sensitivity_sweep` builds it once and
-    evaluates every grid point through this function. ``weights`` are
-    integer frequency weights, one per unit.
+    evaluates every grid point through this function, and the fit reports
+    the stage's ``assume_er``. ``weights`` are integer frequency weights,
+    one per unit.
     """
     if _stage is None:
         weights = _check_weights(weights, len(data))
@@ -753,7 +734,7 @@ def fit_sm(data, rho, assume_er=True, survival=None, weights=None, *, _stage=Non
     return SmFit(
         survival=_stage.survival,
         rho=float(rho),
-        assume_er=assume_er,
+        assume_er=_stage.assume_er,
         outcome=outcome,
         effect=effect,
         always_mass=always_mass,
@@ -1161,7 +1142,7 @@ def sensitivity_sweep(data, rho_grid, assume_er=True, survival=None):
         _warnings.simplefilter("ignore", IdentificationWarning)
         for rho in grid.tolist():
             try:
-                fit = fit_sm(data, rho, assume_er=assume_er, _stage=stage)
+                fit = fit_sm(data, rho, _stage=stage)
             except EstimationError as exc:
                 rows.append(
                     SensitivityRow(

@@ -260,6 +260,7 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
     settings : sequence
         ``(delta1, delta2, er_violation)`` triples.
     sizes : sequence of int
+        Sample sizes, each an integer of 1 or more (ValueError).
     methods : sequence of str
         Any of naive, dgyz, prop-er, prop-ni, prop-sm, prop-sm-ni.
     reps : int
@@ -275,17 +276,20 @@ def run_benchmark(settings, sizes, methods, reps, seed=0, rho=None):
     Each replicate fits every stage-one kind its methods use once and
     shares it among them. Failed replicates (estimation errors, non-finite
     estimates, stage-one non-convergence) are excluded from a cell's
-    average and counted by reason.
+    average and counted by reason. The settings and sizes are all checked
+    before the first dataset is drawn.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     methods = tuple(methods)
     rhos = method_rhos(methods, rho)
-
-    # every setting is checked before the first dataset is drawn
     norm_settings = [
         SimulationSetting(0, int(d1), int(d2), bool(er)) for d1, d2, er in settings
     ]
+    sizes = list(sizes)
+    for n in sizes:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"sizes must be integers of 1 or more, got {n!r}")
 
     started = time.monotonic()
     cells = []

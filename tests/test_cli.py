@@ -354,6 +354,33 @@ def test_an_output_in_a_missing_directory_is_refused_before_the_run(tmp_path, ca
     assert not missing.exists()
 
 
+@pytest.mark.parametrize(
+    "directory, argv",
+    [
+        ("out", ["fit", "--data", "{data}", "--method", "naive", "--bootstrap", "50",
+                 "--out", "{tmp}/out"]),
+        ("out", ["diagnose", "--data", "{data}", "--out", "{tmp}/out"]),
+        ("out", ["bench", "--settings", "0,0", "--sizes", "50", "--reps", "1",
+                 "--methods", "naive", "--out", "{tmp}/out"]),
+        ("out", ["simulate", "--n", "50", "--out", "{tmp}/e.csv", "--oracle-out", "{tmp}/out"]),
+        # with both variants, --out curve.csv writes curve.er.csv and curve.ni.csv
+        ("curve.ni.csv", ["sensitivity", "--data", "{data}", "--rho-grid", "0,1",
+                          "--assume-er", "both", "--out", "{tmp}/curve.csv"]),
+    ],
+    ids=["fit", "diagnose", "bench", "simulate-oracle", "sensitivity-curve"],
+)
+def test_an_output_path_that_is_a_directory_is_refused_before_the_run(
+    tmp_path, capsys, directory, argv
+):
+    data = make_data(tmp_path, capsys, n=200)
+    (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run_cli(capsys, *(arg.format(data=data, tmp=tmp_path) for arg in argv))
+    assert (code, stdout) == (2, "")
+    assert f"output path {tmp_path / directory} is a directory" in err
+    assert sorted(tmp_path.iterdir()) == before  # nothing was written
+
+
 def test_fit_estimation_failure_exit_code(tmp_path, capsys):
     # single substitution level: the covariate-free baseline cannot run
     p = tmp_path / "flat.csv"

@@ -359,6 +359,19 @@ def test_run_diagnostics_reports_all_five_constraints():
     assert d["n"] == 2000 and d["bins"] == 2 and isinstance(d["ok"], bool)
 
 
+@pytest.mark.parametrize("bins", [0, -3, 2.0, True])
+def test_bins_must_be_an_integer_of_one_or_more(bins):
+    data, _ = gen_dataset(SimulationSetting(n=2000, seed=85))
+    y = np.full(len(data), np.nan)
+    y[data.s == 1] = data.outcomes_at(data.s == 1)
+    bare = Dataset.from_arrays(data.z, np.empty((len(data), 0)), data.a, data.s, y)
+    for each in (data, bare):  # checked with and without covariates
+        with pytest.raises(ValueError, match="bins must be an integer of 1 or more"):
+            run_diagnostics(each, bins=bins)
+    with pytest.raises(ValueError, match="bins must be an integer of 1 or more"):
+        quantile_binner(data.x, bins)
+
+
 def test_run_diagnostics_checks_rho():
     data, _ = gen_dataset(SimulationSetting(n=500, seed=1))
     with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):

@@ -616,6 +616,19 @@ def test_fit_logistic_recovers_truth():
     assert np.all(np.abs(res.params - beta) < 0.1)
 
 
+def test_a_fitted_probability_within_boundary_eps_is_not_converged():
+    # one point far out at x = 16 with y = 0 leaves a fitted probability
+    # between 1e-9 and BOUNDARY_EPS = 1e-6 while the gradient meets its tolerance
+    rng = rng_stream(11)
+    x = rng.uniform(-2.0, 2.0, 400)
+    y = (rng.random(400) < expit(0.3 - x)).astype(float)
+    design = np.column_stack([np.ones(401), np.append(x, 16.0)])
+    res = fit_logistic(design, np.append(y, 0.0))
+    assert 1e-9 < expit(design @ res.params).min() < 1e-6
+    assert res.grad_norm <= numerics.NEWTON_TOL
+    assert res.boundary_flag and not res.converged
+
+
 def test_rng_stream_determinism_and_distinctness():
     a = rng_stream(99, 3).normal(size=4)
     b = rng_stream(99, 3).normal(size=4)

@@ -261,6 +261,20 @@ def test_run_benchmark_checks_every_setting_before_drawing(monkeypatch):
     assert draws == []
 
 
+@pytest.mark.parametrize("sizes", [[0], [200, -5], [200, 2.0], [True]])
+def test_run_benchmark_checks_every_size_before_drawing(monkeypatch, sizes):
+    import sacekit.simulate as simulate
+
+    draws = []
+    real = simulate.gen_dataset
+    monkeypatch.setattr(
+        simulate, "gen_dataset", lambda *a, **k: draws.append(1) or real(*a, **k)
+    )
+    with pytest.raises(ValueError, match="sizes must be integers of 1 or more"):
+        run_benchmark([(0, 0, False)], sizes, ("naive",), reps=2)
+    assert draws == []
+
+
 def test_format_table_uses_times_hundred_convention():
     rep = run_benchmark([(0, 0, False)], [300], ("naive",), reps=3, seed=6)
     text = rep.format_table()

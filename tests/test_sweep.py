@@ -245,3 +245,15 @@ def test_zero_always_mass_is_reported_before_the_survivor_count():
     assert {row.message for row in curve.rows} == {
         "fitted always-survivor mass is zero; the effect is undefined"
     }
+
+
+@pytest.mark.parametrize("assume_er", [True, False])
+def test_fit_sm_reports_the_variant_of_the_stage_it_is_given(assume_er):
+    data, _ = gen_dataset(SimulationSetting(n=2000, delta1=1, seed=31))
+    survival = fit_survival_sm(data)
+    staged = fit_sm(
+        data, 0.5, assume_er=not assume_er, _stage=models._SmStage(data, survival, assume_er)
+    )
+    alone = fit_sm(data, 0.5, assume_er=assume_er, survival=survival)
+    assert staged.assume_er is assume_er
+    assert staged.effect == alone.effect
