@@ -349,6 +349,10 @@ def cmd_diagnose(args):
 
 
 def _parse_settings(args):
+    flags = {"--table2": args.table2, "--table3": args.table3, "--settings": args.settings}
+    given = [flag for flag, value in flags.items() if value not in (False, None)]
+    if len(given) > 1:
+        raise UsageError(f"{' and '.join(given)} each set the grid; give one")
     if args.table2 or args.table3:
         er = bool(args.table3)
         return [(d1, d2, er) for d1 in (0, 1) for d2 in (0, 1)]
@@ -366,7 +370,9 @@ def _parse_settings(args):
             d1, d2 = int(fields[0]), int(fields[1])
         except ValueError:
             raise UsageError(f"bad settings entry {part!r}") from None
-        er = len(fields) == 3 and fields[2].lower() in ("er", "true", "1", "yes")
+        if len(fields) == 3 and fields[2].lower() not in ("er", "true", "1", "yes"):
+            raise UsageError(f"bad settings entry {part!r}, its third field must be er")
+        er = len(fields) == 3
         _usage(SimulationSetting, 0, d1, d2)
         settings.append((d1, d2, er))
     if not settings:

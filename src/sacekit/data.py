@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -181,6 +181,9 @@ class Dataset:
 # np.loadtxt settings for the data rows. Latin-1 maps every byte to one
 # character, so text in columns that are not read never fails to decode.
 _LOADTXT = dict(delimiter=",", comments=None, quotechar='"', ndmin=1, encoding="latin1")
+# The csv.reader field limit of the per-row parsers: np.loadtxt has none,
+# and this is the largest limit a C long holds on every platform.
+_FIELD_LIMIT = 2**31 - 1
 # Bytes of a CSV file searched at once by :func:`_scan_records`; bounds the
 # masks and index arrays built per search.
 _SCAN_BLOCK = 1 << 18
@@ -216,10 +219,11 @@ def load_dataset(path, schema=None):
     rows raise :class:`DataError` with the 1-based row number.
 
     The data rows are read in one pass (z, s, a and y as byte strings, the
-    covariates as floats) and checked as whole columns. Numeric fields must
-    be ASCII, and covariates must not use digit-group underscores. A quoted
-    field may hold a delimiter or a line break; a quote character inside an
-    unquoted field is not supported.
+    covariates as floats) and checked as whole columns. The header must be
+    UTF-8 (a BOM is dropped); no other byte has to decode, so a column that
+    is not read may hold any text. Numeric fields must be ASCII and must not
+    use digit-group underscores. A quoted field may hold a delimiter or a
+    line break; a quote character inside an unquoted field is not supported.
     """
     schema = schema or Schema()
     layout = _read_layout(path, schema)
@@ -251,6 +255,8 @@ def load_dataset(path, schema=None):
         )
         y = np.char.strip(rows["y"])
         surv = s == b"1"
+        if b"_" in rows["a"].tobytes() or b"_" in y.tobytes():  # astype reads 1_0 as 10
+            raise ValueError("a digit-group underscore")
         a = rows["a"].astype(np.int64)
         y_surv = y[surv].astype(float)
     except (ValueError, OverflowError) as exc:
@@ -276,12 +282,22 @@ def load_dataset(path, schema=None):
     return Dataset(z, x, a, s, y, layout.x_names)
 
 
+def _open_csv(path):
+    """``path`` opened for :func:`csv.reader`: UTF-8, any BOM dropped, and a
+    byte that does not decode read as a lone surrogate, which fails only a
+    field that is checked (a header name, or a numeric field: ASCII only)."""
+    return open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
+
+
 def _read_layout(path, schema):
     """The one parse of a CSV header (UTF-8, any BOM dropped): each column has one role."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with _open_csv(path) as fh:
             reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader)]
+            header = [
+                h.encode("utf-8", "surrogateescape").decode("utf-8").strip()
+                for h in next(reader)
+            ]
     except StopIteration:
         raise DataError(f"{path}: empty file") from None
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -391,18 +407,23 @@ def _row_error(path, layout, schema, stop=None, reason="unsupported field syntax
 
     Used only after the column reader has found a fault; ``stop`` is the row
     it flagged, if it knows one, and ``reason`` describes that fault in case
-    the parsers accept every row up to it.
+    the parsers accept every row up to it. The parsers read every file the
+    column reader reads: under :func:`_open_csv`, with the field limit
+    raised to :data:`_FIELD_LIMIT` for the call.
     """
+    limit = csv.field_size_limit(_FIELD_LIMIT)
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with _open_csv(path) as fh:
             reader = csv.reader(fh)
             next(reader)
             for rownum, row in enumerate(reader, start=2):
                 problem = _row_problem(row, layout, schema)
                 if problem or rownum == stop:
                     return DataError(f"{path}: row {rownum}: {problem or reason}")
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except csv.Error as exc:  # a field over _FIELD_LIMIT
         return DataError(f"{path}: {exc}")
+    finally:
+        csv.field_size_limit(limit)
     return DataError(f"{path}: {reason}")
 
 
@@ -425,9 +446,7 @@ def _row_problem(row, layout, schema):
     if yfield == "":
         return "survivor without an outcome"
     try:
-        if not yfield.isascii():
-            raise ValueError
-        yv = float(yfield)
+        yv = _number(yfield, float)
     except ValueError:
         return f"bad outcome value {yfield!r}"
     return None if np.isfinite(yv) else "non-finite outcome"
@@ -458,10 +477,10 @@ def _write_csv(path, header, columns, lineterminator="\r\n"):
 
     The one dialect of every CSV file sacekit writes: integers and strings by
     ``str``, finite floats by shortest round-trip ``repr``, a non-finite float
-    as an empty field. Only a header name can need quoting.
+    as an empty field, in UTF-8. Only a header name can need quoting.
     """
     columns = [np.asarray(col) for col in columns]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator=lineterminator).writerow(header)
         for start in range(0, len(columns[0]), _SAVE_BLOCK_ROWS):
             fields = [_csv_fields(col[start : start + _SAVE_BLOCK_ROWS]) for col in columns]
@@ -487,12 +506,17 @@ def _parse_binary(text, name):
     return int(v)
 
 
+def _number(text, kind):
+    """``kind(text)`` for a numeric field, which must be ASCII without digit-group underscores."""
+    if not text.isascii() or "_" in text:
+        raise ValueError
+    return kind(text)
+
+
 def _parse_code(text, name):
     v = text.strip()
     try:
-        if not v.isascii():
-            raise ValueError
-        code = int(v)
+        code = _number(v, int)
     except ValueError:
         raise ValueError(f"{name} must be an integer level code, got {text!r}") from None
     if code < 0:
@@ -504,9 +528,7 @@ def _parse_code(text, name):
 
 def _parse_float(text, name):
     try:
-        if not text.isascii() or "_" in text:
-            raise ValueError
-        v = float(text)
+        v = _number(text, float)
     except ValueError:
         raise ValueError(f"{name} must be numeric, got {text!r}") from None
     if not np.isfinite(v):
@@ -530,15 +552,7 @@ class ValidationReport:
         return not self.flags
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "arm_counts": self.arm_counts,
-            "survivor_counts": self.survivor_counts,
-            "a_level_counts": self.a_level_counts,
-            "covariate_summary": self.covariate_summary,
-            "flags": list(self.flags),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def validate(data):

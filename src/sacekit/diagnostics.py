@@ -110,13 +110,13 @@ def quantile_binner(x, bins):
 
     Returns a transform for use as the ``x_transform`` of
     :meth:`CellTable.from_dataset`. It maps the whole (n, d) covariate
-    matrix to an (n, d) integer array of bin indices. ``bins`` must be an
-    integer of 1 or more (ValueError).
+    matrix to an (n, d) integer array of bin indices. ``x`` must be such a
+    matrix and ``bins`` an integer of 1 or more (ValueError).
     """
     _check_bins(bins)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    if x.ndim != 2:
+        raise ValueError(f"x must be an (n, d) covariate matrix, got shape {x.shape}")
     rules = []
     for j in range(x.shape[1]):
         uniq = np.unique(x[:, j])
@@ -341,9 +341,7 @@ def run_diagnostics(data, bins=2, rho=None):
     if rho is not None:
         check_rho(rho)
     transform = quantile_binner(data.x, bins) if data.n_covariates else None
-    table = CellTable.from_dataset(
-        data, use_x=data.n_covariates > 0, x_transform=transform
-    )
+    table = CellTable.from_dataset(data, x_transform=transform)
     constraints = {
         "survival_monotonicity": check_monotone(table),
         "treated_mean_structure": _mean_structure(table, "treated"),

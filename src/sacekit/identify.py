@@ -369,11 +369,7 @@ def _solve_mixture_levels(entries, sample, where):
             f"{where}: mixing-weight spread {spread:.3g} is weak; "
             "the solve is noise-amplified"
         )
-    if len(entries) == 2:
-        mu, _ = solve_two_point_mixture(ys[0], ys[1], ws[0], ws[1])
-        return float(mu)
-    mu, _, _, _ = gmm_overidentified(ys, ws, cs)
-    return float(mu)
+    return float(gmm_overidentified(ys, ws, cs)[0])
 
 
 def _arm_entries(group, shares, tag, sample):

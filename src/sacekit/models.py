@@ -71,11 +71,7 @@ CONSTANT_EPS = 1e-10
 
 def survival_design(x, a):
     """Design matrix (1, X, A) shared by every stage-one model."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    a = np.asarray(a, dtype=float)
-    return np.column_stack([np.ones(a.shape[0]), x, a])
+    return np.column_stack([np.ones(len(a)), x, a])
 
 
 def _design(x, a):
@@ -601,9 +597,10 @@ class _SmStage:
     per outcome regression, whose fixed columns F (intercept, covariates,
     ``a`` and ``z``) are factored once
     (:class:`~sacekit.numerics.FixedBlockOLS`) and whose survivor-count
-    failures, which no ``rho`` changes, are decided once. Each share column
-    is declared once, in ``shares``, as (fit, column, survivor rows,
-    survival surface, arm). At a ``rho`` every one is ``always[rows] /
+    failures, which no ``rho`` changes, are decided once. Each fit is listed
+    once, in ``fits``, with its survivor rows and its share columns, each
+    (column, survival surface, arm). At a ``rho`` ``always[rows]`` is
+    gathered once per fit, and every share column is ``always[rows] /
     max(surface[rows], 1e-300)``, times Z (arm 1) or 1 - Z (arm 0) in the
     pooled fit, written in place, so no share-length array is held between
     points; the floor keeps a zero survival probability from dividing by
@@ -627,14 +624,14 @@ class _SmStage:
         self.th0 = survival.theta_control(v)
         del v  # freed before the outcome designs are built and factored
         self._last = None
-        self.fits, self.shares = [], []
+        self.fits = []
         if assume_er:
             tail = [("always_share", None, slice(None))]
             for arm, name, th in ((1, "treated", self.th1), (0, "control", self.th0)):
                 rows = np.flatnonzero(data.survivor_mask(arm))
                 what = f"the {name}-arm outcome fit"
-                self.fits.append(_survivor_fit(what, data, rows, tail, weights, factor=True))
-                self.shares.append((self.fits[-1], -1, rows, th, None))
+                fit = _survivor_fit(what, data, rows, tail, weights, factor=True)
+                self.fits.append((fit, rows, [(-1, th, None)]))
         else:
             rows = np.flatnonzero(data.survivor_mask())
             zs = data.z[rows]
@@ -648,9 +645,9 @@ class _SmStage:
             ]
             fit = _survivor_fit("the pooled outcome fit", data, rows, tail, weights, factor=True)
             d = data.n_covariates
-            self.fits.append(fit)
-            self.shares += [(fit, d + 2, rows, self.th1, 1), (fit, d + 4, rows, self.th0, 0)]
-        self.names = self.fits[0].names
+            # arm 0 comes last: its 1 - Z is written over the gathered shares
+            self.fits.append((fit, rows, [(d + 2, self.th1, 1), (d + 4, self.th0, 0)]))
+        self.names = self.fits[0][0].names
 
     def coupling(self, rho):
         """(always, harmed_mass) at ``rho``.
@@ -669,19 +666,21 @@ class _SmStage:
         """(outcome, effect) of the outcome stage at the coupling ``always``.
 
         Two arm-wise fits on (1, X, arm share) when the exclusion
-        restriction is assumed, else one pooled fit.
+        restriction is assumed, else one pooled fit. Each fit gathers
+        ``always`` at its rows once, fills its share columns and is solved.
         """
-        for fit, j, rows, th, arm in self.shares:
-            share, taken = fit.design[:, j], always.take(rows)
-            # "clip" lets take write into the column directly; rows are valid
-            np.take(th, rows, out=share, mode="clip")
-            np.divide(taken, np.maximum(share, 1e-300, out=share), out=share)
-            if arm is not None:
-                z = fit.design[:, fit.names.index("z")]
-                share *= z if arm else np.subtract(1.0, z, out=taken)
-            del taken  # freed before the next column and the outcome fits
         coefs, notes = [], []
-        for fit in self.fits:
+        for fit, rows, columns in self.fits:
+            taken = always.take(rows)
+            for j, th, arm in columns:
+                share = fit.design[:, j]
+                # "clip" lets take write into the column directly; rows are valid
+                np.take(th, rows, out=share, mode="clip")
+                np.divide(taken, np.maximum(share, 1e-300, out=share), out=share)
+                if arm is not None:
+                    z = fit.design[:, fit.names.index("z")]
+                    share *= z if arm else np.subtract(1.0, z, out=taken)
+            del taken  # freed before the outcome fit
             coef, fit_notes = _outcome_ols(fit)
             coefs.append(coef)
             notes += fit_notes

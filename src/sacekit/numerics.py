@@ -496,6 +496,4 @@ def rng_stream(seed, *key):
     (SeedSequence spawn keys), e.g. ``rng_stream(seed, cell, replicate)``.
     Equal arguments always give an identical stream.
     """
-    if key:
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
-    return np.random.default_rng(seed)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

@@ -631,6 +631,11 @@ def test_bench_usage_errors(tmp_path, capsys):
         (("--settings", "0,0", "--sizes", "50,x"), "bad --sizes '50,x'"),
         (("--settings", "0,0", "--sizes", "50,0"), "--sizes must be positive integers"),
         (("--settings", "0,0", "--sizes", ","), "--sizes must be positive integers"),
+        (("--settings", "0,0,bogus"), "bad settings entry '0,0,bogus', its third field must be er"),
+        (("--settings", "1,0;0,0,"), "bad settings entry '0,0,', its third field must be er"),
+        (("--table2", "--settings", "1,1,er"), "--table2 and --settings each set the grid"),
+        (("--table2", "--table3"), "--table2 and --table3 each set the grid"),
+        (("--table3", "--settings", ""), "--table3 and --settings each set the grid"),
     ],
 )
 def test_bench_rejects_bad_sizes_and_settings(tmp_path, capsys, argv, message):
@@ -696,6 +701,16 @@ def test_config_file_errors(tmp_path, capsys):
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2 and "cannot read config" in err
+
+
+def test_an_unknown_subcommand_is_named_before_its_config_file_is_read(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("not a key value line\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and "key = value" not in err
 
 
 def test_version_flag(capsys):

@@ -1,7 +1,11 @@
 """Tests for the dataset container, CSV round trip and structural checks."""
 
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,13 @@ def test_from_arrays_reports_the_first_failing_check(dtype, faults):
     with pytest.raises(DataError) as err:
         Dataset.from_arrays(z, x, cols["a"], s, cols["y"])
     assert str(err.value) == min(messages, key=order.index)
+
+
+def test_a_dataset_is_unequal_to_what_is_not_a_dataset():
+    data = small_dataset()
+    assert data.__eq__(data.covariate_names) is NotImplemented
+    assert data != data.covariate_names and data != 6 and data != None  # noqa: E711
+    assert data == small_dataset()
 
 
 def test_subset_equals_from_arrays_on_the_same_rows():
@@ -409,6 +420,9 @@ PREFIX_ROWS = 50_010
         ("1,1,2.0,0,1_0", "x1 must be numeric, got '1_0'"),
         ("1,1,2.0,0,nan", "x1 must be finite, got 'nan'"),
         ("1,1,2.0,0,-inf", "x1 must be finite, got '-inf'"),
+        # int() and float() read a digit-group underscore; the loader does not
+        ("1,1,2.0,1_0,0.5", "a must be an integer level code, got '1_0'"),
+        ("1,1,2_5,0,0.5", "bad outcome value '2_5'"),
     ],
 )
 def test_load_errors_name_rows_past_the_first_block(tmp_path, bad_row, message):
@@ -461,6 +475,82 @@ def test_load_reports_undecodable_files_as_data_errors(tmp_path):
     p.write_bytes(b"z,s,y,a,x1\n1,1,2.0,0,\xff\n")
     with pytest.raises(DataError):
         load_dataset(p)
+    # the header must be UTF-8, whatever column the name is for
+    p.write_bytes(b"z,s,y,a,x\xe9\n1,1,0.5,0,1.5\n")
+    with pytest.raises(DataError, match="'utf-8' codec can't decode byte 0xe9"):
+        load_dataset(p)
+
+
+def write_notes(path, rows, special):
+    """A z,s,y,a,x1,note file of ``rows`` valid rows; ``special`` maps row numbers to bytes."""
+    lines = [b"z,s,y,a,x1,note"]
+    lines += [special.get(i, b"1,1,0.5,0,1.5,ok") for i in range(2, rows + 2)]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+NOTES = Schema(covariates=("x1",))  # the note column is not read
+NOT_UTF8 = b"1,1,0.5,0,1.5,caf\xe9"
+BAD_Z = b"2,1,0.5,0,1.5,ok"
+
+
+@pytest.mark.parametrize("row", [2, 2002])
+def test_a_byte_that_is_not_utf8_loads_in_a_column_that_is_not_read(tmp_path, row):
+    # only the header is decoded as UTF-8, wherever in the rows the byte sits
+    p = tmp_path / "notes.csv"
+    write_notes(p, 2001, {row: NOT_UTF8})
+    assert len(load_dataset(p, NOTES)) == 2001
+
+
+def test_a_byte_that_is_not_utf8_leaves_a_later_row_fault_reported(tmp_path):
+    # the byte lies past the first 8 KiB that a text reader decodes at once
+    p = tmp_path / "notes.csv"
+    write_notes(p, 2010, {300: NOT_UTF8, 2008: BAD_Z})
+    with pytest.raises(DataError, match="row 2008: z must be 0 or 1, got '2'$"):
+        load_dataset(p, NOTES)
+
+
+def test_a_field_over_the_csv_field_limit_leaves_a_later_row_fault_reported(tmp_path):
+    limit = csv.field_size_limit()
+    long_row = b"1,1,0.5,0,1.5," + b"q" * (limit + 70_000)
+    p = tmp_path / "notes.csv"
+    write_notes(p, 10, {3: long_row})
+    assert len(load_dataset(p, NOTES)) == 10
+    write_notes(p, 10, {3: long_row, 8: BAD_Z})
+    with pytest.raises(DataError, match="row 8: z must be 0 or 1, got '2'$"):
+        load_dataset(p, NOTES)
+    assert csv.field_size_limit() == limit  # raised for the row parse only
+
+
+def test_a_field_over_the_row_parsers_limit_is_a_data_error(tmp_path, monkeypatch):
+    # the limit stands in for 2**31 - 1 characters, a field of a 2 GiB file
+    monkeypatch.setattr(data_module, "_FIELD_LIMIT", 1000)
+    limit = csv.field_size_limit()
+    p = tmp_path / "notes.csv"
+    write_notes(p, 10, {3: b"1,1,0.5,0,1.5," + b"q" * 1001, 8: BAD_Z})
+    with pytest.raises(DataError, match=r"field larger than field limit \(1000\)$"):
+        load_dataset(p, NOTES)
+    assert csv.field_size_limit() == limit
+
+
+def test_save_writes_utf8_under_an_ascii_locale(tmp_path):
+    code = (
+        "import sys\n"
+        "from sacekit.data import Dataset, load_dataset, save_dataset\n"
+        "d = Dataset.from_arrays([1, 0], [[0.5], [1.5]], [0, 1], [1, 0], [2.0, float('nan')],"
+        " ('\\u00e2ge',))\n"
+        "save_dataset(d, sys.argv[1])\n"
+        "assert load_dataset(sys.argv[1]) == d\n"
+    )
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    root = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    path = tmp_path / "age.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes().startswith(b"z,s,y,a,\xc3\xa2ge\r\n")
 
 
 def reference_load(path, schema=None):

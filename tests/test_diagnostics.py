@@ -57,6 +57,13 @@ def test_quantile_binner_splits_continuous_keeps_discrete():
     assert len(set(keys[lo, 1])) == 1 and len(set(keys[~lo, 1])) == 1
 
 
+@pytest.mark.parametrize("shape", [(500,), (500, 1, 2), ()])
+def test_quantile_binner_takes_only_a_covariate_matrix(shape):
+    x = np.zeros(shape)
+    with pytest.raises(ValueError, match=r"x must be an \(n, d\) covariate matrix"):
+        quantile_binner(x, bins=2)
+
+
 def test_check_monotone_sample_pass_fail_and_noise():
     clear_fail = CellTable(
         {((), 0): sample_cell(400, 0.5, 0.8, 200, 200)}, mode="sample"
@@ -175,6 +182,20 @@ def test_mean_structure_j_test_consistent_population():
     report_cells = _mean_structure(table, "treated", 0.99)
     assert report_cells["status"] == "pass"
     assert report_cells["cells"][0]["j_stat"] < 1e-18
+
+
+def test_a_level_with_treated_survivors_and_no_treated_mean_is_not_used():
+    # three levels on an exact mixture; level 2 survives but reports no mean
+    cells = {
+        ((), a): population_cell(1.0 / 3.0, 0.8, w * 0.8, 3.0 * w - 1.0, 0.0)
+        for a, w in enumerate((0.2, 0.5, 0.8))
+    }
+    assert _mean_structure(CellTable(cells, mode="population"), "treated")["cells"][0][
+        "levels"
+    ] == 3
+    cells[((), 2)] = population_cell(1.0 / 3.0, 0.8, 0.64, None, 0.0)
+    out = _mean_structure(CellTable(cells, mode="population"), "treated")
+    assert out["cells"] == [{"x": [], "status": "vacuous", "levels": 2}]
 
 
 def test_mean_structure_cells_pin_every_group_outcome():

@@ -309,6 +309,22 @@ def test_constant_mixing_weights_raise_relevance_error():
         sace_no_interaction(table)
 
 
+@pytest.mark.parametrize("levels", [2, 3])
+def test_a_zero_mass_cell_is_refused_at_every_level_count(levels):
+    # one mixture solve serves every group: a two-level group checks its
+    # counts as a group of three or more does
+    cells = {
+        ((), 1): population_cell(1.0, 0.8, 0.6, 1.5, 1.0),
+        ((), 0): population_cell(0.0, 0.7, 0.3, 6.0 / 7.0, 1.0),
+    }
+    if levels == 3:
+        cells[((), 1)] = population_cell(0.5, 0.8, 0.6, 1.5, 1.0)
+        cells[((), 2)] = population_cell(0.5, 0.9, 0.45, 1.75, 1.0)
+    table = CellTable(cells, mode="population")
+    with pytest.raises(ValueError, match="counts must be positive"):
+        sace_monotone_exclusion(table)
+
+
 def test_single_level_group_dropped_with_warning():
     # second covariate group observed at one level only: dropped, not fatal
     table = CellTable(

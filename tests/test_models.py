@@ -75,6 +75,10 @@ def test_survival_design_shape():
     d = survival_design(np.ones((4, 2)), np.zeros(4))
     assert d.shape == (4, 4)
     assert_allclose(d[:, 0], 1.0)
+    # a 1-d covariate is one column, and integer inputs give a float design
+    d = survival_design(np.arange(3), np.array([2, 0, 1]))
+    assert d.dtype == float
+    assert d.tolist() == [[1.0, 0.0, 2.0], [1.0, 1.0, 0.0], [1.0, 2.0, 1.0]]
 
 
 def test_joint_objective_gradient_is_analytic():

@@ -629,6 +629,15 @@ def test_a_fitted_probability_within_boundary_eps_is_not_converged():
     assert res.boundary_flag and not res.converged
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_rng_stream_without_a_key_draws_as_default_rng(seed):
+    # the docstring's promise: an empty key path is numpy's own seeding
+    ours, numpys = rng_stream(seed), np.random.default_rng(seed)
+    for draw in ("random", "normal", "standard_exponential"):
+        assert_allclose(getattr(ours, draw)(size=5), getattr(numpys, draw)(size=5), rtol=0)
+    assert ours.integers(0, 2**62, size=5).tolist() == numpys.integers(0, 2**62, size=5).tolist()
+
+
 def test_rng_stream_determinism_and_distinctness():
     a = rng_stream(99, 3).normal(size=4)
     b = rng_stream(99, 3).normal(size=4)

@@ -43,17 +43,19 @@ The battery:
   method), with relative paths in the battery's directory, recording each
   stdout envelope without ``duration_s`` and the text of the session's
   first four files, line endings included;
-- the csv group: ``load_dataset`` on eleven small files written into the
+- the csv group: ``load_dataset`` on fifteen small files written into the
   battery's directory and read by relative path (LF, CRLF and lone-CR line
   endings; quoted header names holding a comma and a line break; padded and
   quoted fields; a UTF-8 BOM; ``Schema(a="z")``; a header that names a
   covariate twice; a missing role and a missing listed covariate; a survivor
-  outcome written with a fullwidth digit),
+  outcome written with a fullwidth digit; a byte that is not UTF-8 in a
+  column that is not read, near the top of the file and past its first
+  8 KiB ahead of a bad row; an outcome ``2_5`` and a level code ``1_0``),
   recording the covariate names and the z, s, a, x and survivor outcome
   arrays, or the error.
 
-That is 268 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
-diagnostics 54, routes 72, benchmark 1, files 10 and csv 11.
+That is 272 keys: estimate 36, bootstrap 24, outcome 30, sweep 18, data 12,
+diagnostics 54, routes 72, benchmark 1, files 10 and csv 15.
 
 A library error (``SacekitError`` or ``ValueError``) is recorded as its
 type and message, and warnings as their category and message; any other
@@ -206,6 +208,15 @@ def cli_files(tmp):
 
 CSV_ROWS = ["z,s,y,a,x1,x2", "1,1,2.5,0,0.5,1", "0,0,,1,-1.25,0", "1,0,,2,3e2,1"]
 LF = "\n".join(CSV_ROWS).encode() + b"\n"
+OK_ROW, CAFE = b"1,1,2.5,0,0.5,ok", b"0,0,,1,-1.25,caf\xe9"
+UNREAD = {"covariates": ("x1",)}  # the note column is not read
+
+
+def notes_file(rows):
+    """The bytes of a z,s,y,a,x1,note file with these data rows."""
+    return b"\n".join([b"z,s,y,a,x1,note", *rows]) + b"\n"
+
+
 CSV_FILES = {  # name: (bytes, Schema keyword arguments)
     "lf.csv": (LF, {}),
     "crlf.csv": ("\r\n".join(CSV_ROWS).encode() + b"\r\n", {}),
@@ -218,6 +229,13 @@ CSV_FILES = {  # name: (bytes, Schema keyword arguments)
     "missing_role.csv": (b"z,s,a,x1\n1,1,0,0.5\n", {}),
     "missing_covariate.csv": (LF, {"covariates": ("x1", "bmi")}),
     "non_ascii_outcome.csv": ("z,s,y,a\n1,1,2.0,0\n1,1,\uff12.0,0\n".encode(), {}),
+    "unread_byte_near_top.csv": (notes_file([OK_ROW, CAFE, OK_ROW]), UNREAD),
+    # the byte past the first 8 KiB (at 8515), then a bad z
+    "unread_byte_before_bad_row.csv": (
+        notes_file([OK_ROW] * 499 + [CAFE] + [OK_ROW] * 19 + [b"2" + OK_ROW[1:]]), UNREAD
+    ),
+    "underscore_outcome.csv": (b"z,s,y,a\n1,1,2.0,0\n1,1,2_5,0\n", {}),
+    "underscore_code.csv": (b"z,s,y,a\n1,1,2.0,0\n1,1,2.5,1_0\n", {}),
 }
 
 
